@@ -188,15 +188,11 @@ def system_residual(vdata: VData, xi: ModelParams) -> np.ndarray:
     return np.concatenate(([sig_eq], _theta_residual(stats, s2)))
 
 
-def _theta_to_params(theta: np.ndarray, sigma2: float) -> ModelParams:
-    return ModelParams(eta=float(theta[0]), poly=PolyCoeffs(tuple(theta[1:])), sigma2=sigma2)
-
-
 def _eval_reduced(vdata: VData, theta: np.ndarray) -> tuple[np.ndarray, float]:
     """Shape residual with sigma2 eliminated through its closed-form root."""
     if theta[0] <= 0:
         return np.full(theta.size, np.inf), np.nan
-    stats = compute_stats(vdata, _theta_to_params(theta, 0.0))
+    stats = compute_stats(vdata, ModelParams.from_vector(np.append(theta, 0.0)))
     s2 = max(sigma2_root(stats, stats.n), SIGMA2_FLOOR)
     return _theta_residual(stats, s2), s2
 
@@ -298,7 +294,7 @@ def fit(
         return _eval_reduced(vdata, theta)[0]
 
     # per-equation characteristic scales, frozen at the starting point
-    stats0 = compute_stats(vdata, _theta_to_params(theta0, 0.0))
+    stats0 = compute_stats(vdata, ModelParams.from_vector(np.append(theta0, 0.0)))
     s2_for_scale = max(sigma2_root(stats0, stats0.n), SIGMA2_FLOOR)
     scale = np.maximum.reduce([
         np.abs(stats0.y),
@@ -317,13 +313,13 @@ def fit(
         def full_system(z):
             if z[0] <= 0 or z[-1] <= 0:
                 return np.full(z.size, np.inf)
-            return system_residual(vdata, _theta_to_params(z[:-1], z[-1]))
+            return system_residual(vdata, ModelParams.from_vector(z))
 
         _, s2_now = _eval_reduced(vdata, theta)
         if not np.isfinite(s2_now):
             s2_now = s2_0
         z0 = np.concatenate((theta, [max(s2_now, SIGMA2_FLOOR)]))
-        stats_now = compute_stats(vdata, _theta_to_params(theta, 0.0))
+        stats_now = compute_stats(vdata, ModelParams.from_vector(np.append(theta, 0.0)))
         sig_scale = max(abs(stats_now.z1 + stats_now.a - 2 * stats_now.b),
                         s2_now * stats_now.n, 1e-300)
         full_scale = np.concatenate(([sig_scale], scale))
@@ -339,7 +335,7 @@ def fit(
             message = message2
             sigma2 = float(max(z[-1], SIGMA2_FLOOR))
             return NrResult(
-                xi_hat=_theta_to_params(theta, sigma2),
+                xi_hat=ModelParams.from_vector(np.append(theta, sigma2)),
                 iterations=len(trace) - 1,
                 residual_norm=norm,
                 converged=converged,
@@ -353,7 +349,7 @@ def fit(
     if not np.isfinite(sigma2):
         sigma2 = s2_0
     return NrResult(
-        xi_hat=_theta_to_params(theta, float(max(sigma2, SIGMA2_FLOOR))),
+        xi_hat=ModelParams.from_vector(np.append(theta, max(sigma2, SIGMA2_FLOOR))),
         iterations=len(trace) - 1,
         residual_norm=norm,
         converged=converged,

@@ -19,6 +19,10 @@ when the stage budget is exhausted, or when the temperature floor is reached.
 
 Because annealing is stochastic, the estimate is averaged over independent
 seeded replications; per-replication solutions are kept alongside the average.
+The replications advance in lockstep, each on its own ``(seed, rep)`` random
+stream, and every step evaluates all their proposals in one call of the
+batched kernel :func:`~mslogistic.likelihood.neg_core_loglik`; the results are
+identical to running the replications one after another.
 """
 
 from __future__ import annotations
@@ -28,12 +32,11 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as _stats
+from scipy.special import stdtrit
 
 from .fit_nr import FitError, usable_saturation_pairs
-from .likelihood import compute_stats, transform
-from .likelihood import core_loglik
-from .model import ModelParams, PolyCoeffs
+from .likelihood import neg_core_loglik, transform
+from .model import ModelParams
 from .simulate import PathPanel, sample_mean
 
 __all__ = ["ParamBox", "SaSchedule", "SaResult", "build_box", "anneal"]
@@ -142,82 +145,80 @@ def build_box(panel: PathPanel, p: int, confidence: float = 0.999) -> ParamBox:
     s2 = float(resid @ resid) / dof
     cov = s2 * np.linalg.inv(scaled.T @ scaled)
     se = np.sqrt(np.diag(cov)) / norms
-    t_quant = _stats.t.ppf(0.5 + confidence / 2.0, dof)
+    t_quant = stdtrit(dof, 0.5 + confidence / 2.0)
     intervals = tuple((float(c - t_quant * s), float(c + t_quant * s)) for c, s in zip(coef, se))
 
     return ParamBox(eta_interval=(float(a), float(b)), beta_intervals=intervals)
 
 
-def _objective(vdata, vec: np.ndarray) -> float:
-    params = ModelParams(eta=float(vec[0]), poly=PolyCoeffs(tuple(vec[1:-1])),
-                         sigma2=float(vec[-1]))
-    return -core_loglik(compute_stats(vdata, params), params.sigma2)
-
-
-def _propose(rng, current: np.ndarray, lower, upper, radius: np.ndarray) -> np.ndarray:
-    lo = np.maximum(lower, current - radius)
-    hi = np.minimum(upper, current + radius)
-    return rng.uniform(lo, hi)
-
-
 def _pilot_temperature(rng, vdata, lower, upper, sched: SaSchedule) -> float:
     """Average uphill jump over random proposal pairs, scaled by -log p0."""
-    increases = []
-    for _ in range(sched.pilot_pairs):
-        f0 = _objective(vdata, rng.uniform(lower, upper))
-        f1 = _objective(vdata, rng.uniform(lower, upper))
-        if math.isfinite(f0) and math.isfinite(f1) and f1 > f0:
-            increases.append(f1 - f0)
-    if not increases:
+    points = lower + (upper - lower) * rng.random((2 * sched.pilot_pairs, lower.size))
+    f = neg_core_loglik(vdata, points)
+    f0, f1 = f[0::2], f[1::2]
+    increases = (f1 - f0)[np.isfinite(f0) & np.isfinite(f1) & (f1 > f0)]
+    if not increases.size:
         return 1.0
     return -float(np.mean(increases)) / math.log(sched.p0)
 
 
-def _run_one(vdata, box: ParamBox, sched: SaSchedule, rep: int, t0_temp: float,
-             uphill_log: list | None):
-    rng = np.random.default_rng((sched.seed, rep))
+def _run_lockstep(vdata, box: ParamBox, sched: SaSchedule, t0_temp: float,
+                  uphill_log: list | None):
+    """All replications in lockstep; returns best vectors, objectives and stop reasons.
+
+    Replication ``rep`` draws from ``default_rng((seed, rep))`` in the order a
+    lone run would, so its result does not depend on the others.  The shared
+    temperature depends only on the stage; a flat chain leaves the active set.
+    """
+    n_rep, chain = sched.replications, sched.chain_length
+    rngs = [np.random.default_rng((sched.seed, rep)) for rep in range(n_rep)]
     lower, upper = box.lower, box.upper
     width = upper - lower
     eps = 1e-12 * width
     lower = lower + eps          # keep the open sigma2 endpoint strictly positive
     upper = upper - eps
 
-    current = rng.uniform(lower, upper)
-    f_curr = _objective(vdata, current)
-    best, f_best = current.copy(), f_curr
+    current = lower + (upper - lower) * np.array([rng.random(width.size) for rng in rngs])
+    f_curr = neg_core_loglik(vdata, current).tolist()
+    best, f_best = current.copy(), list(f_curr)
+    logs = [[] for _ in range(n_rep)]
+    stops = ["max_iter"] * n_rep
+    recent = np.empty((n_rep, chain))
+    active = list(range(n_rep))
 
     temp = t0_temp
-    recent: list[float] = []
-    stop = "max_iter"
     for _ in range(sched.max_iter):
         radius = width * max(0.10 * temp / t0_temp, 0.001)
-        for _ in range(sched.chain_length):
-            cand = _propose(rng, current, lower, upper, radius)
-            f_cand = _objective(vdata, cand)
-            df = f_cand - f_curr
-            if df <= 0:
-                accept = True
-            else:
-                rho = math.exp(-df / temp)
-                accept = rng.random() < rho
-                if uphill_log is not None:
-                    uphill_log.append((df / temp, accept))
-            if accept:
-                current, f_curr = cand, f_cand
-                if f_curr < f_best:
-                    best, f_best = current.copy(), f_curr
-            recent.append(f_curr)
-        recent = recent[-sched.chain_length:]
-        if len(recent) == sched.chain_length and max(recent) - min(recent) <= sched.flat_tol:
-            stop = "flat_chain"
+        for step in range(chain):
+            lo = np.maximum(lower, current[active] - radius)
+            hi = np.minimum(upper, current[active] + radius)
+            cand = lo + (hi - lo) * np.array([rngs[r].random(width.size) for r in active])
+            for i, (r, f_cand) in enumerate(zip(active, neg_core_loglik(vdata, cand).tolist())):
+                df = f_cand - f_curr[r]
+                accept = df <= 0
+                if not accept:
+                    accept = rngs[r].random() < math.exp(-df / temp)
+                    logs[r].append((df / temp, accept))
+                if accept:
+                    current[r], f_curr[r] = cand[i], f_cand
+                    if f_cand < f_best[r]:
+                        best[r], f_best[r] = cand[i], f_cand
+                recent[r, step] = f_curr[r]
+        for r in active:
+            if recent[r].max() - recent[r].min() <= sched.flat_tol:
+                stops[r] = "flat_chain"
+        active = [r for r in active if stops[r] != "flat_chain"]
+        if not active:
             break
         temp *= sched.gamma
         if temp < sched.t_final:
-            stop = "temperature_floor"
+            for r in active:
+                stops[r] = "temperature_floor"
             break
-    params = ModelParams(eta=float(best[0]), poly=PolyCoeffs(tuple(best[1:-1])),
-                         sigma2=float(best[-1]))
-    return params, float(f_best), stop
+    if uphill_log is not None:
+        for log in logs:
+            uphill_log.extend(log)
+    return best, f_best, stops
 
 
 def anneal(panel: PathPanel, p: int, box: ParamBox | None = None,
@@ -241,19 +242,11 @@ def anneal(panel: PathPanel, p: int, box: ParamBox | None = None,
     t0_temp = _pilot_temperature(pilot_rng, vdata, box.lower + 1e-12 * (box.upper - box.lower),
                                  box.upper, sched)
 
-    per_rep = []
-    reasons = []
-    for rep in range(sched.replications):
-        params, f_best, stop = _run_one(vdata, box, sched, rep, t0_temp, uphill_log)
-        per_rep.append((params, f_best))
-        reasons.append(stop)
-
-    avg = np.mean([prm.as_vector() for prm, _ in per_rep], axis=0)
-    xi_hat = ModelParams(eta=float(avg[0]), poly=PolyCoeffs(tuple(avg[1:-1])),
-                         sigma2=float(avg[-1]))
+    best, f_best, stops = _run_lockstep(vdata, box, sched, t0_temp, uphill_log)
     return SaResult(
-        xi_hat=xi_hat,
-        per_replication=tuple(per_rep),
-        stop_reasons=tuple(reasons),
+        xi_hat=ModelParams.from_vector(np.mean(best, axis=0)),
+        per_replication=tuple((ModelParams.from_vector(vec), f)
+                              for vec, f in zip(best, f_best)),
+        stop_reasons=tuple(stops),
         t0_temperature=t0_temp,
     )

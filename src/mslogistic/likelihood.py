@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -44,6 +45,7 @@ __all__ = [
     "fit_initial",
     "transition_log_mean",
     "compute_stats",
+    "neg_core_loglik",
     "loglik",
     "grad_loglik",
 ]
@@ -77,6 +79,10 @@ class VData:
     g_count: np.ndarray = field(repr=False)     # (G,)
     g_sum_v: np.ndarray = field(repr=False)     # (G,)
     g_sum_v2: np.ndarray = field(repr=False)    # (G,)
+    # data-only aggregates z1 = sum v^2, z2 = sum v sqrt(dt), z3 = sum dt
+    z1: float = field(repr=False)
+    z2: float = field(repr=False)
+    z3: float = field(repr=False)
 
     @property
     def d(self) -> int:
@@ -148,6 +154,9 @@ def transform(panel: PathPanel) -> VData:
         g_count=g_count,
         g_sum_v=g_sum_v,
         g_sum_v2=g_sum_v2,
+        z1=float(np.sum(g_sum_v2)),
+        z2=float(np.sum(g_sum_v * np.sqrt(g_delta))),
+        z3=float(np.sum(g_count * g_delta)),
     )
 
 
@@ -208,13 +217,43 @@ class LikelihoodStats:
         return self.d_g[:, self.vdata.group]
 
 
+def _log_gap(times: np.ndarray, eta: np.ndarray, beta: np.ndarray):
+    """``Q`` and ``log(eta + e^{-Q})`` on the time table, one row per ``(eta, beta)`` row.
+
+    ``eta`` has shape ``(K,)`` and ``beta`` ``(K, p)``.  Horner's scheme runs in
+    the order of ``PolyCoeffs.value``, and logs are taken with ``math.log``
+    (``np.log`` can differ in the last bit), so every row is bit-identical.
+    """
+    q = np.zeros((eta.size, times.size))
+    for coef in beta.T[::-1, :, None]:
+        q *= times
+        q += coef
+    q *= times
+    log_eta = np.array([math.log(e) for e in eta])
+    return q, np.logaddexp(log_eta[:, None], -q)
+
+
 def _gap_tables(eta: float, poly: PolyCoeffs, times: np.ndarray):
     """log(eta + e^{-Q}), 1/(eta + e^{-Q}) and e^{-Q}/(eta + e^{-Q}) on the time table."""
-    q = poly.value(times)
-    log_u = np.logaddexp(math.log(eta), -q)
+    q, log_u = _log_gap(times, np.array([eta]), np.array([poly.beta]))
+    q, log_u = q[0], log_u[0]
     inv_u = np.exp(-log_u)
     w_frac = np.exp(-q - log_u)
     return log_u, inv_u, w_frac
+
+
+def _gap_aggregates(vdata: VData, log_u: np.ndarray):
+    """Per-group log-gap differences ``lam`` and the rows' aggregates ``a``, ``b``, ``c``.
+
+    ``take`` keeps ``lam`` C-contiguous (``log_u[:, idx]`` would be Fortran
+    ordered), so each row sums exactly as the 1-D array of a single row would.
+    """
+    lam = log_u.take(vdata.g_lo, axis=1) - log_u.take(vdata.g_hi, axis=1)
+    cnt, sv, dt = vdata.g_count, vdata.g_sum_v, vdata.g_delta
+    a = (cnt * lam * lam / dt).sum(axis=1)
+    b = (sv * lam / np.sqrt(dt)).sum(axis=1)
+    c = (cnt * lam).sum(axis=1)
+    return lam, a, b, c
 
 
 def _derivative_table(inv_u: np.ndarray, w_frac: np.ndarray, times: np.ndarray, p: int) -> np.ndarray:
@@ -237,31 +276,42 @@ def compute_stats(vdata: VData, params: ModelParams) -> LikelihoodStats:
     """All likelihood aggregates for the growth shape of ``params`` (sigma2 unused)."""
     p = params.degree
     log_u, inv_u, w_frac = _gap_tables(params.eta, params.poly, vdata.times)
-    lam_g = log_u[vdata.g_lo] - log_u[vdata.g_hi]
+    lam, a, b, c = _gap_aggregates(vdata, log_u[None, :])
+    lam_g = lam[0]
 
     cnt, sv, dt = vdata.g_count, vdata.g_sum_v, vdata.g_delta
-    sqdt = np.sqrt(dt)
-    a = float(np.sum(cnt * lam_g * lam_g / dt))
-    b = float(np.sum(sv * lam_g / sqdt))
-    c = float(np.sum(cnt * lam_g))
-
     f = _derivative_table(inv_u, w_frac, vdata.times, p)
     d_g = f[:, vdata.g_hi] - f[:, vdata.g_lo]           # (p+1, G)
 
     w = d_g @ cnt
-    x = d_g @ (sv / sqdt)
+    x = d_g @ (sv / np.sqrt(dt))
     y = d_g @ (cnt * (-lam_g) / dt)
 
-    z1 = float(np.sum(vdata.g_sum_v2))
-    z2 = float(np.sum(sv * sqdt))
-    z3 = float(np.sum(cnt * dt))
-
     return LikelihoodStats(
-        z1=z1, z2=z2, z3=z3, a=a, b=b, c=c,
+        z1=vdata.z1, z2=vdata.z2, z3=vdata.z3, a=float(a[0]), b=float(b[0]), c=float(c[0]),
         w=w, x=x, y=y,
         lam_g=lam_g, d_g=d_g, vdata=vdata,
         n=vdata.n, p=p,
     )
+
+
+def neg_core_loglik(vdata: VData, rows) -> np.ndarray:
+    """``-core_loglik`` at each ``(eta, beta_1..beta_p, sigma2)`` row of a ``(K, p+2)`` matrix.
+
+    Value-only: no derivative table is built.  Row ``k`` equals
+    ``-core_loglik(compute_stats(vdata, params_k), sigma2_k)`` exactly.
+    """
+    rows = np.asarray(rows, dtype=float)
+    if rows.ndim != 2 or rows.shape[1] < 3:
+        raise ValueError(f"need a (K, p+2) parameter matrix, got shape {rows.shape}")
+    eta, sigma2 = rows[:, 0], rows[:, -1]
+    if not (np.isfinite(rows).all() and (eta > 0).all() and (sigma2 > 0).all()):
+        raise ValueError("every row needs finite values, eta > 0 and sigma2 > 0")
+    _, log_u = _log_gap(vdata.times, eta, rows[:, 1:-1])
+    _, a, b, c = _gap_aggregates(vdata, log_u)
+    aggregates = SimpleNamespace(z1=vdata.z1, z2=vdata.z2, z3=vdata.z3, a=a, b=b, c=c)
+    log_sigma2 = np.array([math.log(s) for s in sigma2])
+    return 0.5 * vdata.n * log_sigma2 + _quad_form(aggregates, sigma2) / (2.0 * sigma2)
 
 
 def _quad_form(stats: LikelihoodStats, sigma2: float) -> float:

@@ -122,8 +122,9 @@ class ModelParams:
 
     @classmethod
     def from_vector(cls, xi) -> "ModelParams":
+        """Inverse of :meth:`as_vector`; stores plain Python floats."""
         xi = np.asarray(xi, dtype=float)
-        return cls(eta=xi[0], poly=PolyCoeffs(tuple(xi[1:-1])), sigma2=xi[-1])
+        return cls(eta=float(xi[0]), poly=PolyCoeffs(tuple(xi[1:-1])), sigma2=float(xi[-1]))
 
 
 @dataclass(frozen=True)

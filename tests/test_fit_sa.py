@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +18,16 @@ from mslogistic.fit_nr import FitError
 from mslogistic.fit_sa import ParamBox, SaSchedule, anneal, build_box
 
 from conftest import make_case1_panel
+
+# Outputs of the sequential annealing loop (one replication after another),
+# recorded on a small case-1 panel.  Schedule "floor" stops by
+# temperature_floor and flat_chain, schedule "max_iter" by max_iter and
+# flat_chain.
+SA_GOLDEN = json.loads((Path(__file__).parent / "data" / "sa_golden.json").read_text())
+GOLDEN_SCHEDULES = {
+    "floor": dict(gamma=0.7),
+    "max_iter": dict(gamma=0.75, max_iter=50),
+}
 
 
 class TestParamBox:
@@ -60,6 +72,15 @@ class TestBuildBox:
             box = build_box(panel, 3)
         ratios = [1.0 / (p.values[-1] / p.values[0] - 1.0) for p in base.paths]
         assert box.eta_interval == (pytest.approx(min(ratios)), pytest.approx(max(ratios)))
+
+    def test_t_quantile_matches_scipy_stats(self):
+        # build_box takes its t quantile from scipy.special.stdtrit
+        from scipy.special import stdtrit
+
+        dof = np.arange(1, 600)
+        for confidence in (0.95, 0.99, 0.999):
+            q = 0.5 + confidence / 2.0
+            np.testing.assert_array_equal(stdtrit(dof, q), sps.t.ppf(q, dof))
 
     def test_all_paths_decreasing_fails(self):
         t = np.linspace(0.0, 5.0, 6)
@@ -156,6 +177,46 @@ class TestAnneal:
         box = ParamBox(eta_interval=(0.1, 1.0), beta_intervals=((0.0, 0.2),))
         with pytest.raises(ValueError):
             anneal(panel, 3, box)
+
+
+class TestGolden:
+    @pytest.fixture(scope="class")
+    def golden_panel(self, case1_params):
+        return make_case1_panel(case1_params, seed=60, d=20, n_points=51)
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_SCHEDULES))
+    def test_matches_recorded_run(self, golden_panel, name):
+        want = SA_GOLDEN[name]
+        sched = SaSchedule(seed=0, replications=5, chain_length=8, pilot_pairs=20,
+                           **GOLDEN_SCHEDULES[name])
+        log: list[tuple[float, bool]] = []
+        res = anneal(golden_panel, 3, build_box(golden_panel, 3), sched, uphill_log=log)
+        assert [list(prm.as_vector()) for prm, _ in res.per_replication] == want["vectors"]
+        assert [f for _, f in res.per_replication] == want["objectives"]
+        assert list(res.stop_reasons) == want["stop_reasons"]
+        assert res.t0_temperature == want["t0_temperature"]
+        assert list(res.xi_hat.as_vector()) == want["xi_hat"]
+        assert len(log) == want["uphill_len"]
+        assert [list(e) for e in log[:50]] == want["uphill_head"]
+        assert [list(e) for e in log[-50:]] == want["uphill_tail"]
+
+    def test_all_stop_reasons_covered(self):
+        reasons = {r for rec in SA_GOLDEN.values() for r in rec["stop_reasons"]}
+        assert reasons == {"flat_chain", "temperature_floor", "max_iter"}
+
+    def test_replication_independent_of_count(self, golden_panel):
+        box = build_box(golden_panel, 3)
+        runs = {
+            n: anneal(golden_panel, 3, box, SaSchedule(seed=3, replications=n, chain_length=8,
+                                                       gamma=0.75, max_iter=40, pilot_pairs=20))
+            for n in (2, 4)
+        }
+        assert runs[2].t0_temperature == runs[4].t0_temperature
+        for r in range(2):
+            (p2, f2), (p4, f4) = runs[2].per_replication[r], runs[4].per_replication[r]
+            assert f2 == f4
+            assert list(p2.as_vector()) == list(p4.as_vector())
+            assert runs[2].stop_reasons[r] == runs[4].stop_reasons[r]
 
 
 class TestSchedule:

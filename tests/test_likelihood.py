@@ -19,7 +19,7 @@ from mslogistic import (
     transform,
     transition_log_mean,
 )
-from mslogistic.likelihood import core_loglik
+from mslogistic.likelihood import core_loglik, neg_core_loglik
 
 CASE1 = ModelParams(eta=math.exp(-1), poly=PolyCoeffs((0.1, -0.009, 0.0002)), sigma2=1e-4)
 
@@ -259,6 +259,33 @@ class TestLoglik:
         vdata = transform(panel)
         with pytest.raises(ValueError):
             core_loglik(compute_stats(vdata, CASE1), 0.0)
+
+
+class TestNegCoreLoglik:
+    """The batched value kernel against the scalar path, bit for bit."""
+
+    @pytest.mark.parametrize("k", [1, 3, 10])
+    def test_rows_equal_scalar_path(self, k):
+        rng = np.random.default_rng(100 + k)
+        for trial in range(4):
+            vdata = transform(random_panel(rng, d=int(rng.integers(1, 5)), ragged=trial % 2 == 1))
+            p = int(rng.integers(1, 5))
+            params = [random_params(rng, p) for _ in range(k)]
+            rows = np.array([prm.as_vector() for prm in params])
+            want = [-core_loglik(compute_stats(vdata, prm), prm.sigma2) for prm in params]
+            wide = np.zeros((2 * k, p + 4))
+            wide[::2, 1:-1] = rows
+            for view in (rows, np.asfortranarray(rows), wide[::2, 1:-1]):
+                assert neg_core_loglik(vdata, view).tolist() == want
+
+    @pytest.mark.parametrize("col, bad", [(0, 0.0), (0, -1.0), (1, math.inf), (2, math.nan),
+                                          (-1, 0.0), (-1, -1e-3)])
+    def test_invalid_row_rejected(self, col, bad):
+        vdata = transform(random_panel(np.random.default_rng(9), d=2))
+        rows = np.array([CASE1.as_vector()] * 3)
+        rows[1, col] = bad
+        with pytest.raises(ValueError):
+            neg_core_loglik(vdata, rows)
 
 
 class TestGradient:

@@ -298,3 +298,8 @@ class TestValidation:
     def test_vector_round_trip(self):
         p = ModelParams(eta=0.4, poly=PolyCoeffs(CASE1_BETA), sigma2=1e-4)
         assert ModelParams.from_vector(p.as_vector()) == p
+
+    def test_from_vector_stores_python_floats(self):
+        p = ModelParams.from_vector(np.array([0.4, *CASE1_BETA, 1e-4]))
+        assert type(p.eta) is float and type(p.sigma2) is float
+        assert all(type(b) is float for b in p.poly.beta)
