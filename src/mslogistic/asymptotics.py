@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from .likelihood import VData, compute_stats
+from .likelihood import VData, compute_stats, direction_signs
 from .model import ModelParams
 
 __all__ = [
@@ -97,9 +97,7 @@ def fisher_info(vdata: VData, xi: ModelParams) -> FisherInfo:
     """
     stats = compute_stats(vdata, xi)
     p = stats.p
-    signs = np.full(p + 1, -1.0)
-    signs[0] = 1.0
-    dm = signs[:, None] * stats.d_g                      # (p+1, G): true dm/dtheta
+    dm = direction_signs(p)[:, None] * stats.d_g     # (p+1, G): true dm/dtheta
     cnt, dt = vdata.g_count, vdata.g_delta
 
     theta_block = (dm * (cnt / dt)) @ dm.T

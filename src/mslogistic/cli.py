@@ -76,6 +76,12 @@ def _number(value, where: str) -> float:
     return float(value)
 
 
+def _degree(value) -> int:
+    if not isinstance(value, int) or value < 1:
+        raise ConfigError("degree: expected a positive integer")
+    return value
+
+
 def _params_from_config(obj, where: str) -> ModelParams:
     _expect_keys(obj, where, {"eta", "beta", "sigma2"})
     beta = obj["beta"]
@@ -272,7 +278,10 @@ def _fit_panel(panel: PathPanel, degree: int, method: str, seed, config: dict):
                      {"replications", "chain_length", "max_iter", "gamma", "p0", "t_final"})
         if seed is not None:
             opts["seed"] = seed
-        sched = SaSchedule(**opts)
+        try:
+            sched = SaSchedule(**opts)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"sa: {exc}") from None
         box = build_box(panel, degree)
         res = anneal(panel, degree, box, sched)
         return res.xi_hat, {
@@ -292,9 +301,7 @@ def _cmd_fit(config: dict, seed, out_dir: Path, scale_max: bool, method_flag) ->
                  {"method", "scale_max", "nr", "sa", "confidence_levels", "seed"})
     method = method_flag or config.get("method", "nr")
     panel = ingest_csv(config["data"], scale_max or config.get("scale_max", False))
-    degree = config["degree"]
-    if not isinstance(degree, int) or degree < 1:
-        raise ConfigError("degree: expected a positive integer")
+    degree = _degree(config["degree"])
     xi_hat, details = _fit_panel(panel, degree, method, seed, config)
 
     vdata = transform(panel)
@@ -377,20 +384,27 @@ def _cmd_fpt(config: dict, seed, out_dir: Path, scale_max: bool) -> _Bundle:
     elif "data" in config:
         if "degree" not in config:
             raise ConfigError("data-driven fpt config needs 'degree'")
+        degree = _degree(config["degree"])
         panel = ingest_csv(config["data"], scale_max or config.get("scale_max", False))
-        res = fit(panel, config["degree"])
+        res = fit(panel, degree)
         params = res.xi_hat
         x0 = float(panel.first_values().mean())
         t0 = 0.0  # fitted parameters live on the shifted clock
-        fitted_from = {"data": str(config["data"]), "degree": config["degree"],
-                       "estimates": _params_dict(params), "panel_t0": transform(panel).t0}
+        fitted_from = {"data": str(config["data"]), "degree": degree,
+                       "estimates": _params_dict(params), "panel_t0": panel.t0}
     else:
         raise ConfigError("fpt config needs either 'params' or 'data'")
 
-    problem = FptProblem(params=params, x0=x0, t0=t0,
-                         boundary=_positive(config["boundary"], "boundary"),
-                         t_max=_number(config["t_max"], "t_max"))
-    dens = solve_density(problem)
+    boundary = _positive(config["boundary"], "boundary")
+    t_max = _number(config["t_max"], "t_max")
+    try:
+        problem = FptProblem(params=params, x0=x0, t0=t0, boundary=boundary, t_max=t_max)
+    except ValueError as exc:
+        raise ConfigError(f"fpt: {exc}") from None
+    try:
+        dens = solve_density(problem)
+    except NotImplementedError as exc:
+        raise ConfigError(f"fpt: boundary {boundary} is below the start {x0}; {exc}") from None
 
     bundle = _Bundle("fpt", config, seed, out_dir)
     dens_path = out_dir / "fpt_density.csv"

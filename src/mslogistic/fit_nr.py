@@ -273,13 +273,18 @@ def fit(
     Non-convergence is reported, not raised: the best iterate reached is
     returned with ``converged=False`` and the residual trace attached.
     """
-    vdata = transform(panel)
+    return _fit_prepared(panel, transform(panel), p, tol, max_iter, max_backtracks, init)
 
+
+def _fit_prepared(panel: PathPanel, vdata: VData, p: int, tol: float = 1e-9,
+                  max_iter: int = 200, max_backtracks: int = 30,
+                  init: tuple[np.ndarray, float] | None = None) -> NrResult:
+    """:func:`fit` on a panel whose :class:`VData` is already prepared."""
     init_solution = None
     if init is None:
         eta0, beta0, r2, resid = initial_theta(panel, p)
         try:
-            s2_0 = initial_sigma2(panel)
+            s2_0 = initial_sigma2(panel, fit_initial(vdata).sigma1sq_hat)
         except FitError:
             s2_0 = 1e-4
         init_solution = InitSolution(eta0=eta0, beta0=beta0, sigma2_0=s2_0,

@@ -89,6 +89,12 @@ class SaSchedule:
             raise ValueError("gamma must lie in (0, 1)")
         if not 0.0 < self.p0 < 1.0:
             raise ValueError("p0 must lie in (0, 1)")
+        for name in ("replications", "chain_length", "max_iter", "pilot_pairs"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+        if not self.t_final > 0.0:
+            raise ValueError(f"t_final must be positive, got {self.t_final!r}")
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,13 @@ parameter-dependent factors, so aggregates are computed over groups of equal
 time pairs; on a common grid with d paths this cuts the work per likelihood
 evaluation by a factor of d.
 
+On a common grid, :func:`transform` is one array operation on the panel's
+stored ``(d, N)`` value matrix: ``v = diff(log V, axis=1) / sqrt(diff(grid))``,
+group ``j`` is the column of transitions ``j -> j+1`` and the group sums are
+column sums.  Panels whose paths have different grids go through a per-path
+loop that finds the groups by sorting the (start, end) pairs.  Both give the
+same :class:`VData`, field for field.
+
 Times are shifted so the panel starts at 0 (the curve family is closed under
 time shifts); fitted parameters therefore live on the clock ``s = t - t0``,
 with ``t0`` recorded on the :class:`VData`.
@@ -48,6 +55,7 @@ __all__ = [
     "neg_core_loglik",
     "loglik",
     "grad_loglik",
+    "direction_signs",
 ]
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -107,6 +115,9 @@ class VData:
 
 def transform(panel: PathPanel) -> VData:
     """Change of variables from raw observations to standardized log-increments."""
+    grid = panel.common_grid()
+    if grid is not None:
+        return _transform_grid(panel, grid)
     t0 = panel.t0
     all_times = np.unique(np.concatenate([p.times for p in panel.paths])) - t0
 
@@ -136,8 +147,31 @@ def transform(panel: PathPanel) -> VData:
     g_count = np.bincount(group, minlength=n_groups).astype(float)
     g_sum_v = np.bincount(group, weights=v, minlength=n_groups)
     g_sum_v2 = np.bincount(group, weights=v * v, minlength=n_groups)
-    g_delta = all_times[g_hi] - all_times[g_lo]
+    return _vdata(panel, all_times, v, delta, lo, hi, path, group,
+                  g_lo, g_hi, g_count, g_sum_v, g_sum_v2)
 
+
+def _transform_grid(panel: PathPanel, grid: np.ndarray) -> VData:
+    """:func:`transform` on a common grid: one ``(d, N)`` array operation.
+
+    Group ``j`` is the column of transitions ``j -> j+1``.  Column sums of a
+    C-ordered matrix add the rows in path order, as ``bincount`` does over the
+    path-ordered transitions, so every field equals the general path's.
+    """
+    d, n_steps = panel.d, grid.size - 1
+    dt = np.diff(grid)
+    v = np.diff(np.log(panel.values_matrix()), axis=1) / np.sqrt(dt)
+    g_lo = np.arange(n_steps)
+    lo = np.tile(g_lo, d)
+    return _vdata(panel, grid - panel.t0, v.ravel(), np.tile(dt, d), lo, lo + 1,
+                  np.repeat(np.arange(d), n_steps), lo, g_lo, g_lo + 1,
+                  np.full(n_steps, float(d)), v.sum(axis=0), (v * v).sum(axis=0))
+
+
+def _vdata(panel, times, v, delta, lo, hi, path, group,
+           g_lo, g_hi, g_count, g_sum_v, g_sum_v2) -> VData:
+    """Assemble a :class:`VData`, deriving ``g_delta`` and ``z1``-``z3`` from the groups."""
+    g_delta = times[g_hi] - times[g_lo]
     return VData(
         v0=panel.first_values(),
         v=v,
@@ -145,8 +179,8 @@ def transform(panel: PathPanel) -> VData:
         lo=lo,
         hi=hi,
         path=path,
-        times=all_times,
-        t0=t0,
+        times=times,
+        t0=panel.t0,
         group=group,
         g_lo=g_lo,
         g_hi=g_hi,
@@ -361,6 +395,13 @@ def loglik(vdata: VData, alpha, xi: ModelParams) -> float:
     return value
 
 
+def direction_signs(p: int) -> np.ndarray:
+    """``(+1, -1, ..., -1)``: the telescoping difference is ``+dm/deta`` but ``-dm/dbeta_l``."""
+    signs = np.full(p + 1, -1.0)
+    signs[0] = 1.0
+    return signs
+
+
 def grad_loglik(vdata: VData, xi: ModelParams) -> np.ndarray:
     """Analytic gradient of the core log-likelihood in ``(eta, beta_1..p, sigma2)``.
 
@@ -374,9 +415,7 @@ def grad_loglik(vdata: VData, xi: ModelParams) -> np.ndarray:
         raise ValueError(f"sigma2 must be positive, got {sigma2}")
     stats = compute_stats(vdata, xi)
 
-    signs = np.full(stats.p + 1, -1.0)
-    signs[0] = 1.0
-    g_theta = signs * (stats.y + 0.5 * sigma2 * stats.w + stats.x) / sigma2
+    g_theta = direction_signs(stats.p) * (stats.y + 0.5 * sigma2 * stats.w + stats.x) / sigma2
 
     y_xi = stats.c - 0.5 * sigma2 * stats.z3
     g_sigma2 = (

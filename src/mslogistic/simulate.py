@@ -13,7 +13,7 @@ which order, and paths can be generated concurrently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import ndtri
@@ -51,9 +51,20 @@ class SamplePath:
 
 @dataclass(frozen=True)
 class PathPanel:
-    """A bundle of independent sample paths sharing their first observation time."""
+    """A bundle of independent sample paths sharing their first observation time.
+
+    The panel works out once whether all paths share one time grid.  If they
+    do, it holds the grid and a read-only ``(d, N)`` value matrix, which
+    :meth:`common_grid` and :meth:`values_matrix` return without scanning or
+    re-stacking.  :meth:`from_matrix` keeps the one copy of the matrix that it
+    validated and its paths are row views of that copy; a panel built from a
+    tuple of paths stacks their values once.  Paths on different grids (a
+    ragged panel) have no grid and no matrix.
+    """
 
     paths: tuple[SamplePath, ...]
+    _grid: np.ndarray | None = field(init=False, repr=False, compare=False)
+    _values: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         paths = tuple(self.paths)
@@ -65,20 +76,46 @@ class PathPanel:
                 raise ValueError(
                     f"path {i} starts at t={p.times[0]} but path 0 starts at t={t0}"
                 )
+        first = paths[0].times
+        common = all(len(p) == len(first) and np.array_equal(p.times, first) for p in paths[1:])
+        values = _read_only(np.vstack([p.values for p in paths])) if common else None
         object.__setattr__(self, "paths", paths)
+        object.__setattr__(self, "_grid", first if common else None)
+        object.__setattr__(self, "_values", values)
 
     @classmethod
     def from_matrix(cls, times, values) -> "PathPanel":
-        """Build a common-grid panel from times ``(N,)`` and values ``(d, N)``."""
-        times = np.asarray(times, dtype=float)
-        values = np.atleast_2d(np.asarray(values, dtype=float))
+        """Build a common-grid panel from times ``(N,)`` and values ``(d, N)``.
+
+        Both arrays are copied once and the copies made read-only, so later
+        changes to the arguments do not reach the panel.
+        """
+        times = _read_only(np.array(times, dtype=float))
+        values = _read_only(np.array(np.atleast_2d(values), dtype=float, order="C"))
+        if times.ndim != 1 or values.ndim != 2 or values.shape[1] != times.size:
+            raise ValueError("path 0: times and values must be 1-d arrays of equal length")
+        if values.shape[0] < 1:
+            raise ValueError("panel needs at least one path")
+        if times.size < 1:
+            raise ValueError("path 0: a path needs at least one observation")
+        if np.any(np.diff(times) <= 0):
+            raise ValueError("path 0: observation times must be strictly increasing")
+        positive = values > 0
+        if not positive.all():
+            i, j = divmod(int(np.argmin(positive)), times.size)
+            raise ValueError(f"path {i}: nonpositive value {values[i, j]} at index {j}")
+        # the matrix is validated as a whole, so the per-path checks are skipped
+        panel = object.__new__(cls)
         paths = []
-        for i, row in enumerate(values):
-            try:
-                paths.append(SamplePath(times, row))
-            except ValueError as exc:
-                raise ValueError(f"path {i}: {exc}") from None
-        return cls(tuple(paths))
+        for row in values:
+            path = object.__new__(SamplePath)
+            object.__setattr__(path, "times", times)
+            object.__setattr__(path, "values", row)
+            paths.append(path)
+        object.__setattr__(panel, "paths", tuple(paths))
+        object.__setattr__(panel, "_grid", times)
+        object.__setattr__(panel, "_values", values)
+        return panel
 
     @property
     def d(self) -> int:
@@ -90,20 +127,23 @@ class PathPanel:
 
     def common_grid(self) -> np.ndarray | None:
         """The shared time grid, or None if paths are observed on different grids."""
-        first = self.paths[0].times
-        for p in self.paths[1:]:
-            if len(p) != len(first) or not np.array_equal(p.times, first):
-                return None
-        return first
+        return self._grid
 
     def values_matrix(self) -> np.ndarray:
-        """Values as a ``(d, N)`` matrix; requires a common grid."""
-        if self.common_grid() is None:
+        """Values as a read-only ``(d, N)`` matrix; requires a common grid."""
+        if self._values is None:
             raise ValueError("paths are not on a common grid")
-        return np.vstack([p.values for p in self.paths])
+        return self._values
 
     def first_values(self) -> np.ndarray:
+        if self._values is not None:
+            return self._values[:, 0].copy()
         return np.array([p.values[0] for p in self.paths])
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True)

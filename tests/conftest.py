@@ -110,3 +110,23 @@ def fd_hessian_neg_loglik(vdata, xi: ModelParams, rel_step: float = 1e-4) -> np.
         gm = grad_loglik(vdata, ModelParams.from_vector(xm))
         hess[:, j] = -(gp - gm) / (2 * h)
     return 0.5 * (hess + hess.T)
+
+
+@pytest.fixture
+def transform_calls(monkeypatch):
+    """Count ``likelihood.transform`` calls made through any package module."""
+    import importlib
+
+    modules = [importlib.import_module(f"mslogistic.{name}") for name in
+               ("likelihood", "fit_nr", "fit_sa", "selection", "asymptotics", "cli")]
+    original = modules[0].transform
+    calls = []
+
+    def counting(panel):
+        calls.append(panel)
+        return original(panel)
+
+    for module in modules:
+        if getattr(module, "transform", None) is original:
+            monkeypatch.setattr(module, "transform", counting)
+    return calls

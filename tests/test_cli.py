@@ -216,3 +216,32 @@ class TestMainEntry:
         bad.write_text("{not json", encoding="utf-8")
         code = main(["simulate", "--config", str(bad)])
         assert code == 2
+
+    def assert_config_error(self, tmp_path, capsys, command, payload, fragment):
+        cfg = write_config(tmp_path, payload)
+        code = main([command, "--config", str(cfg), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert fragment in err
+
+    def test_sa_zero_replications_exit_code(self, tmp_path, capsys):
+        self.assert_config_error(
+            tmp_path, capsys, "fit",
+            {"data": str(FIXTURE), "degree": 3, "method": "sa", "sa": {"replications": 0}},
+            "replications")
+
+    def test_fpt_string_degree_exit_code(self, tmp_path, capsys):
+        self.assert_config_error(
+            tmp_path, capsys, "fpt",
+            {"data": str(FIXTURE), "degree": "3", "boundary": 0.7, "t_max": 350.0}, "degree")
+
+    def test_fpt_horizon_before_start_exit_code(self, tmp_path, capsys):
+        cfg = {"params": {"eta": math.exp(-1), "beta": [0.1, -0.009, 0.0002], "sigma2": 1e-4},
+               "x0": 5.0, "t0": 10.0, "boundary": 15.0, "t_max": 10.0}
+        self.assert_config_error(tmp_path, capsys, "fpt", cfg, "t_max must exceed t0")
+
+    def test_fpt_down_crossing_exit_code(self, tmp_path, capsys):
+        cfg = {"params": {"eta": math.exp(-1), "beta": [0.1, -0.009, 0.0002], "sigma2": 1e-4},
+               "x0": 5.0, "t0": 0.0, "boundary": 2.0, "t_max": 210.0}
+        self.assert_config_error(tmp_path, capsys, "fpt", cfg, "down-crossing")

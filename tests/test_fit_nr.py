@@ -75,6 +75,14 @@ class TestInitialTheta:
         assert resid.size == 3
 
 
+class TestTransformCount:
+    def test_fit_transforms_once(self, case1_params, transform_calls):
+        panel = make_case1_panel(case1_params, seed=76, d=30, n_points=61)
+        res = fit(panel, 3)
+        assert res.converged
+        assert transform_calls == [panel]
+
+
 class TestInitialSigma2:
     def test_identical_paths_floor(self):
         grid = np.linspace(0.0, 10.0, 11)

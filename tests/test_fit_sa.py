@@ -227,3 +227,18 @@ class TestSchedule:
     def test_p0_domain(self):
         with pytest.raises(ValueError):
             SaSchedule(p0=0.0)
+
+    @pytest.mark.parametrize("name", ["replications", "chain_length", "max_iter", "pilot_pairs"])
+    @pytest.mark.parametrize("value", [0, -1, 2.5, "3", True])
+    def test_counts_are_positive_integers(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            SaSchedule(**{name: value})
+
+    @pytest.mark.parametrize("value", [0.0, -1e-7, float("nan")])
+    def test_t_final_positive(self, value):
+        with pytest.raises(ValueError, match="t_final"):
+            SaSchedule(t_final=value)
+
+    def test_integer_counts_accepted(self):
+        sched = SaSchedule(replications=1, chain_length=np.int64(2), max_iter=1, pilot_pairs=1)
+        assert sched.chain_length == 2

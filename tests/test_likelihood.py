@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,9 +7,11 @@ import sympy as sp
 
 from mslogistic import (
     Degenerate,
+    LognormalStart,
     ModelParams,
     PathPanel,
     PolyCoeffs,
+    SamplePath,
     SimSpec,
     compute_stats,
     fit_initial,
@@ -77,6 +80,55 @@ class TestTransform:
         v = transform(panel)
         assert v.t0 == 2.0
         np.testing.assert_allclose(v.times, [0.0, 1.0, 2.5])
+
+
+def assert_same_vdata(a, b):
+    """Every field equal with ``==``, arrays also in dtype and shape."""
+    for f in dataclasses.fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(x, np.ndarray):
+            assert x.dtype == y.dtype and x.shape == y.shape, f.name
+            assert np.array_equal(x, y), f.name
+        else:
+            assert x == y, f.name
+
+
+class TestGridTransform:
+    """The common-grid array path against the general per-path path."""
+
+    @pytest.mark.parametrize("seed, d, n, lognormal", [
+        (0, 200, 101, False), (1, 50, 501, True), (2, 1, 51, False),
+        (3, 7, 2, True), (4, 1, 2, False), (5, 13, 17, True),
+    ])
+    def test_equals_per_path_transform(self, monkeypatch, seed, d, n, lognormal):
+        rng = np.random.default_rng(seed)
+        grid = 3.0 + np.cumsum(rng.uniform(0.05, 1.0, size=n))
+        init = LognormalStart(1.5, 0.04) if lognormal else Degenerate(5.0)
+        panel = simulate_panel(SimSpec(params=CASE1, init=init, grid=grid, d=d, seed=seed))
+        assert panel.common_grid() is not None
+        fast = transform(panel)
+        monkeypatch.setattr(PathPanel, "common_grid", lambda self: None)
+        slow = transform(panel)
+        assert_same_vdata(fast, slow)
+
+    def test_panel_of_paths_on_one_grid_takes_grid_path(self, monkeypatch):
+        rng = np.random.default_rng(6)
+        t = np.array([0.5, 1.0, 2.5, 4.0])
+        panel = PathPanel(tuple(SamplePath(t.copy(), np.exp(rng.normal(size=4)))
+                                for _ in range(3)))
+        np.testing.assert_array_equal(panel.common_grid(), t)
+        fast = transform(panel)
+        monkeypatch.setattr(PathPanel, "common_grid", lambda self: None)
+        assert_same_vdata(fast, transform(panel))
+
+    def test_groups_are_columns(self):
+        panel = PathPanel.from_matrix([0.0, 1.0, 3.0], [[1.0, 2.0, 4.0], [1.0, 4.0, 4.0]])
+        v = transform(panel)
+        np.testing.assert_array_equal(v.g_lo, [0, 1])
+        np.testing.assert_array_equal(v.g_hi, [1, 2])
+        np.testing.assert_array_equal(v.g_count, [2.0, 2.0])
+        np.testing.assert_allclose(v.g_sum_v, [math.log(2.0) + math.log(4.0),
+                                               math.log(2.0) / math.sqrt(2.0)], rtol=1e-15)
 
 
 class TestFitInitial:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mslogistic import ModelParams, PolyCoeffs
+from mslogistic.fit_nr import fit
 from mslogistic.selection import (
     aic_bic,
     kl_divergence,
@@ -94,6 +95,20 @@ class TestSelectDegree:
         panel = make_case1_panel(case1_params, seed=72, d=50, n_points=101)
         report = select_degree(panel, [3])
         assert report.chosen_p == 3
+
+    def test_default_fitter_transforms_once(self, case1_params, transform_calls):
+        panel = make_case1_panel(case1_params, seed=74, d=30, n_points=61)
+        report = select_degree(panel, range(2, 5))
+        assert len(report.per_degree) == 3
+        assert transform_calls == [panel]
+
+    def test_default_fitter_equals_public_fit(self, case1_params):
+        panel = make_case1_panel(case1_params, seed=75, d=30, n_points=61)
+        report = select_degree(panel, [2, 3])
+        explicit = select_degree(panel, [2, 3], fitter=lambda pnl, p: fit(pnl, p))
+        for a, b in zip(report.per_degree, explicit.per_degree):
+            assert list(a.xi_hat.as_vector()) == list(b.xi_hat.as_vector())
+            assert (a.loglik, a.bic, a.converged) == (b.loglik, b.bic, b.converged)
 
     def test_deterministic_given_fitter(self, case1_params):
         panel = make_case1_panel(case1_params, seed=73, d=30, n_points=61)

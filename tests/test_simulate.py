@@ -142,10 +142,75 @@ class TestPanelStatistics:
             sample_mean(panel)
 
 
+class TestPanelStorage:
+    def test_from_matrix_copies_its_input(self):
+        times = np.array([0.0, 1.0, 2.0])
+        values = np.array([[1.0, 2.0, 3.0], [2.0, 3.0, 4.0]])
+        panel = PathPanel.from_matrix(times, values)
+        times[1] = 0.5
+        values[:] = 9.0
+        np.testing.assert_array_equal(panel.common_grid(), [0.0, 1.0, 2.0])
+        np.testing.assert_array_equal(panel.values_matrix(), [[1.0, 2.0, 3.0], [2.0, 3.0, 4.0]])
+        np.testing.assert_array_equal(panel.paths[1].values, [2.0, 3.0, 4.0])
+
+    def test_stored_arrays_are_read_only(self):
+        panel = PathPanel.from_matrix([0.0, 1.0], [[1.0, 2.0], [3.0, 4.0]])
+        with pytest.raises(ValueError):
+            panel.values_matrix()[0, 0] = 5.0
+        with pytest.raises(ValueError):
+            panel.common_grid()[0] = 5.0
+        with pytest.raises(ValueError):
+            panel.paths[0].values[0] = 5.0
+
+    def test_paths_are_row_views_of_the_stored_matrix(self):
+        panel = simulate_panel(spec(d=4, n=11))
+        matrix = panel.values_matrix()
+        assert panel.values_matrix() is matrix
+        assert panel.common_grid() is panel.common_grid()
+        for i, path in enumerate(panel.paths):
+            assert np.shares_memory(path.values, matrix)
+            np.testing.assert_array_equal(path.values, matrix[i])
+            assert path.times is panel.common_grid()
+
+    def test_transposed_input_stored_c_ordered(self):
+        values = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]).T
+        panel = PathPanel.from_matrix([0.0, 1.0, 2.0], values)
+        assert panel.values_matrix().flags.c_contiguous
+        np.testing.assert_array_equal(panel.values_matrix(), values)
+
+    def test_paths_on_one_grid_are_stacked_once(self):
+        t = np.array([0.0, 1.0, 2.0])
+        panel = PathPanel((SamplePath(t, [1.0, 2.0, 3.0]), SamplePath(t.copy(), [2.0, 2.0, 2.0])))
+        np.testing.assert_array_equal(panel.common_grid(), t)
+        np.testing.assert_array_equal(panel.values_matrix(), [[1.0, 2.0, 3.0], [2.0, 2.0, 2.0]])
+        assert not panel.values_matrix().flags.writeable
+        np.testing.assert_array_equal(panel.first_values(), [1.0, 2.0])
+
+    def test_ragged_panel_has_no_grid(self):
+        p1 = SamplePath([0.0, 1.0, 2.0], [1.0, 2.0, 3.0])
+        p2 = SamplePath([0.0, 2.0], [1.0, 2.0])
+        panel = PathPanel((p1, p2))
+        assert panel.common_grid() is None
+        with pytest.raises(ValueError, match="common grid"):
+            panel.values_matrix()
+        np.testing.assert_array_equal(panel.first_values(), [1.0, 1.0])
+
+
 class TestValidation:
     def test_nonpositive_value_names_path_and_index(self):
         with pytest.raises(ValueError, match=r"path 1.*index 2"):
             PathPanel.from_matrix([0.0, 1.0, 2.0], [[1.0, 1.0, 1.0], [1.0, 1.0, -3.0]])
+
+    @pytest.mark.parametrize("times, values, message", [
+        ([0.0, 1.0], [[1.0, 2.0, 3.0]], r"path 0: times and values"),
+        ([0.0, 1.0, 1.0], [[1.0, 2.0, 3.0]], r"path 0: observation times must be strictly"),
+        ([], [], r"path 0: a path needs at least one observation"),
+        ([0.0, 1.0], [[1.0, 2.0], [1.0, float("nan")]], r"path 1: nonpositive value nan at index 1"),
+        ([0.0, 1.0], np.empty((0, 2)), r"panel needs at least one path"),
+    ])
+    def test_from_matrix_messages(self, times, values, message):
+        with pytest.raises(ValueError, match=message):
+            PathPanel.from_matrix(times, values)
 
     def test_nonincreasing_times_rejected(self):
         with pytest.raises(ValueError):
