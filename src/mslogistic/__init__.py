@@ -15,7 +15,6 @@ from .model import (
     ModelParams,
     PolyCoeffs,
     carrying_capacity,
-    conditional_mean,
     curve,
     drift_rate,
     inflection_points,
@@ -33,7 +32,6 @@ from .likelihood import (
     grad_loglik,
     loglik,
     transform,
-    transition_log_mean,
 )
 
 __version__ = "0.1.0"
@@ -53,7 +51,6 @@ __all__ = [
     "VData",
     "carrying_capacity",
     "compute_stats",
-    "conditional_mean",
     "curve",
     "drift_rate",
     "fit_initial",
@@ -67,6 +64,5 @@ __all__ = [
     "sample_mean",
     "simulate_panel",
     "transform",
-    "transition_log_mean",
     "__version__",
 ]

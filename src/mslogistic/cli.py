@@ -76,6 +76,16 @@ def _number(value, where: str) -> float:
     return float(value)
 
 
+def _levels(values, where: str) -> tuple[float, ...]:
+    if not isinstance(values, (list, tuple)):
+        raise ConfigError(f"{where}: expected a list of levels")
+    levels = tuple(_number(v, f"{where}[{i}]") for i, v in enumerate(values))
+    for i, lv in enumerate(levels):
+        if not 0.0 < lv < 1.0:
+            raise ConfigError(f"{where}[{i}]: a level must lie in (0, 1), got {lv}")
+    return levels
+
+
 def _degree(value) -> int:
     if not isinstance(value, int) or value < 1:
         raise ConfigError("degree: expected a positive integer")
@@ -101,10 +111,12 @@ def _init_from_config(obj, where: str):
         _expect_keys(obj, where, {"x0"})
         return Degenerate(_positive(obj["x0"], f"{where}.x0"))
     _expect_keys(obj, where, {"mu1", "sigma1sq"})
-    return LognormalStart(
-        mu1=_number(obj["mu1"], f"{where}.mu1"),
-        sigma1sq=_number(obj["sigma1sq"], f"{where}.sigma1sq"),
-    )
+    mu1 = _number(obj["mu1"], f"{where}.mu1")
+    sigma1sq = _number(obj["sigma1sq"], f"{where}.sigma1sq")
+    try:
+        return LognormalStart(mu1=mu1, sigma1sq=sigma1sq)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
 
 
 def _grid_from_config(obj, where: str) -> np.ndarray:
@@ -149,10 +161,16 @@ def ingest_csv(path, scale_max: bool = False) -> PathPanel:
                     f"{path}:{lineno}: ragged row ({len(row)} cells, expected {len(header)})"
                 )
             try:
-                rows.append([float(c) for c in row])
+                cells = [float(c) for c in row]
             except ValueError:
                 bad = next(c for c in row if not _is_float(c))
                 raise ConfigError(f"{path}:{lineno}: non-numeric cell {bad!r}") from None
+            if not all(map(math.isfinite, cells)):
+                j = next(j for j, x in enumerate(cells) if not math.isfinite(x))
+                raise ConfigError(
+                    f"{path}:{lineno}: non-finite value {row[j].strip()!r} in column {header[j]!r}"
+                )
+            rows.append(cells)
     if len(rows) < 2:
         raise ConfigError(f"{path}: need at least two observation rows")
     data = np.asarray(rows)
@@ -300,6 +318,7 @@ def _cmd_fit(config: dict, seed, out_dir: Path, scale_max: bool, method_flag) ->
                  {"data", "degree"},
                  {"method", "scale_max", "nr", "sa", "confidence_levels", "seed"})
     method = method_flag or config.get("method", "nr")
+    levels = _levels(config.get("confidence_levels", (0.95, 0.90, 0.75)), "confidence_levels")
     panel = ingest_csv(config["data"], scale_max or config.get("scale_max", False))
     degree = _degree(config["degree"])
     xi_hat, details = _fit_panel(panel, degree, method, seed, config)
@@ -315,7 +334,6 @@ def _cmd_fit(config: dict, seed, out_dir: Path, scale_max: bool, method_flag) ->
         "details": details,
         "t0": vdata.t0,
     }
-    levels = tuple(config.get("confidence_levels", (0.95, 0.90, 0.75)))
     try:
         report = confidence_intervals(fisher_info(vdata, xi_hat), xi_hat, levels=levels)
         bundle.results["confidence_intervals"] = {
@@ -432,6 +450,7 @@ def _cmd_fpt(config: dict, seed, out_dir: Path, scale_max: bool) -> _Bundle:
 def _cmd_forecast(config: dict, seed, out_dir: Path, scale_max: bool) -> _Bundle:
     _expect_keys(config, "config", {"data", "fit_until"},
                  {"degree", "degrees", "percentiles", "scale_max", "seed"})
+    levels = _levels(config.get("percentiles", [0.95, 0.90, 0.75]), "percentiles")
     panel = ingest_csv(config["data"], scale_max or config.get("scale_max", False))
     fit_until = _number(config["fit_until"], "fit_until")
     grid = panel.common_grid()
@@ -447,12 +466,12 @@ def _cmd_forecast(config: dict, seed, out_dir: Path, scale_max: bool) -> _Bundle
     if "degrees" in config:
         report = select_degree(restricted, config["degrees"])
         degree = report.chosen_p
+        xi = report[degree].xi_hat
     else:
         degree = config.get("degree")
         if not isinstance(degree, int):
             raise ConfigError("forecast needs 'degree' or 'degrees'")
-    res = fit(restricted, degree)
-    xi = res.xi_hat
+        xi = fit(restricted, degree).xi_hat
 
     vdata = transform(restricted)
     alpha = fit_initial(vdata)
@@ -461,10 +480,8 @@ def _cmd_forecast(config: dict, seed, out_dir: Path, scale_max: bool) -> _Bundle
     shifted = grid - t0
     mean_curve = np.asarray(process_mean(xi, init, 0.0, shifted))
 
-    levels = config.get("percentiles", [0.95, 0.90, 0.75])
     bands = {}
-    for lv in levels:
-        lv_f = _number(lv, "percentiles[]")
+    for lv_f in levels:
         lo = np.asarray(percentile(xi, init, 0.0, shifted[1:], (1 - lv_f) / 2))
         hi = np.asarray(percentile(xi, init, 0.0, shifted[1:], (1 + lv_f) / 2))
         bands[lv_f] = (np.concatenate(([np.nan], lo)), np.concatenate(([np.nan], hi)))

@@ -77,13 +77,17 @@ class NrResult:
 
 
 def _scaled_vandermonde(t: np.ndarray, p: int, intercept: bool):
-    """Design matrix ``[1?, t, ..., t^p]`` with unit-norm columns (SVD-friendly)."""
+    """Design matrix ``[1?, t, ..., t^p]`` with unit-norm columns (SVD-friendly).
+
+    Returns ``(scaled, norms, design)``: the scaled matrix, its column norms
+    and the unscaled matrix.
+    """
     cols = [np.ones_like(t)] if intercept else []
     cols += [t**i for i in range(1, p + 1)]
     design = np.column_stack(cols)
     norms = np.linalg.norm(design, axis=0)
     norms[norms == 0] = 1.0
-    return design / norms, norms
+    return design / norms, norms, design
 
 
 def usable_saturation_pairs(panel: PathPanel, noise_sigmas: float = 5.0):
@@ -129,7 +133,7 @@ def initial_theta(panel: PathPanel, p: int) -> tuple[float, PolyCoeffs, float, n
             f"only {t_keep.size} usable regression points for degree {p} "
             f"(need {p + 2}); the sample mean may not be increasing"
         )
-    design, norms = _scaled_vandermonde(t_keep, p, intercept=True)
+    design, norms, _ = _scaled_vandermonde(t_keep, p, intercept=True)
     coef, *_ = np.linalg.lstsq(design, y, rcond=None)
     coef = coef / norms
     fitted = design @ (coef * norms)

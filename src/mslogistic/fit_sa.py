@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import stdtrit
 
-from .fit_nr import FitError, usable_saturation_pairs
+from .fit_nr import FitError, _scaled_vandermonde, usable_saturation_pairs
 from .likelihood import neg_core_loglik, transform
 from .model import ModelParams
 from .simulate import PathPanel, sample_mean
@@ -141,9 +141,7 @@ def build_box(panel: PathPanel, p: int, confidence: float = 0.999) -> ParamBox:
     if t_keep.size < p + 1:
         raise FitError(f"only {t_keep.size} usable points for a degree-{p} box")
 
-    design = np.column_stack([t_keep**i for i in range(1, p + 1)])
-    norms = np.linalg.norm(design, axis=0)
-    scaled = design / norms
+    scaled, norms, design = _scaled_vandermonde(t_keep, p, intercept=False)
     coef_s, *_ = np.linalg.lstsq(scaled, y, rcond=None)
     coef = coef_s / norms
     resid = y - design @ coef

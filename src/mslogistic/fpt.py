@@ -188,10 +188,6 @@ class FptDensity:
     mass_warning: bool
     negative_warning: bool
 
-    def decile(self, q: float) -> float:
-        lookup = {0.1: self.deciles[0], 0.5: self.deciles[1], 0.9: self.deciles[2]}
-        return lookup[q]
-
 
 def _kernel(problem: FptProblem, t: float, b_t: float, slope_t: float,
             tau: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -11,15 +11,16 @@ reduces to a handful of aggregates over transitions, collected in
 :class:`LikelihoodStats`:
 
 * data-only scalars ``z1 = sum v^2``, ``z2 = sum v sqrt(dt)``, ``z3 = sum dt``;
-* the log-gap differences ``lam`` (one per transition) and their aggregates
+* the log-gap differences ``lam`` (one per time pair) and their aggregates
   ``a = sum lam^2/dt``, ``b = sum v lam/sqrt(dt)``, ``c = sum lam``;
 * per-derivative-direction aggregates ``w[l], x[l], y[l]`` built from the
-  telescoping differences ``d_l`` defined below.
+  telescoping differences ``d_l`` (see :func:`_derivative_table`).
 
 Transitions that share the same (start, end) time pair contribute identical
-parameter-dependent factors, so aggregates are computed over groups of equal
-time pairs; on a common grid with d paths this cuts the work per likelihood
-evaluation by a factor of d.
+parameter-dependent factors, so :func:`transform` reduces the panel to groups
+of equal time pairs and keeps only each group's count, ``sum v`` and
+``sum v^2``: :class:`VData` holds no per-transition array.  On a common grid
+with d paths this cuts the work per likelihood evaluation by a factor of d.
 
 On a common grid, :func:`transform` is one array operation on the panel's
 stored ``(d, N)`` value matrix: ``v = diff(log V, axis=1) / sqrt(diff(grid))``,
@@ -41,8 +42,8 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .model import ModelParams, PolyCoeffs, integrated_drift
-from .simulate import PathPanel, SamplePath
+from .model import ModelParams
+from .simulate import PathPanel
 
 __all__ = [
     "VData",
@@ -50,7 +51,6 @@ __all__ = [
     "InitialFit",
     "transform",
     "fit_initial",
-    "transition_log_mean",
     "compute_stats",
     "neg_core_loglik",
     "loglik",
@@ -63,30 +63,26 @@ LOG_2PI = math.log(2.0 * math.pi)
 
 @dataclass(frozen=True)
 class VData:
-    """Standardized log-increments of a panel, indexed for fast aggregation.
+    """A panel reduced to what the likelihood reads: group aggregates of its transitions.
 
-    Per-transition arrays are ordered path by path.  ``lo``/``hi`` index into
-    ``times`` (the sorted unique observation times, shifted so the panel
-    starts at 0); ``group`` maps each transition to its (lo, hi) equivalence
-    class and the ``g_*`` arrays hold per-group data reductions.
+    Transitions that share a (start, end) time pair form a group.  ``g_lo`` and
+    ``g_hi`` index into ``times`` (the sorted unique observation times, shifted
+    so the panel starts at 0) and the other ``g_*`` arrays hold per-group data
+    reductions.  No array has one entry per transition; each has one entry per
+    path, time or group, so on a common grid of N times none exceeds max(d, N).
     """
 
     v0: np.ndarray          # (d,) raw first observations
-    v: np.ndarray           # (n,) standardized log-increments
-    delta: np.ndarray       # (n,) time steps
-    lo: np.ndarray          # (n,) index of step start into times
-    hi: np.ndarray          # (n,) index of step end into times
-    path: np.ndarray        # (n,) path index of each transition
     times: np.ndarray       # (m,) unique shifted observation times
     t0: float               # original first observation time
+    n: int                  # number of transitions
     # per-group reductions (groups = unique (lo, hi) pairs)
-    group: np.ndarray = field(repr=False)       # (n,) group id per transition
-    g_lo: np.ndarray = field(repr=False)        # (G,)
-    g_hi: np.ndarray = field(repr=False)        # (G,)
-    g_delta: np.ndarray = field(repr=False)     # (G,)
-    g_count: np.ndarray = field(repr=False)     # (G,)
-    g_sum_v: np.ndarray = field(repr=False)     # (G,)
-    g_sum_v2: np.ndarray = field(repr=False)    # (G,)
+    g_lo: np.ndarray = field(repr=False)        # (G,) index of step start into times
+    g_hi: np.ndarray = field(repr=False)        # (G,) index of step end into times
+    g_delta: np.ndarray = field(repr=False)     # (G,) time step
+    g_count: np.ndarray = field(repr=False)     # (G,) transitions in the group
+    g_sum_v: np.ndarray = field(repr=False)     # (G,) sum of v
+    g_sum_v2: np.ndarray = field(repr=False)    # (G,) sum of v^2
     # data-only aggregates z1 = sum v^2, z2 = sum v sqrt(dt), z3 = sum dt
     z1: float = field(repr=False)
     z2: float = field(repr=False)
@@ -96,59 +92,30 @@ class VData:
     def d(self) -> int:
         return self.v0.size
 
-    @property
-    def n(self) -> int:
-        return self.v.size
-
-    def to_panel(self) -> PathPanel:
-        """Reconstruct the original panel (inverse of :func:`transform`)."""
-        paths = []
-        for i in range(self.d):
-            sel = self.path == i
-            t = np.concatenate(([self.times[self.lo[sel][0]]], self.times[self.hi[sel]]))
-            logx = math.log(self.v0[i]) + np.concatenate(
-                ([0.0], np.cumsum(self.v[sel] * np.sqrt(self.delta[sel])))
-            )
-            paths.append(SamplePath(t + self.t0, np.exp(logx)))
-        return PathPanel(tuple(paths))
-
 
 def transform(panel: PathPanel) -> VData:
-    """Change of variables from raw observations to standardized log-increments."""
+    """Change of variables from raw observations to grouped standardized log-increments."""
     grid = panel.common_grid()
     if grid is not None:
         return _transform_grid(panel, grid)
     t0 = panel.t0
     all_times = np.unique(np.concatenate([p.times for p in panel.paths])) - t0
 
-    v_parts, dt_parts, lo_parts, hi_parts, path_parts = [], [], [], [], []
-    for i, p in enumerate(panel.paths):
+    v_parts, lo_parts, hi_parts = [], [], []
+    for p in panel.paths:
         idx = np.searchsorted(all_times, p.times - t0)
-        dt = np.diff(p.times)
-        v_parts.append(np.diff(np.log(p.values)) / np.sqrt(dt))
-        dt_parts.append(dt)
+        v_parts.append(np.diff(np.log(p.values)) / np.sqrt(np.diff(p.times)))
         lo_parts.append(idx[:-1])
         hi_parts.append(idx[1:])
-        path_parts.append(np.full(idx.size - 1, i))
+    v = np.concatenate(v_parts)
 
-    v = np.concatenate(v_parts) if v_parts else np.empty(0)
-    delta = np.concatenate(dt_parts)
-    lo = np.concatenate(lo_parts)
-    hi = np.concatenate(hi_parts)
-    path = np.concatenate(path_parts)
-
-    pair_key = lo * all_times.size + hi
+    pair_key = np.concatenate(lo_parts) * all_times.size + np.concatenate(hi_parts)
     uniq, group = np.unique(pair_key, return_inverse=True)
-    n_groups = uniq.size
-    g_lo = np.empty(n_groups, dtype=int)
-    g_hi = np.empty(n_groups, dtype=int)
-    g_lo[group] = lo
-    g_hi[group] = hi
-    g_count = np.bincount(group, minlength=n_groups).astype(float)
-    g_sum_v = np.bincount(group, weights=v, minlength=n_groups)
-    g_sum_v2 = np.bincount(group, weights=v * v, minlength=n_groups)
-    return _vdata(panel, all_times, v, delta, lo, hi, path, group,
-                  g_lo, g_hi, g_count, g_sum_v, g_sum_v2)
+    g_lo, g_hi = np.divmod(uniq, all_times.size)
+    g_count = np.bincount(group, minlength=uniq.size).astype(float)
+    g_sum_v = np.bincount(group, weights=v, minlength=uniq.size)
+    g_sum_v2 = np.bincount(group, weights=v * v, minlength=uniq.size)
+    return _vdata(panel, all_times, v.size, g_lo, g_hi, g_count, g_sum_v, g_sum_v2)
 
 
 def _transform_grid(panel: PathPanel, grid: np.ndarray) -> VData:
@@ -158,30 +125,20 @@ def _transform_grid(panel: PathPanel, grid: np.ndarray) -> VData:
     C-ordered matrix add the rows in path order, as ``bincount`` does over the
     path-ordered transitions, so every field equals the general path's.
     """
-    d, n_steps = panel.d, grid.size - 1
-    dt = np.diff(grid)
-    v = np.diff(np.log(panel.values_matrix()), axis=1) / np.sqrt(dt)
-    g_lo = np.arange(n_steps)
-    lo = np.tile(g_lo, d)
-    return _vdata(panel, grid - panel.t0, v.ravel(), np.tile(dt, d), lo, lo + 1,
-                  np.repeat(np.arange(d), n_steps), lo, g_lo, g_lo + 1,
-                  np.full(n_steps, float(d)), v.sum(axis=0), (v * v).sum(axis=0))
+    v = np.diff(np.log(panel.values_matrix()), axis=1) / np.sqrt(np.diff(grid))
+    g_lo = np.arange(grid.size - 1)
+    return _vdata(panel, grid - panel.t0, v.size, g_lo, g_lo + 1,
+                  np.full(g_lo.size, float(panel.d)), v.sum(axis=0), (v * v).sum(axis=0))
 
 
-def _vdata(panel, times, v, delta, lo, hi, path, group,
-           g_lo, g_hi, g_count, g_sum_v, g_sum_v2) -> VData:
+def _vdata(panel, times, n, g_lo, g_hi, g_count, g_sum_v, g_sum_v2) -> VData:
     """Assemble a :class:`VData`, deriving ``g_delta`` and ``z1``-``z3`` from the groups."""
     g_delta = times[g_hi] - times[g_lo]
     return VData(
         v0=panel.first_values(),
-        v=v,
-        delta=delta,
-        lo=lo,
-        hi=hi,
-        path=path,
         times=times,
         t0=panel.t0,
-        group=group,
+        n=int(n),
         g_lo=g_lo,
         g_hi=g_hi,
         g_delta=g_delta,
@@ -210,21 +167,14 @@ def fit_initial(vdata: VData) -> InitialFit:
     return InitialFit(mu1_hat=mu1, sigma1sq_hat=sigma1sq)
 
 
-def transition_log_mean(params: ModelParams, t_a: float, t_b: float) -> float:
-    """Mean of ``log(X(t_b)/X(t_a))`` given the past; the integrated drift."""
-    if not t_b > t_a:
-        raise ValueError("t_b must exceed t_a")
-    return float(integrated_drift(params, t_a, t_b))
-
-
 @dataclass(frozen=True)
 class LikelihoodStats:
     """Sufficient aggregates of a panel under a given growth shape ``theta``.
 
     ``w``, ``x``, ``y`` have one entry per derivative direction
-    ``l = 0 (eta), 1..p (beta_l)``; ``lam_g`` and ``d_g`` hold the per-group
-    log-gap differences and telescoping derivative differences (expand to
-    per-transition order with :meth:`lam` / :meth:`lD`).
+    ``l = 0 (eta), 1..p (beta_l)``; ``d_g`` holds the telescoping derivative
+    differences per group, which :func:`~mslogistic.asymptotics.fisher_info`
+    reads.
     """
 
     z1: float
@@ -236,19 +186,9 @@ class LikelihoodStats:
     w: np.ndarray            # (p+1,)
     x: np.ndarray            # (p+1,)
     y: np.ndarray            # (p+1,)
-    lam_g: np.ndarray = field(repr=False)   # (G,)
     d_g: np.ndarray = field(repr=False)     # (p+1, G)
-    vdata: VData = field(repr=False)
     n: int = 0
     p: int = 0
-
-    def lam(self) -> np.ndarray:
-        """Per-transition log-gap differences, in transition order."""
-        return self.lam_g[self.vdata.group]
-
-    def lD(self) -> np.ndarray:
-        """Per-transition telescoping differences, shape ``(p+1, n)``."""
-        return self.d_g[:, self.vdata.group]
 
 
 def _log_gap(times: np.ndarray, eta: np.ndarray, beta: np.ndarray):
@@ -265,15 +205,6 @@ def _log_gap(times: np.ndarray, eta: np.ndarray, beta: np.ndarray):
     q *= times
     log_eta = np.array([math.log(e) for e in eta])
     return q, np.logaddexp(log_eta[:, None], -q)
-
-
-def _gap_tables(eta: float, poly: PolyCoeffs, times: np.ndarray):
-    """log(eta + e^{-Q}), 1/(eta + e^{-Q}) and e^{-Q}/(eta + e^{-Q}) on the time table."""
-    q, log_u = _log_gap(times, np.array([eta]), np.array([poly.beta]))
-    q, log_u = q[0], log_u[0]
-    inv_u = np.exp(-log_u)
-    w_frac = np.exp(-q - log_u)
-    return log_u, inv_u, w_frac
 
 
 def _gap_aggregates(vdata: VData, log_u: np.ndarray):
@@ -309,23 +240,21 @@ def _derivative_table(inv_u: np.ndarray, w_frac: np.ndarray, times: np.ndarray, 
 def compute_stats(vdata: VData, params: ModelParams) -> LikelihoodStats:
     """All likelihood aggregates for the growth shape of ``params`` (sigma2 unused)."""
     p = params.degree
-    log_u, inv_u, w_frac = _gap_tables(params.eta, params.poly, vdata.times)
-    lam, a, b, c = _gap_aggregates(vdata, log_u[None, :])
-    lam_g = lam[0]
+    q, log_u = _log_gap(vdata.times, np.array([params.eta]), np.array([params.poly.beta]))
+    lam, a, b, c = _gap_aggregates(vdata, log_u)
+    q, log_u, lam = q[0], log_u[0], lam[0]
 
     cnt, sv, dt = vdata.g_count, vdata.g_sum_v, vdata.g_delta
-    f = _derivative_table(inv_u, w_frac, vdata.times, p)
+    f = _derivative_table(np.exp(-log_u), np.exp(-q - log_u), vdata.times, p)
     d_g = f[:, vdata.g_hi] - f[:, vdata.g_lo]           # (p+1, G)
 
     w = d_g @ cnt
     x = d_g @ (sv / np.sqrt(dt))
-    y = d_g @ (cnt * (-lam_g) / dt)
+    y = d_g @ (cnt * (-lam) / dt)
 
     return LikelihoodStats(
         z1=vdata.z1, z2=vdata.z2, z3=vdata.z3, a=float(a[0]), b=float(b[0]), c=float(c[0]),
-        w=w, x=x, y=y,
-        lam_g=lam_g, d_g=d_g, vdata=vdata,
-        n=vdata.n, p=p,
+        w=w, x=x, y=y, d_g=d_g, n=vdata.n, p=p,
     )
 
 

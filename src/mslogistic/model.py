@@ -39,7 +39,6 @@ __all__ = [
     "carrying_capacity",
     "drift_rate",
     "integrated_drift",
-    "conditional_mean",
     "process_mean",
     "percentile",
     "inflection_points",
@@ -190,7 +189,8 @@ def log_saturation_gap(params: ModelParams, t):
 def curve(params: ModelParams, l0: float, t0: float, t):
     """Multisigmoidal logistic curve through ``(t0, l0)``.
 
-    ``curve(t0) == l0`` holds exactly (the exponent cancels to zero).
+    ``curve(t0) == l0`` holds exactly (the exponent cancels to zero).  It is
+    also the conditional mean ``E[X(t) | X(t0) = l0]`` of the diffusion.
     """
     return l0 * np.exp(log_saturation_gap(params, t0) - log_saturation_gap(params, t))
 
@@ -224,13 +224,6 @@ def integrated_drift(params: ModelParams, t0: float, t):
         - log_saturation_gap(params, t)
         - 0.5 * params.sigma2 * (np.asarray(t) - t0)
     )
-
-
-def conditional_mean(params: ModelParams, x0: float, t0: float, t):
-    """``E[X(t) | X(t0) = x0]``; identical to :func:`curve` with ``l0 = x0``."""
-    if x0 <= 0:
-        raise ValueError(f"x0 must be positive, got {x0}")
-    return curve(params, x0, t0, t)
 
 
 def process_mean(params: ModelParams, init: InitialDistribution, t0: float, t):

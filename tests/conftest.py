@@ -89,6 +89,38 @@ def simulate_crossings(params, x0, boundary, t_max, step, n_paths, seed, bridge=
     return np.concatenate(out), n_paths
 
 
+def path_transitions(panel):
+    """Per-transition reference taken straight from the raw panel.
+
+    One ``(v, dt, t_a, t_b)`` tuple per path: the standardized log-increments
+    ``v = log(x_{j+1}/x_j) / sqrt(dt)``, the time steps and the step start and
+    end times on the panel clock ``t - panel.t0``.
+    """
+    out = []
+    for path in panel.paths:
+        dt = np.diff(path.times)
+        t = path.times - panel.t0
+        out.append((np.diff(np.log(path.values)) / np.sqrt(dt), dt, t[:-1], t[1:]))
+    return out
+
+
+def mean_gradient(params: ModelParams, t_a, t_b) -> np.ndarray:
+    """``dm/d(eta, beta_1..beta_p)`` of the transition log mean over ``t_a -> t_b``.
+
+    ``m = log(eta + e^{-Q(t_a)}) - log(eta + e^{-Q(t_b)}) - sigma2 (t_b - t_a) / 2``;
+    returns shape ``(p + 1,) + shape(t_a)``.
+    """
+    def inverse_gap_and_weight(t):
+        q = params.poly.value(t)
+        log_u = np.logaddexp(math.log(params.eta), -q)
+        return np.exp(-log_u), np.exp(-q - log_u)
+
+    inv_a, w_a = inverse_gap_and_weight(t_a)
+    inv_b, w_b = inverse_gap_and_weight(t_b)
+    return np.array([inv_a - inv_b] + [np.power(t_b, l) * w_b - np.power(t_a, l) * w_a
+                                       for l in range(1, params.degree + 1)])
+
+
 def fd_hessian_neg_loglik(vdata, xi: ModelParams, rel_step: float = 1e-4) -> np.ndarray:
     """Finite-difference Hessian of the negative core log-likelihood.
 

@@ -22,7 +22,7 @@ from mslogistic.asymptotics import (
 )
 from mslogistic.fit_nr import fit
 
-from conftest import fd_hessian_neg_loglik, make_case1_panel
+from conftest import fd_hessian_neg_loglik, make_case1_panel, mean_gradient, path_transitions
 
 
 class TestFisherInfo:
@@ -76,16 +76,12 @@ class TestFisherInfo:
     def test_theta_block_independent_assembly(self, case1_params):
         # entrywise agreement with a per-transition outer-product sum
         panel = make_case1_panel(case1_params, seed=62, d=5, n_points=21)
-        vdata = transform(panel)
-        from mslogistic import compute_stats
-
-        stats = compute_stats(vdata, case1_params)
-        signs = np.array([1.0, -1.0, -1.0, -1.0])
-        dm = signs[:, None] * stats.lD()
         want = np.zeros((4, 4))
-        for k in range(vdata.n):
-            want += np.outer(dm[:, k], dm[:, k]) / vdata.delta[k]
-        fi = fisher_info(vdata, case1_params)
+        for _, dt, t_a, t_b in path_transitions(panel):
+            dm = mean_gradient(case1_params, t_a, t_b)
+            for k in range(dt.size):
+                want += np.outer(dm[:, k], dm[:, k]) / dt[k]
+        fi = fisher_info(transform(panel), case1_params)
         np.testing.assert_allclose(fi.theta_block, want, rtol=1e-12)
 
     def test_matches_monte_carlo_hessian(self):
@@ -115,7 +111,7 @@ class TestFisherInfo:
         panel = simulate_panel(SimSpec(params=params, init=Degenerate(2.0), grid=grid, d=8, seed=0))
         vdata = transform(panel)
         stats_n = vdata.n
-        z3 = float(np.sum(vdata.delta))
+        z3 = sum(float(np.sum(dt)) for _, dt, _, _ in path_transitions(panel))
         corner_true = 0.5 * stats_n / params.sigma2 + 0.25 * z3
         corner_flipped = 0.5 * stats_n / params.sigma2 - 0.25 * z3
         fi = fisher_info(vdata, params)

@@ -21,6 +21,16 @@ def load_report(out_dir):
     return json.loads((Path(out_dir) / "report.json").read_text(encoding="utf-8"))
 
 
+def _reject_constant(name):
+    raise ValueError(f"report.json holds {name}")
+
+
+def assert_strict_reports(root):
+    """Every report.json under ``root`` parses as strict JSON (no NaN/Infinity)."""
+    for path in Path(root).rglob("report.json"):
+        json.loads(path.read_text(encoding="utf-8"), parse_constant=_reject_constant)
+
+
 def sim_config(paths=5, num=51, seed=7):
     return {
         "params": {"eta": math.exp(-1), "beta": [0.1, -0.009, 0.0002], "sigma2": 1e-4},
@@ -181,6 +191,21 @@ class TestForecastCommand:
         assert held["max_relative_error"] < 0.05
         assert (out / "forecast.csv").exists()
 
+    @pytest.mark.parametrize("choice", [{"degree": 3}, {"degrees": [2, 3, 4]}])
+    def test_fits_once(self, tmp_path, transform_calls, choice):
+        # one transform for the fit (or the degree sweep), one for the initial law
+        cfg = {"data": str(FIXTURE), "fit_until": 246.0, **choice}
+        run("forecast", cfg, out_dir=tmp_path / "fc")
+        assert len(transform_calls) == 2
+
+    def test_degrees_uses_the_sweep_fit(self, tmp_path):
+        base = {"data": str(FIXTURE), "fit_until": 246.0}
+        run("forecast", {**base, "degrees": [2, 3, 4]}, out_dir=tmp_path / "sweep")
+        run("forecast", {**base, "degree": 3}, out_dir=tmp_path / "one")
+        sweep, one = load_report(tmp_path / "sweep"), load_report(tmp_path / "one")
+        assert sweep["results"] == one["results"]
+        assert sweep["files"]["forecast"]["sha256"] == one["files"]["forecast"]["sha256"]
+
     def test_no_holdout_rejected(self, tmp_path):
         cfg = {"data": str(FIXTURE), "degree": 3, "fit_until": 400.0}
         with pytest.raises(ConfigError):
@@ -224,6 +249,35 @@ class TestMainEntry:
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1
         assert fragment in err
+        assert_strict_reports(tmp_path)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_panel_cell_exit_code(self, tmp_path, capsys, cell):
+        f = tmp_path / "bad.csv"
+        f.write_text(f"t,a,b\n0,1.0,2.0\n1,2.0,{cell}\n2,3.0,4.0\n", encoding="utf-8")
+        self.assert_config_error(tmp_path, capsys, "fit", {"data": str(f), "degree": 1},
+                                 f":3: non-finite value {cell!r} in column 'b'")
+
+    def test_negative_initial_variance_exit_code(self, tmp_path, capsys):
+        cfg = {**sim_config(), "init": {"mu1": 1.0, "sigma1sq": -0.5}}
+        self.assert_config_error(tmp_path, capsys, "simulate", cfg, "sigma1sq must be nonnegative")
+
+    @pytest.mark.parametrize("level", [1.5, 1.0, 0.0, -0.2])
+    def test_confidence_level_outside_unit_interval_exit_code(self, tmp_path, capsys, level):
+        cfg = {"data": str(FIXTURE), "degree": 3, "confidence_levels": [0.9, level]}
+        self.assert_config_error(tmp_path, capsys, "fit", cfg, "confidence_levels[1]")
+
+    def test_forecast_percentile_outside_unit_interval_exit_code(self, tmp_path, capsys):
+        cfg = {"data": str(FIXTURE), "degree": 3, "fit_until": 246.0, "percentiles": [1.5]}
+        self.assert_config_error(tmp_path, capsys, "forecast", cfg, "percentiles[0]")
+
+    def test_valid_levels_write_strict_json(self, tmp_path):
+        code = main(["fit", "--config", str(write_config(
+            tmp_path, {"data": str(FIXTURE), "degree": 3, "confidence_levels": [0.5, 0.99]})),
+            "--out", str(tmp_path / "o")])
+        assert code == 0
+        assert_strict_reports(tmp_path)
+        assert "level_0.99" in load_report(tmp_path / "o")["results"]["confidence_intervals"]["eta"]
 
     def test_sa_zero_replications_exit_code(self, tmp_path, capsys):
         self.assert_config_error(

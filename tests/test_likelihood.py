@@ -20,9 +20,11 @@ from mslogistic import (
     loglik,
     simulate_panel,
     transform,
-    transition_log_mean,
 )
 from mslogistic.likelihood import core_loglik, neg_core_loglik
+from mslogistic.model import log_saturation_gap
+
+from conftest import make_case1_panel, mean_gradient, path_transitions
 
 CASE1 = ModelParams(eta=math.exp(-1), poly=PolyCoeffs((0.1, -0.009, 0.0002)), sigma2=1e-4)
 
@@ -54,26 +56,53 @@ class TestTransform:
     def test_constant_path_gives_zero_increments(self):
         panel = PathPanel.from_matrix([0.0, 1.0, 2.0], [[4.0, 4.0, 4.0]])
         v = transform(panel)
-        np.testing.assert_array_equal(v.v, [0.0, 0.0])
+        np.testing.assert_array_equal(v.g_sum_v, [0.0, 0.0])
+        np.testing.assert_array_equal(v.g_sum_v2, [0.0, 0.0])
 
     def test_unit_step_log_ratio(self):
         panel = PathPanel.from_matrix([0.0, 1.0], [[1.0, math.e]])
         v = transform(panel)
-        assert v.v[0] == pytest.approx(1.0, rel=1e-15)
+        assert v.g_sum_v[0] == pytest.approx(1.0, rel=1e-15)
 
-    def test_round_trip_reconstruction(self):
+    @pytest.mark.parametrize("ragged", [False, True])
+    def test_groups_match_transitions(self, ragged):
         rng = np.random.default_rng(0)
         panel = random_panel(rng, d=4)
-        rebuilt = transform(panel).to_panel()
-        for orig, back in zip(panel.paths, rebuilt.paths):
-            np.testing.assert_array_equal(orig.times, back.times)
-            np.testing.assert_allclose(back.values, orig.values, rtol=1e-13)
+        if not ragged:
+            grid = panel.paths[0].times
+            panel = PathPanel.from_matrix(grid, np.exp(rng.normal(size=(4, grid.size))))
+        vdata = transform(panel)
+        groups = {}
+        for v, dt, t_a, t_b in path_transitions(panel):
+            for key, vk in zip(zip(t_a, t_b), v):
+                groups.setdefault(key, []).append(vk)
+        got = {(vdata.times[lo], vdata.times[hi]): k
+               for k, (lo, hi) in enumerate(zip(vdata.g_lo, vdata.g_hi))}
+        assert sorted(got) == sorted(groups)
+        for key, k in got.items():
+            vs = np.array(groups[key])
+            assert vdata.g_count[k] == vs.size
+            assert vdata.g_delta[k] == pytest.approx(key[1] - key[0], rel=1e-14)
+            assert vdata.g_sum_v[k] == pytest.approx(vs.sum(), rel=1e-13, abs=1e-15)
+            assert vdata.g_sum_v2[k] == pytest.approx((vs * vs).sum(), rel=1e-13)
 
     def test_transition_count(self):
         rng = np.random.default_rng(1)
         panel = random_panel(rng, d=5)
         v = transform(panel)
-        assert v.n == sum(len(p) - 1 for p in panel.paths)
+        assert type(v.n) is int and v.n == sum(len(p) - 1 for p in panel.paths)
+
+    def test_no_per_transition_arrays(self, case1_params, monkeypatch):
+        d, n_points = 200, 501
+        panel = make_case1_panel(case1_params, seed=3, d=d, n_points=n_points)
+        grid_vdata = transform(panel)
+        monkeypatch.setattr(PathPanel, "common_grid", lambda self: None)
+        for vdata in (grid_vdata, transform(panel)):
+            assert type(vdata.n) is int and vdata.n == d * (n_points - 1)
+            for f in dataclasses.fields(vdata):
+                value = getattr(vdata, f.name)
+                if isinstance(value, np.ndarray):
+                    assert value.size <= max(d, n_points), f.name
 
     def test_time_shift_recorded(self):
         panel = PathPanel.from_matrix([2.0, 3.0, 4.5], [[1.0, 2.0, 3.0]])
@@ -152,18 +181,16 @@ class TestFitInitial:
 
 
 class TestTransitionLogMean:
-    def test_short_interval_vanishes(self):
-        assert transition_log_mean(CASE1, 2.0, 2.0 + 1e-12) == pytest.approx(0.0, abs=1e-10)
+    """``integrated_drift`` is the mean of ``log(X(t_b)/X(t_a))`` given the past."""
 
-    def test_requires_increasing_times(self):
-        with pytest.raises(ValueError):
-            transition_log_mean(CASE1, 2.0, 2.0)
+    def test_short_interval_vanishes(self):
+        assert integrated_drift(CASE1, 2.0, 2.0 + 1e-12) == pytest.approx(0.0, abs=1e-10)
 
     def test_sigma_free_log_ratio(self):
         from mslogistic import curve
 
         p = ModelParams(eta=CASE1.eta, poly=CASE1.poly, sigma2=0.0)
-        got = transition_log_mean(p, 1.0, 7.0)
+        got = integrated_drift(p, 1.0, 7.0)
         assert got == pytest.approx(math.log(curve(p, 1.0, 1.0, 7.0)), rel=1e-12)
 
     def test_matches_simulated_increments(self):
@@ -172,7 +199,7 @@ class TestTransitionLogMean:
                                        grid=np.array([0.0, 20.0]), d=100_000, seed=13))
         incr = np.log(panel.values_matrix()[:, 1] / 5.0)
         se = math.sqrt(params.sigma2 * 20.0 / incr.size)
-        assert abs(incr.mean() - transition_log_mean(params, 0.0, 20.0)) < 4 * se
+        assert abs(incr.mean() - integrated_drift(params, 0.0, 20.0)) < 4 * se
 
 
 class TestComputeStats:
@@ -198,10 +225,11 @@ class TestComputeStats:
         for _ in range(20):
             panel = random_panel(rng)
             params = random_params(rng, p=int(rng.integers(1, 4)))
-            vdata = transform(panel)
-            stats = compute_stats(vdata, params)
-            lam = stats.lam()
-            direct = np.sum((vdata.v - lam / np.sqrt(vdata.delta)) ** 2)
+            stats = compute_stats(transform(panel), params)
+            direct = 0.0
+            for v, dt, t_a, t_b in path_transitions(panel):
+                lam = log_saturation_gap(params, t_a) - log_saturation_gap(params, t_b)
+                direct += np.sum((v - lam / np.sqrt(dt)) ** 2)
             lhs = stats.z1 + stats.a - 2 * stats.b
             assert lhs == pytest.approx(direct, abs=1e-12 * max(1.0, direct))
             assert lhs >= -1e-12
@@ -210,22 +238,15 @@ class TestComputeStats:
         rng = np.random.default_rng(4)
         panel = random_panel(rng, d=4)
         params = random_params(rng, p=3)
-        vdata = transform(panel)
-        stats = compute_stats(vdata, params)
-        # per-transition double sum
-        double_sum = stats.lD().sum(axis=1)
-        np.testing.assert_allclose(stats.w, double_sum, atol=1e-12)
-        # per-path telescoped sum of f over (first, last) observation times
-        from mslogistic.likelihood import _derivative_table, _gap_tables
-
-        log_u, inv_u, w_frac = _gap_tables(params.eta, params.poly, vdata.times)
-        f = _derivative_table(inv_u, w_frac, vdata.times, params.degree)
+        stats = compute_stats(transform(panel), params)
+        signs = np.array([1.0] + [-1.0] * params.degree)
+        # per-transition double sum, and per path the one step (first, last)
+        double_sum = np.zeros(params.degree + 1)
         tele = np.zeros(params.degree + 1)
-        for i in range(vdata.d):
-            sel = vdata.path == i
-            first = vdata.lo[sel][0]
-            last = vdata.hi[sel][-1]
-            tele += f[:, last] - f[:, first]
+        for _, _, t_a, t_b in path_transitions(panel):
+            double_sum += signs * mean_gradient(params, t_a, t_b).sum(axis=1)
+            tele += signs * mean_gradient(params, t_a[0], t_b[-1])
+        np.testing.assert_allclose(stats.w, double_sum, atol=1e-12)
         np.testing.assert_allclose(stats.w, tele, atol=1e-12)
 
     def test_path_reordering_invariance(self):
@@ -257,12 +278,12 @@ class TestDerivativeAggregates:
         vdata = transform(panel)
         object.__setattr__(vdata, "times", vdata.times + float(ta))
         stats = compute_stats(vdata, params)
-        lD = stats.lD()[:, 0]
+        assert stats.d_g.shape == (3, 1)
 
         for l, sym in enumerate((eta_s, b1_s, b2_s)):
             dm = float(sp.diff(m_s, sym).subs(point))
             sign = 1.0 if l == 0 else -1.0
-            assert sign * lD[l] == pytest.approx(dm, rel=1e-12)
+            assert sign * stats.d_g[l, 0] == pytest.approx(dm, rel=1e-12)
 
     def test_lambda_matches_symbolic(self):
         eta, b1 = 0.9, 0.4
@@ -270,7 +291,8 @@ class TestDerivativeAggregates:
         panel = PathPanel.from_matrix([0.0, 2.0], [[1.0, 1.2]])
         stats = compute_stats(transform(panel), params)
         want = math.log((eta + 1.0) / (eta + math.exp(-b1 * 2.0)))
-        assert stats.lam()[0] == pytest.approx(want, rel=1e-14)
+        # one transition: c = sum lam is its lambda
+        assert stats.c == pytest.approx(want, rel=1e-14)
 
 
 class TestLoglik:

@@ -12,7 +12,6 @@ from mslogistic import (
     ModelParams,
     PolyCoeffs,
     carrying_capacity,
-    conditional_mean,
     curve,
     drift_rate,
     inflection_points,
@@ -162,17 +161,19 @@ class TestIntegratedDrift:
 
 
 class TestConditionalMean:
+    """``curve`` through ``(t0, x0)`` is ``E[X(t) | X(t0) = x0]``."""
+
     def test_initial_value(self):
         p = params(CASE1_BETA, eta=math.exp(-1), sigma2=0.01**2)
-        assert conditional_mean(p, 5.0, 0.0, 0.0) == 5.0
+        assert curve(p, 5.0, 0.0, 0.0) == 5.0
 
     def test_ode_residual(self):
         # d/dt m(t|t0) = h(t) m(t|t0), checked by central differences
         p = params(CASE1_BETA, eta=math.exp(-1), sigma2=0.01**2)
         for t in [1.0, 10.0, 25.0, 40.0]:
             h = 1e-5
-            m = conditional_mean(p, 5.0, 0.0, t)
-            dm = (conditional_mean(p, 5.0, 0.0, t + h) - conditional_mean(p, 5.0, 0.0, t - h)) / (2 * h)
+            m = curve(p, 5.0, 0.0, t)
+            dm = (curve(p, 5.0, 0.0, t + h) - curve(p, 5.0, 0.0, t - h)) / (2 * h)
             assert dm == pytest.approx(drift_rate(p, t) * m, rel=1e-6)
 
     def test_matches_monte_carlo_transitions(self):
@@ -183,7 +184,7 @@ class TestConditionalMean:
         m_log = integrated_drift(p, t0, t1)
         draws = x0 * np.exp(m_log + p.sigma * math.sqrt(t1 - t0) * rng.standard_normal(100_000))
         se = draws.std(ddof=1) / math.sqrt(draws.size)
-        assert abs(draws.mean() - conditional_mean(p, x0, t0, t1)) < 3 * se
+        assert abs(draws.mean() - curve(p, x0, t0, t1)) < 3 * se
 
 
 class TestPercentile:

@@ -12,7 +12,7 @@ from mslogistic import (
     PolyCoeffs,
     SamplePath,
     SimSpec,
-    conditional_mean,
+    curve,
     geometric_mean,
     integrated_drift,
     process_mean,
@@ -38,7 +38,7 @@ class TestSimulatePanel:
         params = ModelParams(eta=math.exp(-1), poly=PolyCoeffs((0.1, -0.009, 0.0002)), sigma2=0.0)
         panel = simulate_panel(spec(params=params, d=3))
         grid = panel.common_grid()
-        want = conditional_mean(params, 5.0, 0.0, grid)
+        want = curve(params, 5.0, 0.0, grid)
         for p in panel.paths:
             np.testing.assert_allclose(p.values, want, rtol=1e-12)
 
