@@ -86,10 +86,20 @@ def _levels(values, where: str) -> tuple[float, ...]:
     return levels
 
 
+def _is_degree(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
 def _degree(value) -> int:
-    if not isinstance(value, int) or value < 1:
+    if not _is_degree(value):
         raise ConfigError("degree: expected a positive integer")
     return value
+
+
+def _degrees(values) -> list[int]:
+    if not isinstance(values, list) or not values or not all(map(_is_degree, values)):
+        raise ConfigError("degrees: expected a nonempty list of positive integers")
+    return values
 
 
 def _params_from_config(obj, where: str) -> ModelParams:
@@ -152,8 +162,9 @@ def ingest_csv(path, scale_max: bool = False) -> PathPanel:
             raise ConfigError(f"{path}: empty file") from None
         if len(header) < 2:
             raise ConfigError(f"{path}: need a time column plus at least one path column")
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
+        rows, linenos = [], []
+        for row in reader:
+            lineno = reader.line_num
             if not row or all(not c.strip() for c in row):
                 continue
             if len(row) != len(header):
@@ -171,20 +182,21 @@ def ingest_csv(path, scale_max: bool = False) -> PathPanel:
                     f"{path}:{lineno}: non-finite value {row[j].strip()!r} in column {header[j]!r}"
                 )
             rows.append(cells)
+            linenos.append(lineno)
     if len(rows) < 2:
         raise ConfigError(f"{path}: need at least two observation rows")
     data = np.asarray(rows)
     times = data[:, 0]
     if np.any(np.diff(times) <= 0):
         k = int(np.argmax(np.diff(times) <= 0))
-        raise ConfigError(f"{path}: times not strictly increasing at row {k + 3}")
+        raise ConfigError(f"{path}: times not strictly increasing at row {linenos[k + 1]}")
     values = data[:, 1:]
     for j in range(values.shape[1]):
         col = values[:, j]
         if np.any(col <= 0):
             i = int(np.argmax(col <= 0))
             raise ConfigError(
-                f"{path}: nonpositive value {col[i]} at row {i + 2}, column {header[j + 1]!r}"
+                f"{path}: nonpositive value {col[i]} at row {linenos[i]}, column {header[j + 1]!r}"
             )
     if scale_max:
         values = values / values.max(axis=0, keepdims=True)
@@ -352,10 +364,7 @@ def _cmd_fit(config: dict, seed, out_dir: Path, scale_max: bool, method_flag) ->
 
 def _cmd_select(config: dict, seed, out_dir: Path, scale_max: bool) -> _Bundle:
     _expect_keys(config, "config", {"data", "degrees"}, {"scale_max", "seed"})
-    degrees = config["degrees"]
-    if (not isinstance(degrees, list) or not degrees
-            or not all(isinstance(p, int) and p >= 1 for p in degrees)):
-        raise ConfigError("degrees: expected a nonempty list of positive integers")
+    degrees = _degrees(config["degrees"])
     panel = ingest_csv(config["data"], scale_max or config.get("scale_max", False))
     report = select_degree(panel, degrees)
 
@@ -451,6 +460,12 @@ def _cmd_forecast(config: dict, seed, out_dir: Path, scale_max: bool) -> _Bundle
     _expect_keys(config, "config", {"data", "fit_until"},
                  {"degree", "degrees", "percentiles", "scale_max", "seed"})
     levels = _levels(config.get("percentiles", [0.95, 0.90, 0.75]), "percentiles")
+    if "degrees" in config:
+        degrees = _degrees(config["degrees"])
+    elif "degree" in config:
+        degree = _degree(config["degree"])
+    else:
+        raise ConfigError("forecast needs 'degree' or 'degrees'")
     panel = ingest_csv(config["data"], scale_max or config.get("scale_max", False))
     fit_until = _number(config["fit_until"], "fit_until")
     grid = panel.common_grid()
@@ -464,13 +479,10 @@ def _cmd_forecast(config: dict, seed, out_dir: Path, scale_max: bool) -> _Bundle
     restricted = PathPanel.from_matrix(grid[keep], panel.values_matrix()[:, keep])
 
     if "degrees" in config:
-        report = select_degree(restricted, config["degrees"])
+        report = select_degree(restricted, degrees)
         degree = report.chosen_p
         xi = report[degree].xi_hat
     else:
-        degree = config.get("degree")
-        if not isinstance(degree, int):
-            raise ConfigError("forecast needs 'degree' or 'degrees'")
         xi = fit(restricted, degree).xi_hat
 
     vdata = transform(restricted)
@@ -486,7 +498,7 @@ def _cmd_forecast(config: dict, seed, out_dir: Path, scale_max: bool) -> _Bundle
         hi = np.asarray(percentile(xi, init, 0.0, shifted[1:], (1 + lv_f) / 2))
         bands[lv_f] = (np.concatenate(([np.nan], lo)), np.concatenate(([np.nan], hi)))
 
-    m = panel.values_matrix().mean(axis=0)
+    m = panel.pointwise_mean
     held = ~keep
     rel_err = np.abs(m[held] - mean_curve[held]) / m[held]
 

@@ -110,7 +110,7 @@ def usable_saturation_pairs(panel: PathPanel, noise_sigmas: float = 5.0):
     m = sample_mean(panel)
     ratio = m[-1] / m[:-1] - 1.0
     if panel.d > 1:
-        sd_m = panel.values_matrix().std(axis=0, ddof=1) / math.sqrt(panel.d)
+        sd_m = panel.pointwise_sd / math.sqrt(panel.d)
         rel = np.sqrt((sd_m[-1] / m[-1]) ** 2 + (sd_m[:-1] / m[:-1]) ** 2)
         noise = (m[-1] / m[:-1]) * rel
     else:

@@ -125,10 +125,14 @@ def _transform_grid(panel: PathPanel, grid: np.ndarray) -> VData:
     C-ordered matrix add the rows in path order, as ``bincount`` does over the
     path-ordered transitions, so every field equals the general path's.
     """
-    v = np.diff(np.log(panel.values_matrix()), axis=1) / np.sqrt(np.diff(grid))
+    # scaled and squared in place: one (d, N-1) buffer besides the log
+    v = np.diff(np.log(panel.values_matrix()), axis=1)
+    v /= np.sqrt(np.diff(grid))
+    g_sum_v = v.sum(axis=0)
+    g_sum_v2 = np.multiply(v, v, out=v).sum(axis=0)
     g_lo = np.arange(grid.size - 1)
     return _vdata(panel, grid - panel.t0, v.size, g_lo, g_lo + 1,
-                  np.full(g_lo.size, float(panel.d)), v.sum(axis=0), (v * v).sum(axis=0))
+                  np.full(g_lo.size, float(panel.d)), g_sum_v, g_sum_v2)
 
 
 def _vdata(panel, times, n, g_lo, g_hi, g_count, g_sum_v, g_sum_v2) -> VData:

@@ -5,15 +5,19 @@ the integrated drift over the step and variance ``sigma2 * dt``, so paths are
 generated exactly on any grid; there is no discretization scheme and no bias.
 
 Reproducibility contract: each path is generated from its own counter-based
-Philox stream keyed by ``(seed, path_index)``, and normals are produced by the
-inverse CDF applied to the stream's uniforms.  A panel is therefore
-bit-identical for a fixed seed regardless of how many paths are drawn or in
-which order, and paths can be generated concurrently.
+Philox stream keyed by ``(seed, path_index)`` with counter 0, and normals are
+produced by the inverse CDF applied to the stream's uniforms.  A panel is
+therefore bit-identical for a fixed seed regardless of how many paths are
+drawn or in which order, and paths can be generated concurrently.
+
+:func:`simulate_panel` resets one generator's key per path, draws each path's
+uniforms into a row of one ``(d, N)`` buffer and transforms the buffer in place.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.special import ndtri
@@ -60,6 +64,9 @@ class PathPanel:
     validated and its paths are row views of that copy; a panel built from a
     tuple of paths stacks their values once.  Paths on different grids (a
     ragged panel) have no grid and no matrix.
+
+    The ``pointwise_*`` cross-sectional moments are computed on first use and
+    kept as read-only arrays; on a ragged panel they raise like :meth:`values_matrix`.
     """
 
     paths: tuple[SamplePath, ...]
@@ -90,8 +97,14 @@ class PathPanel:
         Both arrays are copied once and the copies made read-only, so later
         changes to the arguments do not reach the panel.
         """
-        times = _read_only(np.array(times, dtype=float))
-        values = _read_only(np.array(np.atleast_2d(values), dtype=float, order="C"))
+        return cls._from_owned(np.array(times, dtype=float),
+                               np.array(np.atleast_2d(values), dtype=float, order="C"))
+
+    @classmethod
+    def _from_owned(cls, times: np.ndarray, values: np.ndarray) -> "PathPanel":
+        """Validate and keep ``times`` and C-ordered ``values`` without copying."""
+        times = _read_only(times)
+        values = _read_only(values)
         if times.ndim != 1 or values.ndim != 2 or values.shape[1] != times.size:
             raise ValueError("path 0: times and values must be 1-d arrays of equal length")
         if values.shape[0] < 1:
@@ -135,6 +148,21 @@ class PathPanel:
             raise ValueError("paths are not on a common grid")
         return self._values
 
+    @cached_property
+    def pointwise_mean(self) -> np.ndarray:
+        """Read-only arithmetic mean across paths at each time; requires a common grid."""
+        return _read_only(self.values_matrix().mean(axis=0))
+
+    @cached_property
+    def pointwise_geometric_mean(self) -> np.ndarray:
+        """Read-only geometric mean across paths at each time; requires a common grid."""
+        return _read_only(np.exp(np.log(self.values_matrix()).mean(axis=0)))
+
+    @cached_property
+    def pointwise_sd(self) -> np.ndarray:
+        """Read-only ``ddof=1`` standard deviation across paths; requires a common grid."""
+        return _read_only(self.values_matrix().std(axis=0, ddof=1))
+
     def first_values(self) -> np.ndarray:
         if self._values is not None:
             return self._values[:, 0].copy()
@@ -167,45 +195,51 @@ class SimSpec:
         object.__setattr__(self, "grid", grid)
 
 
-def _path_normals(seed: int, path_index: int, n: int) -> np.ndarray:
-    """Standard normals for one path via inverse CDF on a Philox stream."""
-    gen = np.random.Generator(np.random.Philox(key=np.array([seed, path_index], dtype=np.uint64)))
-    u = gen.random(n)
-    # gen.random() can return exactly 0.0; nudge to keep ndtri finite
-    u[u == 0.0] = 0.5 / 2**53
-    return ndtri(u)
-
-
 def simulate_panel(spec: SimSpec) -> PathPanel:
     """Draw ``spec.d`` independent paths of the process on ``spec.grid``."""
     grid = spec.grid
-    n_steps = grid.size - 1
     params = spec.params
     log_gap = np.logaddexp(np.log(params.eta), -params.poly.value(grid))
     step_mean = (log_gap[:-1] - log_gap[1:]) - 0.5 * params.sigma2 * np.diff(grid)
     step_sd = params.sigma * np.sqrt(np.diff(grid))
 
+    # Row i holds path i's uniforms: the lognormal start draws one more, into
+    # column 0.  One generator serves every path; resetting its key and
+    # counter gives the draws of a fresh Philox(key=(seed, i)).
     degenerate = isinstance(spec.init, Degenerate)
     rows = np.empty((spec.d, grid.size))
+    z = rows[:, 1:] if degenerate else rows
+    bitgen = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
+    gen = np.random.Generator(bitgen)
+    fresh = bitgen.state
     for i in range(spec.d):
-        draws = 0 if degenerate else 1
-        z = _path_normals(spec.seed, i, n_steps + draws)
-        if degenerate:
-            log_x0 = np.log(spec.init.x0)
-            incr = z
-        else:
-            log_x0 = spec.init.mu1 + np.sqrt(spec.init.sigma1sq) * z[0]
-            incr = z[1:]
-        log_path = log_x0 + np.concatenate(([0.0], np.cumsum(step_mean + step_sd * incr)))
-        rows[i] = np.exp(log_path)
-    return PathPanel.from_matrix(grid, rows)
+        fresh["state"]["key"] = np.array([spec.seed, i], dtype=np.uint64)
+        bitgen.state = fresh
+        gen.random(out=z[i])
+    # gen.random() can return exactly 0.0; nudge to keep ndtri finite
+    z[z == 0.0] = 0.5 / 2**53
+    ndtri(z, out=z)
+
+    incr = rows[:, 1:]
+    incr *= step_sd
+    incr += step_mean
+    np.cumsum(incr, axis=1, out=incr)
+    log_x0 = rows[:, :1]
+    if degenerate:
+        log_x0[:] = np.log(spec.init.x0)
+    else:
+        log_x0 *= np.sqrt(spec.init.sigma1sq)
+        log_x0 += spec.init.mu1
+    incr += log_x0
+    np.exp(rows, out=rows)
+    return PathPanel._from_owned(grid.copy(), rows)
 
 
 def sample_mean(panel: PathPanel) -> np.ndarray:
-    """Pointwise arithmetic mean across paths; requires a common grid."""
-    return panel.values_matrix().mean(axis=0)
+    """Pointwise arithmetic mean across paths, kept by the panel; requires a common grid."""
+    return panel.pointwise_mean
 
 
 def geometric_mean(panel: PathPanel) -> np.ndarray:
-    """Pointwise geometric mean across paths; requires a common grid."""
-    return np.exp(np.log(panel.values_matrix()).mean(axis=0))
+    """Pointwise geometric mean across paths, kept by the panel; requires a common grid."""
+    return panel.pointwise_geometric_mean

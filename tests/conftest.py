@@ -162,3 +162,25 @@ def transform_calls(monkeypatch):
         if getattr(module, "transform", None) is original:
             monkeypatch.setattr(module, "transform", counting)
     return calls
+
+
+@pytest.fixture
+def moment_calls(monkeypatch):
+    """Count computations of each cached ``PathPanel`` moment, by property name."""
+    from functools import cached_property
+
+    from mslogistic.simulate import PathPanel
+
+    calls: dict[str, int] = {}
+    for name in ("pointwise_mean", "pointwise_geometric_mean", "pointwise_sd"):
+        compute = PathPanel.__dict__[name].func
+        calls[name] = 0
+
+        def counting(panel, name=name, compute=compute):
+            calls[name] += 1
+            return compute(panel)
+
+        prop = cached_property(counting)
+        prop.__set_name__(PathPanel, name)
+        monkeypatch.setattr(PathPanel, name, prop)
+    return calls

@@ -61,6 +61,25 @@ class TestIngest:
         with pytest.raises(ConfigError, match=r"row 3.*'a'"):
             ingest_csv(f)
 
+    def test_messages_name_file_lines_after_a_blank_line(self, tmp_path):
+        f = tmp_path / "zero.csv"
+        f.write_text("t,a,b\n0,1,2\n\n1,0.0,2.5\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match=r"nonpositive value 0.0 at row 4, column 'a'"):
+            ingest_csv(f)
+        f = tmp_path / "times.csv"
+        f.write_text("t,a\n0,1.0\n\n2,2.0\n\n1,3.0\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match=r"times not strictly increasing at row 6$"):
+            ingest_csv(f)
+
+    def test_messages_name_file_lines_after_a_quoted_line_break(self, tmp_path):
+        f = tmp_path / "quoted.csv"
+        f.write_text('t,"a\nb"\n0,1.0\n1,0.0\n', encoding="utf-8")
+        with pytest.raises(ConfigError, match=r"nonpositive value 0.0 at row 4"):
+            ingest_csv(f)
+        f.write_text('t,"a\nb"\n0,1.0\n1,nan\n', encoding="utf-8")
+        with pytest.raises(ConfigError, match=r"quoted.csv:4: non-finite"):
+            ingest_csv(f)
+
     def test_ragged_row_diagnostic(self, tmp_path):
         f = tmp_path / "ragged.csv"
         f.write_text("t,a\n0,1.0\n1,2.0,9\n", encoding="utf-8")
@@ -289,6 +308,29 @@ class TestMainEntry:
         self.assert_config_error(
             tmp_path, capsys, "fpt",
             {"data": str(FIXTURE), "degree": "3", "boundary": 0.7, "t_max": 350.0}, "degree")
+
+    @pytest.mark.parametrize("choice, fragment", [
+        ({"degrees": "3"}, "degrees: expected"),
+        ({"degrees": []}, "degrees: expected"),
+        ({"degrees": [True, 3]}, "degrees: expected"),
+        ({"degrees": [2, 0]}, "degrees: expected"),
+        ({"degree": 0}, "degree: expected"),
+        ({"degree": True}, "degree: expected"),
+        ({"degree": 3.0}, "degree: expected"),
+        ({}, "needs 'degree' or 'degrees'"),
+    ])
+    def test_forecast_bad_degree_exit_code(self, tmp_path, capsys, choice, fragment):
+        cfg = {"data": str(FIXTURE), "fit_until": 246.0, **choice}
+        self.assert_config_error(tmp_path, capsys, "forecast", cfg, fragment)
+
+    @pytest.mark.parametrize("command, payload", [
+        ("fit", {"degree": True}),
+        ("fpt", {"degree": True, "boundary": 0.7, "t_max": 350.0}),
+        ("select", {"degrees": [True, 3]}),
+    ])
+    def test_boolean_degree_exit_code(self, tmp_path, capsys, command, payload):
+        self.assert_config_error(tmp_path, capsys, command, {"data": str(FIXTURE), **payload},
+                                 "degree")
 
     def test_fpt_horizon_before_start_exit_code(self, tmp_path, capsys):
         cfg = {"params": {"eta": math.exp(-1), "beta": [0.1, -0.009, 0.0002], "sigma2": 1e-4},

@@ -102,6 +102,13 @@ class TestSelectDegree:
         assert len(report.per_degree) == 3
         assert transform_calls == [panel]
 
+    def test_sweep_computes_each_moment_once(self, case1_params, moment_calls):
+        panel = make_case1_panel(case1_params, seed=74, d=30, n_points=61)
+        report = select_degree(panel, range(2, 7))
+        assert len(report.per_degree) + len(report.failures) == 5
+        assert moment_calls == {"pointwise_mean": 1, "pointwise_geometric_mean": 1,
+                                "pointwise_sd": 1}
+
     def test_default_fitter_equals_public_fit(self, case1_params):
         panel = make_case1_panel(case1_params, seed=75, d=30, n_points=61)
         report = select_degree(panel, [2, 3])

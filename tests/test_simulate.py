@@ -1,4 +1,7 @@
+import importlib.util
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +22,16 @@ from mslogistic import (
     sample_mean,
     simulate_panel,
 )
+
+from conftest import make_case1_panel
+
+DATA_DIR = Path(__file__).parent / "data"
+# Shape and SHA-256 of simulated panels, written by make_sim_golden.py from
+# the per-path simulation loop (one Philox generator built per path).
+SIM_GOLDEN = json.loads((DATA_DIR / "sim_golden.json").read_text())
+_maker = importlib.util.spec_from_file_location("make_sim_golden", DATA_DIR / "make_sim_golden.py")
+make_sim_golden = importlib.util.module_from_spec(_maker)
+_maker.loader.exec_module(make_sim_golden)
 
 CASE1 = ModelParams(eta=math.exp(-1), poly=PolyCoeffs((0.1, -0.009, 0.0002)), sigma2=1e-4)
 
@@ -111,6 +124,22 @@ class TestSimulatePanel:
         assert rae < 0.02
 
 
+class TestGolden:
+    @pytest.mark.parametrize("record", SIM_GOLDEN["records"],
+                             ids=lambda r: f"{r['init']}-d{r['d']}-n{r['points']}-s{r['seed']}")
+    def test_matches_recorded_panel(self, record):
+        assert make_sim_golden.digest(record) == {"shape": record["shape"],
+                                                  "sha256": record["sha256"]}
+
+    def test_records_cover_both_starts_and_a_wide_seed(self):
+        records = SIM_GOLDEN["records"]
+        assert {r["init"] for r in records} == {"degenerate", "lognormal"}
+        assert {(r["d"], r["points"]) for r in records} >= {(1, 2), (7, 51), (200, 501)}
+        assert max(r["seed"] for r in records) >= 2**32
+        assert SIM_GOLDEN["params"] == make_sim_golden.PARAMS
+        assert SIM_GOLDEN["inits"] == make_sim_golden.INITS
+
+
 class TestPanelStatistics:
     def test_sample_mean_single_path(self):
         panel = PathPanel.from_matrix([0.0, 1.0, 2.0], [[1.0, 2.0, 3.0]])
@@ -142,6 +171,43 @@ class TestPanelStatistics:
             sample_mean(panel)
 
 
+class TestPanelMoments:
+    MOMENTS = {
+        "pointwise_mean": lambda v: v.mean(axis=0),
+        "pointwise_geometric_mean": lambda v: np.exp(np.log(v).mean(axis=0)),
+        "pointwise_sd": lambda v: v.std(axis=0, ddof=1),
+    }
+
+    @pytest.fixture(params=["fixture", "case1"])
+    def panel(self, request, case1_params):
+        if request.param == "fixture":
+            from mslogistic.cli import ingest_csv
+            return ingest_csv(DATA_DIR / "epidemic_shaped.csv")
+        return make_case1_panel(case1_params, seed=11, d=50, n_points=101)
+
+    def test_functions_return_the_cached_arrays(self, panel):
+        assert sample_mean(panel) is sample_mean(panel) is panel.pointwise_mean
+        assert geometric_mean(panel) is geometric_mean(panel) is panel.pointwise_geometric_mean
+        assert panel.pointwise_sd is panel.pointwise_sd
+
+    @pytest.mark.parametrize("name", sorted(MOMENTS))
+    def test_cached_arrays_equal_direct_formulas(self, panel, name):
+        got = getattr(panel, name)
+        want = self.MOMENTS[name](panel.values_matrix())
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+        with pytest.raises(ValueError):
+            got[0] = 1.0
+
+    @pytest.mark.parametrize("name", sorted(MOMENTS))
+    def test_ragged_panel_raises_every_time(self, name):
+        panel = PathPanel((SamplePath([0.0, 1.0, 2.0], [1.0, 2.0, 3.0]),
+                           SamplePath([0.0, 2.0], [1.0, 2.0])))
+        for _ in range(2):
+            with pytest.raises(ValueError, match="common grid"):
+                getattr(panel, name)
+
+
 class TestPanelStorage:
     def test_from_matrix_copies_its_input(self):
         times = np.array([0.0, 1.0, 2.0])
@@ -171,6 +237,13 @@ class TestPanelStorage:
             assert np.shares_memory(path.values, matrix)
             np.testing.assert_array_equal(path.values, matrix[i])
             assert path.times is panel.common_grid()
+
+    def test_simulation_leaves_the_spec_grid_writeable(self):
+        s = spec(d=2, n=5)
+        panel = simulate_panel(s)
+        assert s.grid.flags.writeable
+        assert not panel.common_grid().flags.writeable
+        assert not np.shares_memory(s.grid, panel.common_grid())
 
     def test_transposed_input_stored_c_ordered(self):
         values = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]).T
