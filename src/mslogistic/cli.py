@@ -76,6 +76,13 @@ def _number(value, where: str) -> float:
     return float(value)
 
 
+def _seed(value, where: str):
+    if value is None or (isinstance(value, int) and not isinstance(value, bool)
+                         and 0 <= value < 2**64):
+        return value
+    raise ConfigError(f"{where}: expected an integer in [0, 2**64), got {value!r}")
+
+
 def _levels(values, where: str) -> tuple[float, ...]:
     if not isinstance(values, (list, tuple)):
         raise ConfigError(f"{where}: expected a list of levels")
@@ -273,10 +280,10 @@ def _cmd_simulate(config: dict, seed, out_dir: Path, scale_max: bool) -> _Bundle
     d = config["paths"]
     if not isinstance(d, int) or d < 1:
         raise ConfigError("paths: expected a positive integer")
-    use_seed = seed if seed is not None else config.get("seed", 0)
-    panel = simulate_panel(SimSpec(params=params, init=init, grid=grid, d=d, seed=use_seed))
+    seed = 0 if seed is None else seed
+    panel = simulate_panel(SimSpec(params=params, init=init, grid=grid, d=d, seed=seed))
 
-    bundle = _Bundle("simulate", config, use_seed, out_dir)
+    bundle = _Bundle("simulate", config, seed, out_dir)
     panel_path = out_dir / "panel.csv"
     _write_csv(panel_path, ["t"] + [f"path{i + 1}" for i in range(d)],
                [grid] + [p.values for p in panel.paths])
@@ -306,8 +313,7 @@ def _fit_panel(panel: PathPanel, degree: int, method: str, seed, config: dict):
         opts = dict(config.get("sa", {}))
         _expect_keys(opts, "sa", set(),
                      {"replications", "chain_length", "max_iter", "gamma", "p0", "t_final"})
-        if seed is not None:
-            opts["seed"] = seed
+        opts["seed"] = seed
         try:
             sched = SaSchedule(**opts)
         except (TypeError, ValueError) as exc:
@@ -333,6 +339,8 @@ def _cmd_fit(config: dict, seed, out_dir: Path, scale_max: bool, method_flag) ->
     levels = _levels(config.get("confidence_levels", (0.95, 0.90, 0.75)), "confidence_levels")
     panel = ingest_csv(config["data"], scale_max or config.get("scale_max", False))
     degree = _degree(config["degree"])
+    if method == "sa" and seed is None:
+        seed = SaSchedule.seed
     xi_hat, details = _fit_panel(panel, degree, method, seed, config)
 
     vdata = transform(panel)
@@ -533,6 +541,7 @@ def run(command: str, config: dict, seed=None, out_dir="msl-out",
         scale_max: bool = False, method=None) -> Path:
     """Execute one command; returns the path of the written report."""
     out = Path(out_dir)
+    seed = _seed(seed, "--seed") if seed is not None else _seed(config.get("seed"), "seed")
     if command == "simulate":
         bundle = _cmd_simulate(config, seed, out, scale_max)
     elif command == "fit":

@@ -22,7 +22,12 @@ seeded replications; per-replication solutions are kept alongside the average.
 The replications advance in lockstep, each on its own ``(seed, rep)`` random
 stream, and every step evaluates all their proposals in one call of the
 batched kernel :func:`~mslogistic.likelihood.neg_core_loglik`; the results are
-identical to running the replications one after another.
+identical to running the replications one after another.  Each stage tops up
+every replication's block of pre-drawn uniforms so a full chain fits, and the
+steps read it through an index: for PCG64, ``random(a)`` then ``random(b)``
+equals ``random(a + b)``, so the stream is unchanged.  The box corners pass
+the kernel's parameter check once per run; every candidate lies between
+them, so the steps skip that check.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ import numpy as np
 from scipy.special import stdtrit
 
 from .fit_nr import FitError, _scaled_vandermonde, usable_saturation_pairs
-from .likelihood import neg_core_loglik, transform
+from .likelihood import _check_rows, _neg_core_loglik, _Workspace, neg_core_loglik, transform
 from .model import ModelParams
 from .simulate import PathPanel, sample_mean
 
@@ -52,8 +57,10 @@ class ParamBox:
 
     def __post_init__(self):
         for lo, hi in (self.eta_interval, *self.beta_intervals, self.sigma2_interval):
-            if not lo < hi:
-                raise ValueError(f"empty interval ({lo}, {hi})")
+            if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+                raise ValueError(f"need finite endpoints lo < hi, got ({lo}, {hi})")
+        if not (self.eta_interval[0] > 0 and self.sigma2_interval[0] >= 0):
+            raise ValueError("eta needs a lower bound > 0 and sigma2 a lower bound >= 0")
 
     @property
     def lower(self) -> np.ndarray:
@@ -170,9 +177,8 @@ def _run_lockstep(vdata, box: ParamBox, sched: SaSchedule, t0_temp: float,
                   uphill_log: list | None):
     """All replications in lockstep; returns best vectors, objectives and stop reasons.
 
-    Replication ``rep`` draws from ``default_rng((seed, rep))`` in the order a
-    lone run would, so its result does not depend on the others.  The shared
-    temperature depends only on the stage; a flat chain leaves the active set.
+    Row ``i`` of the per-step arrays belongs to replication ``reps[i]``; a flat
+    chain removes the row once its best point is saved in ``found``.
     """
     n_rep, chain = sched.replications, sched.chain_length
     rngs = [np.random.default_rng((sched.seed, rep)) for rep in range(n_rep)]
@@ -181,48 +187,63 @@ def _run_lockstep(vdata, box: ParamBox, sched: SaSchedule, t0_temp: float,
     eps = 1e-12 * width
     lower = lower + eps          # keep the open sigma2 endpoint strictly positive
     upper = upper - eps
+    _check_rows(np.array([lower, upper]))      # every candidate lies between these corners
+    ws, n = _Workspace(vdata, n_rep), width.size
 
-    current = lower + (upper - lower) * np.array([rng.random(width.size) for rng in rngs])
-    f_curr = neg_core_loglik(vdata, current).tolist()
-    best, f_best = current.copy(), list(f_curr)
-    logs = [[] for _ in range(n_rep)]
-    stops = ["max_iter"] * n_rep
+    current = lower + (upper - lower) * np.array([rng.random(n) for rng in rngs])
+    f_curr = _neg_core_loglik(ws, current)
+    best, f_best = current.copy(), f_curr.copy()
+    found, f_found = best.copy(), f_best.copy()
+    logged = []                                     # (rep, df/T, accepted) in step order
+    stops = np.full(n_rep, "max_iter", dtype=object)
     recent = np.empty((n_rep, chain))
-    active = list(range(n_rep))
+    reps = np.arange(n_rep)
+    block = np.empty((n_rep, chain * (n + 1)))      # n per proposal, 1 per uphill test
+    read = np.full(n_rep, block.shape[1])           # uniforms read from each block
 
     temp = t0_temp
     for _ in range(sched.max_iter):
+        for i, r in enumerate(reps):
+            block[i] = np.concatenate((block[i, read[i]:], rngs[r].random(read[i])))
+        read[:] = 0
+        rows = np.arange(reps.size)
         radius = width * max(0.10 * temp / t0_temp, 0.001)
         for step in range(chain):
-            lo = np.maximum(lower, current[active] - radius)
-            hi = np.minimum(upper, current[active] + radius)
-            cand = lo + (hi - lo) * np.array([rngs[r].random(width.size) for r in active])
-            for i, (r, f_cand) in enumerate(zip(active, neg_core_loglik(vdata, cand).tolist())):
-                df = f_cand - f_curr[r]
-                accept = df <= 0
-                if not accept:
-                    accept = rngs[r].random() < math.exp(-df / temp)
-                    logs[r].append((df / temp, accept))
-                if accept:
-                    current[r], f_curr[r] = cand[i], f_cand
-                    if f_cand < f_best[r]:
-                        best[r], f_best[r] = cand[i], f_cand
-                recent[r, step] = f_curr[r]
-        for r in active:
-            if recent[r].max() - recent[r].min() <= sched.flat_tol:
-                stops[r] = "flat_chain"
-        active = [r for r in active if stops[r] != "flat_chain"]
-        if not active:
+            lo = np.maximum(lower, current - radius)
+            hi = np.minimum(upper, current + radius)
+            cand = lo + (hi - lo) * block[rows[:, None], read[:, None] + np.arange(n)]
+            read += n
+            f_cand = _neg_core_loglik(ws, cand)
+            df = f_cand - f_curr
+            uphill = ~(df <= 0)
+            u = block[rows, read].tolist()          # consumed only by an uphill test
+            read += uphill
+            ratio = (df / temp).tolist()
+            accept = np.array([not up or ui < math.exp(-x)
+                               for up, ui, x in zip(uphill.tolist(), u, ratio)])
+            if uphill_log is not None:
+                logged += [(r, x, ok) for r, up, x, ok in zip(
+                    reps.tolist(), uphill.tolist(), ratio, accept.tolist()) if up]
+            np.copyto(current, cand, where=accept[:, None])
+            np.copyto(f_curr, f_cand, where=accept)
+            better = accept & (f_cand < f_best)
+            np.copyto(best, cand, where=better[:, None])
+            np.copyto(f_best, f_cand, where=better)
+            recent[:, step] = f_curr
+        found[reps], f_found[reps] = best, f_best
+        flat = recent.max(axis=1) - recent.min(axis=1) <= sched.flat_tol
+        stops[reps[flat]] = "flat_chain"
+        reps, current, f_curr, best, f_best, recent, block, read = (
+            a[~flat] for a in (reps, current, f_curr, best, f_best, recent, block, read))
+        if not reps.size:
             break
         temp *= sched.gamma
         if temp < sched.t_final:
-            for r in active:
-                stops[r] = "temperature_floor"
+            stops[reps] = "temperature_floor"
             break
-    if uphill_log is not None:
-        for log in logs:
-            uphill_log.extend(log)
-    return best, f_best, stops
+    if uphill_log is not None:     # a stable sort keeps each replication's step order
+        uphill_log.extend((x, ok) for _, x, ok in sorted(logged, key=lambda e: e[0]))
+    return found, f_found.tolist(), stops.tolist()
 
 
 def anneal(panel: PathPanel, p: int, box: ParamBox | None = None,

@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -195,34 +194,56 @@ class LikelihoodStats:
     p: int = 0
 
 
-def _log_gap(times: np.ndarray, eta: np.ndarray, beta: np.ndarray):
+class _Workspace:
+    """Buffers for up to ``k`` kernel rows on one :class:`VData`.
+
+    A call on ``K`` rows writes rows ``[:K]`` of each buffer before it reads them.
+    """
+
+    def __init__(self, vdata: VData, k: int):
+        m, g = vdata.times.size, vdata.g_lo.size
+        self.vdata, self.sqrt_dt = vdata, np.sqrt(vdata.g_delta)
+        self.q, self.log_u = np.empty((k, m)), np.empty((k, m))
+        self.lam, self.lam_hi, self.terms = np.empty((k, g)), np.empty((k, g)), np.empty((3, k, g))
+
+
+def _log_gap(ws: _Workspace, eta: np.ndarray, beta: np.ndarray):
     """``Q`` and ``log(eta + e^{-Q})`` on the time table, one row per ``(eta, beta)`` row.
 
     ``eta`` has shape ``(K,)`` and ``beta`` ``(K, p)``.  Horner's scheme runs in
     the order of ``PolyCoeffs.value``, and logs are taken with ``math.log``
     (``np.log`` can differ in the last bit), so every row is bit-identical.
     """
-    q = np.zeros((eta.size, times.size))
-    for coef in beta.T[::-1, :, None]:
+    times, coefs = ws.vdata.times, beta.T[::-1, :, None]
+    q = np.add(coefs[0], 0.0, out=ws.q[:eta.size])     # = 0 * times + beta_p, as times >= 0
+    for coef in coefs[1:]:
         q *= times
         q += coef
     q *= times
-    log_eta = np.array([math.log(e) for e in eta])
-    return q, np.logaddexp(log_eta[:, None], -q)
+    log_eta = np.array([math.log(e) for e in eta.tolist()])
+    log_u = np.negative(q, out=ws.log_u[:eta.size])
+    return q, np.logaddexp(log_eta[:, None], log_u, out=log_u)
 
 
-def _gap_aggregates(vdata: VData, log_u: np.ndarray):
-    """Per-group log-gap differences ``lam`` and the rows' aggregates ``a``, ``b``, ``c``.
+def _gap_aggregates(ws: _Workspace, log_u: np.ndarray):
+    """Per-group log-gap differences ``lam`` and each row's aggregates ``[a, b, c]``.
 
     ``take`` keeps ``lam`` C-contiguous (``log_u[:, idx]`` would be Fortran
-    ordered), so each row sums exactly as the 1-D array of a single row would.
+    ordered), so each row sums exactly as the 1-D array of a single row would;
+    the terms of ``a``, ``b`` and ``c`` are summed in one reduction.  The indices
+    are in range, and ``mode="clip"`` writes straight into ``out`` (``"raise"``
+    goes through a buffer).
     """
-    lam = log_u.take(vdata.g_lo, axis=1) - log_u.take(vdata.g_hi, axis=1)
-    cnt, sv, dt = vdata.g_count, vdata.g_sum_v, vdata.g_delta
-    a = (cnt * lam * lam / dt).sum(axis=1)
-    b = (sv * lam / np.sqrt(dt)).sum(axis=1)
-    c = (cnt * lam).sum(axis=1)
-    return lam, a, b, c
+    vd, k = ws.vdata, log_u.shape[0]
+    lam = log_u.take(vd.g_lo, axis=1, out=ws.lam[:k], mode="clip")
+    lam -= log_u.take(vd.g_hi, axis=1, out=ws.lam_hi[:k], mode="clip")
+    a, b, c = terms = ws.terms[:, :k]
+    np.multiply(vd.g_count, lam, out=c)
+    np.multiply(c, lam, out=a)
+    a /= vd.g_delta
+    np.multiply(vd.g_sum_v, lam, out=b)
+    b /= ws.sqrt_dt
+    return lam, terms.sum(axis=2).T.tolist()
 
 
 def _derivative_table(inv_u: np.ndarray, w_frac: np.ndarray, times: np.ndarray, p: int) -> np.ndarray:
@@ -244,8 +265,9 @@ def _derivative_table(inv_u: np.ndarray, w_frac: np.ndarray, times: np.ndarray, 
 def compute_stats(vdata: VData, params: ModelParams) -> LikelihoodStats:
     """All likelihood aggregates for the growth shape of ``params`` (sigma2 unused)."""
     p = params.degree
-    q, log_u = _log_gap(vdata.times, np.array([params.eta]), np.array([params.poly.beta]))
-    lam, a, b, c = _gap_aggregates(vdata, log_u)
+    ws = _Workspace(vdata, 1)
+    q, log_u = _log_gap(ws, np.array([params.eta]), np.array([params.poly.beta]))
+    lam, [(a, b, c)] = _gap_aggregates(ws, log_u)
     q, log_u, lam = q[0], log_u[0], lam[0]
 
     cnt, sv, dt = vdata.g_count, vdata.g_sum_v, vdata.g_delta
@@ -253,11 +275,11 @@ def compute_stats(vdata: VData, params: ModelParams) -> LikelihoodStats:
     d_g = f[:, vdata.g_hi] - f[:, vdata.g_lo]           # (p+1, G)
 
     w = d_g @ cnt
-    x = d_g @ (sv / np.sqrt(dt))
+    x = d_g @ (sv / ws.sqrt_dt)
     y = d_g @ (cnt * (-lam) / dt)
 
     return LikelihoodStats(
-        z1=vdata.z1, z2=vdata.z2, z3=vdata.z3, a=float(a[0]), b=float(b[0]), c=float(c[0]),
+        z1=vdata.z1, z2=vdata.z2, z3=vdata.z3, a=a, b=b, c=c,
         w=w, x=x, y=y, d_g=d_g, n=vdata.n, p=p,
     )
 
@@ -269,35 +291,38 @@ def neg_core_loglik(vdata: VData, rows) -> np.ndarray:
     ``-core_loglik(compute_stats(vdata, params_k), sigma2_k)`` exactly.
     """
     rows = np.asarray(rows, dtype=float)
+    _check_rows(rows)
+    return _neg_core_loglik(_Workspace(vdata, rows.shape[0]), rows)
+
+
+def _check_rows(rows: np.ndarray) -> None:
+    """Reject rows the kernel cannot evaluate: non-finite values, eta <= 0 or sigma2 <= 0."""
     if rows.ndim != 2 or rows.shape[1] < 3:
         raise ValueError(f"need a (K, p+2) parameter matrix, got shape {rows.shape}")
-    eta, sigma2 = rows[:, 0], rows[:, -1]
-    if not (np.isfinite(rows).all() and (eta > 0).all() and (sigma2 > 0).all()):
+    if not (np.isfinite(rows).all() and (rows[:, 0] > 0).all() and (rows[:, -1] > 0).all()):
         raise ValueError("every row needs finite values, eta > 0 and sigma2 > 0")
-    _, log_u = _log_gap(vdata.times, eta, rows[:, 1:-1])
-    _, a, b, c = _gap_aggregates(vdata, log_u)
-    aggregates = SimpleNamespace(z1=vdata.z1, z2=vdata.z2, z3=vdata.z3, a=a, b=b, c=c)
-    log_sigma2 = np.array([math.log(s) for s in sigma2])
-    return 0.5 * vdata.n * log_sigma2 + _quad_form(aggregates, sigma2) / (2.0 * sigma2)
 
 
-def _quad_form(stats: LikelihoodStats, sigma2: float) -> float:
-    """``sum (v - m/sqrt(dt))^2`` expressed through the aggregates."""
-    return (
-        stats.z1
-        + stats.a
-        - 2.0 * stats.b
-        + 0.25 * sigma2 * sigma2 * stats.z3
-        - sigma2 * stats.c
-        + sigma2 * stats.z2
-    )
+def _neg_core_loglik(ws: _Workspace, rows: np.ndarray) -> np.ndarray:
+    """:func:`neg_core_loglik` on rows that passed :func:`_check_rows`, in ``ws``'s buffers."""
+    _, log_u = _log_gap(ws, rows[:, 0], rows[:, 1:-1])
+    _, sums = _gap_aggregates(ws, log_u)
+    vd, sigma2 = ws.vdata, rows[:, -1].tolist()
+    return np.array([0.5 * vd.n * math.log(s) + _quad_form(vd, a, b, c, s) / (2.0 * s)
+                     for (a, b, c), s in zip(sums, sigma2)])
+
+
+def _quad_form(z, a, b, c, sigma2):
+    """``sum (v - m/sqrt(dt))^2`` from ``z.z1``-``z.z3`` and the shape aggregates."""
+    return z.z1 + a - 2.0 * b + 0.25 * sigma2 * sigma2 * z.z3 - sigma2 * c + sigma2 * z.z2
 
 
 def core_loglik(stats: LikelihoodStats, sigma2: float) -> float:
     """The sigma-and-shape part of the log-likelihood (initial law excluded)."""
     if sigma2 <= 0:
         raise ValueError(f"sigma2 must be positive, got {sigma2}")
-    return -0.5 * stats.n * math.log(sigma2) - _quad_form(stats, sigma2) / (2.0 * sigma2)
+    q = _quad_form(stats, stats.a, stats.b, stats.c, sigma2)
+    return -0.5 * stats.n * math.log(sigma2) - q / (2.0 * sigma2)
 
 
 def loglik(vdata: VData, alpha, xi: ModelParams) -> float:
@@ -353,7 +378,7 @@ def grad_loglik(vdata: VData, xi: ModelParams) -> np.ndarray:
     y_xi = stats.c - 0.5 * sigma2 * stats.z3
     g_sigma2 = (
         -0.5 * stats.n / sigma2
-        + _quad_form(stats, sigma2) / (2.0 * sigma2 * sigma2)
+        + _quad_form(stats, stats.a, stats.b, stats.c, sigma2) / (2.0 * sigma2 * sigma2)
         + 0.5 * y_xi / sigma2
         - 0.5 * stats.z2 / sigma2
     )

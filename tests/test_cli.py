@@ -162,6 +162,20 @@ class TestFitCommand:
         assert report["results"]["method"] == "sa"
         assert len(report["results"]["details"]["replications"]) == 2
 
+    def test_sa_config_seed_is_used_and_recorded(self, tmp_path):
+        cfg = {"data": str(FIXTURE), "degree": 3, "method": "sa",
+               "sa": {"replications": 2, "max_iter": 20}}
+        run("fit", {**cfg, "seed": 7}, out_dir=tmp_path / "config")
+        run("fit", cfg, seed=7, out_dir=tmp_path / "flag")
+        run("fit", cfg, out_dir=tmp_path / "none")
+        run("fit", cfg, seed=0, out_dir=tmp_path / "zero")
+        config, flag, none, zero = (load_report(tmp_path / name)
+                                    for name in ("config", "flag", "none", "zero"))
+        assert config["results"] == flag["results"]
+        assert config["meta"]["seed"] == flag["meta"]["seed"] == 7
+        assert none["results"] == zero["results"] != flag["results"]
+        assert none["meta"]["seed"] == 0
+
 
 class TestSelectCommand:
     def test_fixture_chooses_three(self, tmp_path):
@@ -261,9 +275,9 @@ class TestMainEntry:
         code = main(["simulate", "--config", str(bad)])
         assert code == 2
 
-    def assert_config_error(self, tmp_path, capsys, command, payload, fragment):
+    def assert_config_error(self, tmp_path, capsys, command, payload, fragment, *flags):
         cfg = write_config(tmp_path, payload)
-        code = main([command, "--config", str(cfg), "--out", str(tmp_path / "o")])
+        code = main([command, "--config", str(cfg), "--out", str(tmp_path / "o"), *flags])
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1
@@ -341,3 +355,20 @@ class TestMainEntry:
         cfg = {"params": {"eta": math.exp(-1), "beta": [0.1, -0.009, 0.0002], "sigma2": 1e-4},
                "x0": 5.0, "t0": 0.0, "boundary": 2.0, "t_max": 210.0}
         self.assert_config_error(tmp_path, capsys, "fpt", cfg, "down-crossing")
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, "x", True, 1.0])
+    def test_simulate_bad_config_seed_exit_code(self, tmp_path, capsys, seed):
+        self.assert_config_error(tmp_path, capsys, "simulate", sim_config(seed=seed),
+                                 "seed: expected an integer in [0, 2**64)")
+
+    def test_simulate_negative_seed_flag_exit_code(self, tmp_path, capsys):
+        self.assert_config_error(tmp_path, capsys, "simulate", sim_config(),
+                                 "--seed: expected an integer", "--seed", "-3")
+
+    def test_sa_fit_negative_seed_flag_exit_code(self, tmp_path, capsys):
+        self.assert_config_error(tmp_path, capsys, "fit", {"data": str(FIXTURE), "degree": 3},
+                                 "--seed: expected an integer", "--method", "sa", "--seed", "-1")
+
+    def test_largest_seed_accepted(self, tmp_path):
+        run("simulate", sim_config(paths=2, num=11, seed=2**64 - 1), out_dir=tmp_path / "o")
+        assert load_report(tmp_path / "o")["meta"]["seed"] == 2**64 - 1

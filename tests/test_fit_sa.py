@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import math
 from pathlib import Path
@@ -19,21 +20,35 @@ from mslogistic.fit_sa import ParamBox, SaSchedule, anneal, build_box
 
 from conftest import make_case1_panel
 
+DATA_DIR = Path(__file__).parent / "data"
 # Outputs of the sequential annealing loop (one replication after another),
-# recorded on a small case-1 panel.  Schedule "floor" stops by
-# temperature_floor and flat_chain, schedule "max_iter" by max_iter and
-# flat_chain.
-SA_GOLDEN = json.loads((Path(__file__).parent / "data" / "sa_golden.json").read_text())
-GOLDEN_SCHEDULES = {
-    "floor": dict(gamma=0.7),
-    "max_iter": dict(gamma=0.75, max_iter=50),
-}
+# written by make_sa_golden.py: "floor" (stops by temperature_floor and
+# flat_chain) and "max_iter" (max_iter and flat_chain) on a small case-1
+# panel, and "fixture_default", the default schedule on the epidemic fixture.
+SA_GOLDEN_TEXT = (DATA_DIR / "sa_golden.json").read_text()
+SA_GOLDEN = json.loads(SA_GOLDEN_TEXT)
+_maker = importlib.util.spec_from_file_location("make_sa_golden", DATA_DIR / "make_sa_golden.py")
+make_sa_golden = importlib.util.module_from_spec(_maker)
+_maker.loader.exec_module(make_sa_golden)
 
 
 class TestParamBox:
     def test_interval_validation(self):
         with pytest.raises(ValueError):
             ParamBox(eta_interval=(1.0, 1.0), beta_intervals=((0.0, 1.0),))
+
+    @pytest.mark.parametrize("eta, beta, sigma2", [
+        ((-1.0, 1.0), (0.0, math.inf), (0.0, 0.01)),
+        ((0.1, math.inf), (0.0, 1.0), (0.0, 0.01)),
+        ((0.1, 1.0), (-math.inf, 1.0), (0.0, 0.01)),
+        ((0.1, 1.0), (0.0, 1.0), (0.0, math.nan)),
+        ((0.0, 1.0), (0.0, 1.0), (0.0, 0.01)),
+        ((-0.5, 1.0), (0.0, 1.0), (0.0, 0.01)),
+        ((0.1, 1.0), (0.0, 1.0), (-1e-3, 0.01)),
+    ])
+    def test_bounds_outside_the_kernel_domain_rejected(self, eta, beta, sigma2):
+        with pytest.raises(ValueError):
+            ParamBox(eta_interval=eta, beta_intervals=(beta,), sigma2_interval=sigma2)
 
     def test_contains(self):
         box = ParamBox(eta_interval=(0.1, 1.0), beta_intervals=((0.0, 0.2), (-0.1, 0.1)))
@@ -172,6 +187,22 @@ class TestAnneal:
         rae = float(np.mean(np.abs(m - fitted) / m))
         assert rae < 0.05
 
+    def test_uphill_log_does_not_change_the_run(self, case1_params):
+        panel = make_case1_panel(case1_params, seed=57, d=10, n_points=21)
+        box, sched = build_box(panel, 2), SaSchedule(seed=4, replications=3, max_iter=40)
+        log: list[tuple[float, bool]] = []
+        with_log = anneal(panel, 2, box, sched, uphill_log=log)
+        assert log
+        assert with_log == anneal(panel, 2, box, sched)
+
+    def test_pcg64_block_draws_equal_sequential_draws(self):
+        # the lockstep loop draws each replication's uniforms in blocks
+        assert isinstance(np.random.default_rng((3, 1)).bit_generator, np.random.PCG64)
+        seq, blk = np.random.default_rng((3, 1)), np.random.default_rng((3, 1))
+        parts = [seq.random(5), [seq.random()], seq.random(5), seq.random(0), [seq.random()],
+                 seq.random(12)]
+        assert np.concatenate(parts).tolist() == blk.random(24).tolist()
+
     def test_wrong_box_degree_rejected(self, case1_params):
         panel = make_case1_panel(case1_params, seed=57, d=10, n_points=21)
         box = ParamBox(eta_interval=(0.1, 1.0), beta_intervals=((0.0, 0.2),))
@@ -184,21 +215,13 @@ class TestGolden:
     def golden_panel(self, case1_params):
         return make_case1_panel(case1_params, seed=60, d=20, n_points=51)
 
-    @pytest.mark.parametrize("name", sorted(GOLDEN_SCHEDULES))
-    def test_matches_recorded_run(self, golden_panel, name):
-        want = SA_GOLDEN[name]
-        sched = SaSchedule(seed=0, replications=5, chain_length=8, pilot_pairs=20,
-                           **GOLDEN_SCHEDULES[name])
-        log: list[tuple[float, bool]] = []
-        res = anneal(golden_panel, 3, build_box(golden_panel, 3), sched, uphill_log=log)
-        assert [list(prm.as_vector()) for prm, _ in res.per_replication] == want["vectors"]
-        assert [f for _, f in res.per_replication] == want["objectives"]
-        assert list(res.stop_reasons) == want["stop_reasons"]
-        assert res.t0_temperature == want["t0_temperature"]
-        assert list(res.xi_hat.as_vector()) == want["xi_hat"]
-        assert len(log) == want["uphill_len"]
-        assert [list(e) for e in log[:50]] == want["uphill_head"]
-        assert [list(e) for e in log[-50:]] == want["uphill_tail"]
+    @pytest.mark.parametrize("name", sorted(SA_GOLDEN))
+    def test_matches_recorded_run(self, name):
+        assert make_sa_golden.record(name) == SA_GOLDEN[name]
+
+    def test_file_is_the_generators_output_format(self):
+        assert make_sa_golden.dumps(SA_GOLDEN) + "\n" == SA_GOLDEN_TEXT
+        assert sorted(SA_GOLDEN) == sorted(make_sa_golden.SCHEDULES)
 
     def test_all_stop_reasons_covered(self):
         reasons = {r for rec in SA_GOLDEN.values() for r in rec["stop_reasons"]}

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +22,8 @@ from mslogistic import (
     simulate_panel,
     transform,
 )
-from mslogistic.likelihood import core_loglik, neg_core_loglik
+from mslogistic.cli import ingest_csv
+from mslogistic.likelihood import _neg_core_loglik, _Workspace, core_loglik, neg_core_loglik
 from mslogistic.model import log_saturation_gap
 
 from conftest import make_case1_panel, mean_gradient, path_transitions
@@ -306,7 +308,8 @@ class TestLoglik:
         stats = compute_stats(transform(panel), params)
         from mslogistic.likelihood import _quad_form
 
-        assert _quad_form(stats, params.sigma2) == pytest.approx(0.0, abs=1e-12)
+        assert _quad_form(stats, stats.a, stats.b, stats.c, params.sigma2) == pytest.approx(
+            0.0, abs=1e-12)
 
     def test_alpha_xi_separability(self):
         rng = np.random.default_rng(6)
@@ -351,6 +354,24 @@ class TestNegCoreLoglik:
             wide[::2, 1:-1] = rows
             for view in (rows, np.asfortranarray(rows), wide[::2, 1:-1]):
                 assert neg_core_loglik(vdata, view).tolist() == want
+
+    @pytest.mark.parametrize("source", ["fixture", "ragged"])
+    def test_reused_workspace_as_rows_leave(self, source):
+        # one workspace for 10, 9, ..., 1 rows, as annealing uses it while
+        # replications stop: no row may read what an earlier call left behind
+        rng = np.random.default_rng(31)
+        if source == "fixture":
+            panel = ingest_csv(Path(__file__).parent / "data" / "epidemic_shaped.csv")
+        else:
+            panel = random_panel(rng, d=4, ragged=True)
+        vdata = transform(panel)
+        ws = _Workspace(vdata, 10)
+        for k in range(10, 0, -1):
+            params = [random_params(rng, 3) for _ in range(k)]
+            rows = np.array([prm.as_vector() for prm in params])
+            want = [-core_loglik(compute_stats(vdata, prm), prm.sigma2) for prm in params]
+            assert _neg_core_loglik(ws, rows).tolist() == want
+            assert neg_core_loglik(vdata, rows).tolist() == want
 
     @pytest.mark.parametrize("col, bad", [(0, 0.0), (0, -1.0), (1, math.inf), (2, math.nan),
                                           (-1, 0.0), (-1, -1e-3)])
