@@ -1,18 +1,23 @@
 """Batch command-line surface: ``msl simulate|fit|select|fpt|forecast``.
 
-Every command reads a JSON config (validated against a fixed key schema,
-unknown keys rejected), runs the corresponding pipeline, and writes a report
-bundle into the output directory:
+Every command's JSON config is checked against its table in :data:`SCHEMAS`
+(key -> required flag and validator; nested tables for ``params``, ``init``,
+``grid``, ``nr`` and ``sa``; "exactly one of" groups; unknown keys rejected)
+inside :func:`run`, so library callers get the same checks as ``msl``.  The
+command then writes a report bundle into the output directory:
 
-* ``report.json``: run metadata (config hash, seed, package version,
-  timestamp), the command's results, and a manifest of every emitted file
-  with its SHA-256;
+* ``report.json`` (strict JSON): run metadata (config hash, seed, package
+  version, timestamp), the command's results, and a manifest of every
+  emitted file with its SHA-256;
 * series files as CSV (UTF-8, ``.`` decimal separator, mandatory header).
 
 Identical config and seed produce bit-identical reports up to the timestamp,
 which lives only in the metadata block.
 
-Exit codes: 0 success, 2 config/data validation error, 3 numerical failure.
+Exit codes: 0 success, 2 config/data validation error (unreadable and
+non-UTF-8 files included), 3 numerical failure: a Newton-Raphson fit that does
+not converge, a ``select`` sweep with no converged degree, or a non-finite
+result (nothing is written).  A failing run prints one line on stderr.
 
 Panel CSVs are wide: first column ``t``, one further column per path.  With
 ``--scale-max`` (or ``"scale_max": true``) each path is divided by its own
@@ -24,11 +29,16 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import io
 import json
 import math
 import sys
+import warnings
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from functools import partial
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -40,9 +50,9 @@ from .fpt import FptProblem, VolterraError, solve_density
 from .likelihood import fit_initial, transform
 from .model import Degenerate, LognormalStart, ModelParams, PolyCoeffs, percentile, process_mean
 from .selection import select_degree
-from .simulate import PathPanel, SimSpec, simulate_panel
+from .simulate import PathPanel, SimSpec, check_seed, simulate_panel
 
-__all__ = ["main", "run", "ingest_csv", "ConfigError"]
+__all__ = ["main", "run", "ingest_csv", "ConfigError", "SCHEMAS"]
 
 
 class ConfigError(ValueError):
@@ -50,146 +60,181 @@ class ConfigError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# config plumbing
+# config schema
 
-def _expect_keys(obj: dict, where: str, required: set[str], optional: set[str] = frozenset()):
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{where}: expected an object, got {type(obj).__name__}")
-    missing = required - obj.keys()
-    unknown = obj.keys() - required - optional
-    if missing:
-        raise ConfigError(f"{where}: missing keys {sorted(missing)}")
-    if unknown:
-        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
-
-
-def _positive(value, where: str) -> float:
-    value = _number(value, where)
-    if value <= 0:
-        raise ConfigError(f"{where}: must be positive, got {value}")
-    return value
-
-
-def _number(value, where: str) -> float:
-    if not isinstance(value, (int, float)) or isinstance(value, bool) or not math.isfinite(value):
-        raise ConfigError(f"{where}: expected a finite number, got {value!r}")
-    return float(value)
-
-
-def _seed(value, where: str):
-    if value is None or (isinstance(value, int) and not isinstance(value, bool)
-                         and 0 <= value < 2**64):
-        return value
-    raise ConfigError(f"{where}: expected an integer in [0, 2**64), got {value!r}")
-
-
-def _levels(values, where: str) -> tuple[float, ...]:
-    if not isinstance(values, (list, tuple)):
-        raise ConfigError(f"{where}: expected a list of levels")
-    levels = tuple(_number(v, f"{where}[{i}]") for i, v in enumerate(values))
-    for i, lv in enumerate(levels):
-        if not 0.0 < lv < 1.0:
-            raise ConfigError(f"{where}[{i}]: a level must lie in (0, 1), got {lv}")
-    return levels
-
-
-def _is_degree(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
-
-
-def _degree(value) -> int:
-    if not _is_degree(value):
-        raise ConfigError("degree: expected a positive integer")
-    return value
-
-
-def _degrees(values) -> list[int]:
-    if not isinstance(values, list) or not values or not all(map(_is_degree, values)):
-        raise ConfigError("degrees: expected a nonempty list of positive integers")
-    return values
-
-
-def _params_from_config(obj, where: str) -> ModelParams:
-    _expect_keys(obj, where, {"eta", "beta", "sigma2"})
-    beta = obj["beta"]
-    if not isinstance(beta, list) or not beta:
-        raise ConfigError(f"{where}.beta: expected a nonempty list")
-    return ModelParams(
-        eta=_positive(obj["eta"], f"{where}.eta"),
-        poly=PolyCoeffs(tuple(_number(b, f"{where}.beta[{i}]") for i, b in enumerate(beta))),
-        sigma2=_positive(obj["sigma2"], f"{where}.sigma2"),
-    )
-
-
-def _init_from_config(obj, where: str):
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{where}: expected an object")
-    if "x0" in obj:
-        _expect_keys(obj, where, {"x0"})
-        return Degenerate(_positive(obj["x0"], f"{where}.x0"))
-    _expect_keys(obj, where, {"mu1", "sigma1sq"})
-    mu1 = _number(obj["mu1"], f"{where}.mu1")
-    sigma1sq = _number(obj["sigma1sq"], f"{where}.sigma1sq")
+def _build(factory, *args, **kwargs):
+    """Call a library constructor or check; its ValueError/TypeError is a ConfigError."""
     try:
-        return LognormalStart(mu1=mu1, sigma1sq=sigma1sq)
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from None
+        return factory(*args, **kwargs)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(str(exc)) from None
 
 
-def _grid_from_config(obj, where: str) -> np.ndarray:
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{where}: expected an object")
-    if "times" in obj:
-        _expect_keys(obj, where, {"times"})
-        times = obj["times"]
-        if not isinstance(times, list) or len(times) < 2:
-            raise ConfigError(f"{where}.times: need at least two times")
-        return np.array([_number(t, f"{where}.times[{i}]") for i, t in enumerate(times)])
-    _expect_keys(obj, where, {"start", "stop", "num"})
-    num = obj["num"]
-    if not isinstance(num, int) or num < 2:
-        raise ConfigError(f"{where}.num: expected an integer >= 2")
-    return np.linspace(_number(obj["start"], f"{where}.start"),
-                       _number(obj["stop"], f"{where}.stop"), num)
+@dataclass(frozen=True)
+class _Scalar:
+    """One JSON value accepted by ``ok`` and described by ``desc``."""
+
+    desc: str
+    ok: Callable[[object], bool]
+    convert: Callable = lambda value: value
+
+    def __call__(self, value, where: str):
+        if not self.ok(value):
+            raise ConfigError(f"{where}: expected {self.desc}, got {value!r}")
+        return self.convert(value)
+
+
+@dataclass(frozen=True)
+class _List:
+    """A JSON list of at least ``min_len`` values, each accepted by ``item``."""
+
+    item: _Scalar
+    min_len: int = 1
+
+    def __call__(self, value, where: str) -> list:
+        desc = f"a list of {self.min_len} or more values, each {self.item.desc}"
+        if not isinstance(value, list) or len(value) < self.min_len:
+            raise ConfigError(f"{where}: expected {desc}, got {value!r}")
+        for i, v in enumerate(value):
+            if not self.item.ok(v):
+                raise ConfigError(f"{where}: expected {desc}; {where}[{i}] is {v!r}")
+        return [self.item.convert(v) for v in value]
+
+
+@dataclass(frozen=True)
+class _Table:
+    """A JSON object whose ``fields`` map each key to ``(required, validator)``.
+
+    ``one_of`` lists alternative key sets; the keys of the table that appear
+    in any of them must form exactly one.  ``make`` turns the checked values
+    into a library object, through :func:`_build`.
+    """
+
+    fields: dict
+    one_of: tuple[tuple[str, ...], ...] = ()
+    make: Callable | None = None
+
+    def __call__(self, value, where: str = ""):
+        name = where or "config"
+        if not isinstance(value, dict):
+            raise ConfigError(f"{name}: expected an object, got {type(value).__name__}")
+        missing = sorted(k for k, (required, _) in self.fields.items()
+                         if required and k not in value)
+        unknown = sorted(value.keys() - self.fields.keys())
+        if missing:
+            raise ConfigError(f"{name}: missing keys {missing}")
+        if unknown:
+            raise ConfigError(f"{name}: unknown keys {unknown}")
+        if self.one_of:
+            given = {k for alt in self.one_of for k in alt if k in value}
+            if given not in [set(alt) for alt in self.one_of]:
+                alts = " or ".join(" + ".join(map(repr, alt)) for alt in self.one_of)
+                raise ConfigError(f"{name}: needs {alts} (exactly one), got {sorted(given)}")
+        checked = {k: self.fields[k][1](v, f"{where}.{k}" if where else k)
+                   for k, v in value.items()}
+        return checked if self.make is None else _build(self.make, checked)
+
+
+def _real(v) -> bool:
+    return (isinstance(v, float) and math.isfinite(v)
+            or isinstance(v, int) and not isinstance(v, bool) and abs(v) < 1e308)
+
+
+def _count(low: int) -> _Scalar:
+    return _Scalar(f"an integer >= {low}", lambda v: isinstance(v, int)
+                   and not isinstance(v, bool) and v >= low)
+
+
+_number = _Scalar("a finite number", _real, float)
+_positive = _Scalar("a positive number", lambda v: _real(v) and v > 0, float)
+_level = _Scalar("a level in (0, 1)", lambda v: _real(v) and 0 < v < 1, float)
+_flag = _Scalar("true or false", lambda v: isinstance(v, bool))
+_path = _Scalar("a file path string", lambda v: isinstance(v, str))
+_method = _Scalar("'nr' or 'sa'", lambda v: v in ("nr", "sa"))
+_seed = partial(_build, check_seed)
+
+_PARAMS = _Table(
+    {"eta": (True, _positive), "beta": (True, _List(_number)), "sigma2": (True, _positive)},
+    make=lambda c: ModelParams(c["eta"], PolyCoeffs(tuple(c["beta"])), c["sigma2"]),
+)
+_INIT = _Table(
+    {"x0": (False, _positive), "mu1": (False, _number), "sigma1sq": (False, _number)},
+    one_of=(("x0",), ("mu1", "sigma1sq")),
+    make=lambda c: Degenerate(c["x0"]) if "x0" in c else LognormalStart(c["mu1"], c["sigma1sq"]),
+)
+_GRID = _Table(
+    {"times": (False, _List(_number, 2)), "start": (False, _number),
+     "stop": (False, _number), "num": (False, _count(2))},
+    one_of=(("times",), ("start", "stop", "num")),
+    make=lambda c: (np.array(c["times"]) if "times" in c
+                    else np.linspace(c["start"], c["stop"], c["num"])),
+)
+_NR = _Table({"tol": (False, _positive), "max_iter": (False, _count(1))})
+_SA = _Table({"replications": (False, _count(1)), "chain_length": (False, _count(1)),
+              "max_iter": (False, _count(1)), "gamma": (False, _number),
+              "p0": (False, _number), "t_final": (False, _number)})
+_DATA = {"data": (True, _path), "scale_max": (False, _flag), "seed": (False, _seed)}
+
+SCHEMAS: dict[str, _Table] = {
+    "simulate": _Table({"params": (True, _PARAMS), "init": (True, _INIT), "grid": (True, _GRID),
+                        "paths": (True, _count(1)), "seed": (False, _seed)}),
+    "fit": _Table({**_DATA, "degree": (True, _count(1)), "method": (False, _method),
+                   "nr": (False, _NR), "sa": (False, _SA),
+                   "confidence_levels": (False, _List(_level))}),
+    "select": _Table({**_DATA, "degrees": (True, _List(_count(1)))}),
+    "fpt": _Table({**_DATA, "data": (False, _path), "degree": (False, _count(1)),
+                   "params": (False, _PARAMS), "x0": (False, _positive), "t0": (False, _number),
+                   "boundary": (True, _positive), "t_max": (True, _number)},
+                  one_of=(("params", "x0", "t0"), ("data", "degree"))),
+    "forecast": _Table({**_DATA, "fit_until": (True, _number), "degree": (False, _count(1)),
+                        "degrees": (False, _List(_count(1))),
+                        "percentiles": (False, _List(_level))},
+                       one_of=(("degree",), ("degrees",))),
+}
 
 
 # ---------------------------------------------------------------------------
 # data ingestion / emission
 
+def _read_text(path: Path) -> str:
+    """A UTF-8 input file's text, newlines untranslated; unreadable input is a ConfigError."""
+    try:
+        return path.read_bytes().decode("utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: {getattr(exc, 'strerror', None) or 'not UTF-8 text'}") from None
+
+
 def ingest_csv(path, scale_max: bool = False) -> PathPanel:
     """Read a wide panel CSV: column ``t`` first, one column per path after."""
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"data file not found: {path}")
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    reader = csv.reader(io.StringIO(_read_text(path), newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ConfigError(f"{path}: empty file") from None
+    if len(header) < 2:
+        raise ConfigError(f"{path}: need a time column plus at least one path column")
+    rows, linenos = [], []
+    for row in reader:
+        lineno = reader.line_num
+        if not row or all(not c.strip() for c in row):
+            continue
+        if len(row) != len(header):
+            raise ConfigError(
+                f"{path}:{lineno}: ragged row ({len(row)} cells, expected {len(header)})"
+            )
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ConfigError(f"{path}: empty file") from None
-        if len(header) < 2:
-            raise ConfigError(f"{path}: need a time column plus at least one path column")
-        rows, linenos = [], []
-        for row in reader:
-            lineno = reader.line_num
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != len(header):
-                raise ConfigError(
-                    f"{path}:{lineno}: ragged row ({len(row)} cells, expected {len(header)})"
-                )
-            try:
-                cells = [float(c) for c in row]
-            except ValueError:
-                bad = next(c for c in row if not _is_float(c))
-                raise ConfigError(f"{path}:{lineno}: non-numeric cell {bad!r}") from None
-            if not all(map(math.isfinite, cells)):
-                j = next(j for j, x in enumerate(cells) if not math.isfinite(x))
-                raise ConfigError(
-                    f"{path}:{lineno}: non-finite value {row[j].strip()!r} in column {header[j]!r}"
-                )
-            rows.append(cells)
-            linenos.append(lineno)
+            cells = [float(c) for c in row]
+        except ValueError:
+            bad = next(c for c in row if not _is_float(c))
+            raise ConfigError(f"{path}:{lineno}: non-numeric cell {bad!r}") from None
+        if not all(map(math.isfinite, cells)):
+            j = next(j for j, x in enumerate(cells) if not math.isfinite(x))
+            raise ConfigError(
+                f"{path}:{lineno}: non-finite value {row[j].strip()!r} in column {header[j]!r}"
+            )
+        rows.append(cells)
+        linenos.append(lineno)
     if len(rows) < 2:
         raise ConfigError(f"{path}: need at least two observation rows")
     data = np.asarray(rows)
@@ -218,40 +263,33 @@ def _is_float(cell: str) -> bool:
         return False
 
 
-def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in zip(*columns):
-            writer.writerow([repr(float(v)) for v in row])
-
-
-def _sha256(path: Path) -> str:
-    h = hashlib.sha256()
-    h.update(path.read_bytes())
-    return h.hexdigest()
+def _csv_bytes(header: list[str], columns) -> bytes:
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows([repr(float(v)) for v in row] for row in zip(*columns))
+    return buf.getvalue().encode("utf-8")
 
 
 def _params_dict(xi: ModelParams) -> dict:
     return {"eta": xi.eta, "beta": list(xi.poly.beta), "sigma2": xi.sigma2}
 
 
+@dataclass
 class _Bundle:
-    """Accumulates results and emitted files, then writes report.json."""
+    """Accumulates results and CSV series, then writes them with report.json."""
 
-    def __init__(self, command: str, config: dict, seed, out_dir: Path):
-        self.command = command
-        self.config = config
-        self.seed = seed
-        self.out_dir = out_dir
-        self.results: dict = {}
-        self.files: dict[str, dict] = {}
-        out_dir.mkdir(parents=True, exist_ok=True)
+    command: str
+    config: dict
+    seed: int | None
+    results: dict = field(default_factory=dict)
+    csvs: dict = field(default_factory=dict)
 
-    def add_file(self, name: str, path: Path) -> None:
-        self.files[name] = {"path": str(path), "sha256": _sha256(path)}
+    def add_csv(self, name: str, filename: str, header: list[str], columns) -> None:
+        self.csvs[name] = (filename, _csv_bytes(header, columns))
 
-    def write(self) -> Path:
+    def write(self, out_dir: Path) -> Path:
+        """Write the bundle; a non-finite result raises FloatingPointError and writes nothing."""
         canonical = json.dumps(self.config, sort_keys=True).encode()
         report = {
             "meta": {
@@ -262,65 +300,58 @@ class _Bundle:
                 "created_utc": datetime.now(timezone.utc).isoformat(),
             },
             "results": self.results,
-            "files": self.files,
+            "files": {name: {"path": str(out_dir / filename),
+                             "sha256": hashlib.sha256(data).hexdigest()}
+                      for name, (filename, data) in self.csvs.items()},
         }
-        path = self.out_dir / "report.json"
-        path.write_text(json.dumps(report, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+        try:
+            text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
+        except ValueError:
+            raise FloatingPointError(f"{self.command}: non-finite value in the results") from None
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for filename, data in self.csvs.values():
+            (out_dir / filename).write_bytes(data)
+        path = out_dir / "report.json"
+        path.write_text(text, encoding="utf-8")
         return path
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands; each takes the checked config and fills the bundle
 
-def _cmd_simulate(config: dict, seed, out_dir: Path, scale_max: bool) -> _Bundle:
-    _expect_keys(config, "config", {"params", "init", "grid", "paths"}, {"seed"})
-    params = _params_from_config(config["params"], "params")
-    init = _init_from_config(config["init"], "init")
-    grid = _grid_from_config(config["grid"], "grid")
-    d = config["paths"]
-    if not isinstance(d, int) or d < 1:
-        raise ConfigError("paths: expected a positive integer")
-    seed = 0 if seed is None else seed
-    panel = simulate_panel(SimSpec(params=params, init=init, grid=grid, d=d, seed=seed))
+def _nr_fit(panel: PathPanel, degree: int, **opts):
+    res = fit(panel, degree, **opts)
+    if not res.converged:
+        raise FitError(f"Newton iteration did not converge (residual {res.residual_norm:.3e}); "
+                       f"trace length {len(res.trace)}")
+    return res
 
-    bundle = _Bundle("simulate", config, seed, out_dir)
-    panel_path = out_dir / "panel.csv"
-    _write_csv(panel_path, ["t"] + [f"path{i + 1}" for i in range(d)],
-               [grid] + [p.values for p in panel.paths])
-    bundle.add_file("panel", panel_path)
+
+def _cmd_simulate(cfg: dict, bundle: _Bundle) -> None:
+    bundle.seed = cfg.get("seed", 0)
+    spec = _build(SimSpec, params=cfg["params"], init=cfg["init"], grid=cfg["grid"],
+                  d=cfg["paths"], seed=bundle.seed)
+    panel = simulate_panel(spec)
+    grid, d = spec.grid, spec.d
+    bundle.add_csv("panel", "panel.csv", ["t"] + [f"path{i + 1}" for i in range(d)],
+                   [grid] + [p.values for p in panel.paths])
     bundle.results = {
         "paths": d,
         "points_per_path": int(grid.size),
         "t_range": [float(grid[0]), float(grid[-1])],
     }
-    return bundle
 
 
-def _fit_panel(panel: PathPanel, degree: int, method: str, seed, config: dict):
-    if method == "nr":
-        opts = config.get("nr", {})
-        _expect_keys(opts, "nr", set(), {"tol", "max_iter"})
-        res = fit(panel, degree, **{k: opts[k] for k in opts})
-        if not res.converged:
-            raise FitError(
-                f"Newton iteration did not converge (residual {res.residual_norm:.3e}); "
-                f"trace length {len(res.trace)}"
-            )
-        return res.xi_hat, {"iterations": res.iterations,
-                            "residual_norm": res.residual_norm,
-                            "converged": res.converged}
+def _cmd_fit(cfg: dict, bundle: _Bundle) -> None:
+    method = cfg.get("method", "nr")
+    levels = cfg.get("confidence_levels", (0.95, 0.90, 0.75))
+    panel = ingest_csv(cfg["data"], cfg.get("scale_max", False))
+    degree = cfg["degree"]
     if method == "sa":
-        opts = dict(config.get("sa", {}))
-        _expect_keys(opts, "sa", set(),
-                     {"replications", "chain_length", "max_iter", "gamma", "p0", "t_final"})
-        opts["seed"] = seed
-        try:
-            sched = SaSchedule(**opts)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"sa: {exc}") from None
-        box = build_box(panel, degree)
-        res = anneal(panel, degree, box, sched)
-        return res.xi_hat, {
+        bundle.seed = cfg.get("seed", SaSchedule.seed)
+        sched = _build(SaSchedule, **cfg.get("sa", {}), seed=bundle.seed)
+        res = anneal(panel, degree, build_box(panel, degree), sched)
+        details = {
             "replications": [
                 {"params": _params_dict(prm), "objective": obj}
                 for prm, obj in res.per_replication
@@ -328,24 +359,14 @@ def _fit_panel(panel: PathPanel, degree: int, method: str, seed, config: dict):
             "stop_reasons": list(res.stop_reasons),
             "initial_temperature": res.t0_temperature,
         }
-    raise ConfigError(f"unknown fit method {method!r} (use 'nr' or 'sa')")
-
-
-def _cmd_fit(config: dict, seed, out_dir: Path, scale_max: bool, method_flag) -> _Bundle:
-    _expect_keys(config, "config",
-                 {"data", "degree"},
-                 {"method", "scale_max", "nr", "sa", "confidence_levels", "seed"})
-    method = method_flag or config.get("method", "nr")
-    levels = _levels(config.get("confidence_levels", (0.95, 0.90, 0.75)), "confidence_levels")
-    panel = ingest_csv(config["data"], scale_max or config.get("scale_max", False))
-    degree = _degree(config["degree"])
-    if method == "sa" and seed is None:
-        seed = SaSchedule.seed
-    xi_hat, details = _fit_panel(panel, degree, method, seed, config)
+    else:
+        res = _nr_fit(panel, degree, **cfg.get("nr", {}))
+        details = {"iterations": res.iterations, "residual_norm": res.residual_norm,
+                   "converged": res.converged}
+    xi_hat = res.xi_hat
 
     vdata = transform(panel)
     alpha = fit_initial(vdata)
-    bundle = _Bundle("fit", config, seed, out_dir)
     bundle.results = {
         "method": method,
         "degree": degree,
@@ -367,24 +388,15 @@ def _cmd_fit(config: dict, seed, out_dir: Path, scale_max: bool, method_flag) ->
     except SingularInformationError as exc:
         bundle.results["confidence_intervals"] = None
         bundle.results["confidence_intervals_error"] = str(exc)
-    return bundle
 
 
-def _cmd_select(config: dict, seed, out_dir: Path, scale_max: bool) -> _Bundle:
-    _expect_keys(config, "config", {"data", "degrees"}, {"scale_max", "seed"})
-    degrees = _degrees(config["degrees"])
-    panel = ingest_csv(config["data"], scale_max or config.get("scale_max", False))
-    report = select_degree(panel, degrees)
+def _cmd_select(cfg: dict, bundle: _Bundle) -> None:
+    panel = ingest_csv(cfg["data"], cfg.get("scale_max", False))
+    report = select_degree(panel, cfg["degrees"])
 
-    bundle = _Bundle("select", config, seed, out_dir)
-    curves_path = out_dir / "dra_curves.csv"
-    cols = [report.per_degree[0].dra_times]
-    header = ["t"]
-    for entry in report.per_degree:
-        header.append(f"p{entry.p}")
-        cols.append(entry.dra_values)
-    _write_csv(curves_path, header, cols)
-    bundle.add_file("dra_curves", curves_path)
+    header = ["t"] + [f"p{e.p}" for e in report.per_degree]
+    bundle.add_csv("dra_curves", "dra_curves.csv", header,
+                   [report.per_degree[0].dra_times] + [e.dra_values for e in report.per_degree])
     bundle.results = {
         "chosen_p": report.chosen_p,
         "per_degree": {
@@ -402,50 +414,29 @@ def _cmd_select(config: dict, seed, out_dir: Path, scale_max: bool) -> _Bundle:
         },
         "failures": {str(p): msg for p, msg in report.failures},
     }
-    return bundle
 
 
-def _cmd_fpt(config: dict, seed, out_dir: Path, scale_max: bool) -> _Bundle:
-    _expect_keys(config, "config", {"boundary", "t_max"},
-                 {"params", "x0", "t0", "data", "degree", "scale_max", "seed"})
-    if "params" in config:
-        for key in ("x0", "t0"):
-            if key not in config:
-                raise ConfigError(f"explicit-parameter fpt config needs {key!r}")
-        params = _params_from_config(config["params"], "params")
-        x0 = _positive(config["x0"], "x0")
-        t0 = _number(config["t0"], "t0")
-        fitted_from = None
-    elif "data" in config:
-        if "degree" not in config:
-            raise ConfigError("data-driven fpt config needs 'degree'")
-        degree = _degree(config["degree"])
-        panel = ingest_csv(config["data"], scale_max or config.get("scale_max", False))
-        res = fit(panel, degree)
-        params = res.xi_hat
+def _cmd_fpt(cfg: dict, bundle: _Bundle) -> None:
+    if "params" in cfg:
+        params, x0, t0, fitted_from = cfg["params"], cfg["x0"], cfg["t0"], None
+    else:
+        panel = ingest_csv(cfg["data"], cfg.get("scale_max", False))
+        params = _nr_fit(panel, cfg["degree"]).xi_hat
         x0 = float(panel.first_values().mean())
         t0 = 0.0  # fitted parameters live on the shifted clock
-        fitted_from = {"data": str(config["data"]), "degree": degree,
+        fitted_from = {"data": cfg["data"], "degree": cfg["degree"],
                        "estimates": _params_dict(params), "panel_t0": panel.t0}
-    else:
-        raise ConfigError("fpt config needs either 'params' or 'data'")
 
-    boundary = _positive(config["boundary"], "boundary")
-    t_max = _number(config["t_max"], "t_max")
-    try:
-        problem = FptProblem(params=params, x0=x0, t0=t0, boundary=boundary, t_max=t_max)
-    except ValueError as exc:
-        raise ConfigError(f"fpt: {exc}") from None
+    boundary = cfg["boundary"]
+    problem = _build(FptProblem, params=params, x0=x0, t0=t0, boundary=boundary,
+                     t_max=cfg["t_max"])
     try:
         dens = solve_density(problem)
     except NotImplementedError as exc:
         raise ConfigError(f"fpt: boundary {boundary} is below the start {x0}; {exc}") from None
 
-    bundle = _Bundle("fpt", config, seed, out_dir)
-    dens_path = out_dir / "fpt_density.csv"
-    _write_csv(dens_path, ["t", "density", "cumulative"],
-               [dens.times, dens.density, dens.cumulative])
-    bundle.add_file("density", dens_path)
+    bundle.add_csv("density", "fpt_density.csv", ["t", "density", "cumulative"],
+                   [dens.times, dens.density, dens.cumulative])
     bundle.results = {
         "summaries": {
             "mean": dens.mean,
@@ -461,24 +452,13 @@ def _cmd_fpt(config: dict, seed, out_dir: Path, scale_max: bool) -> _Bundle:
         "grid_nodes": int(dens.times.size),
         "fitted_from": fitted_from,
     }
-    return bundle
 
 
-def _cmd_forecast(config: dict, seed, out_dir: Path, scale_max: bool) -> _Bundle:
-    _expect_keys(config, "config", {"data", "fit_until"},
-                 {"degree", "degrees", "percentiles", "scale_max", "seed"})
-    levels = _levels(config.get("percentiles", [0.95, 0.90, 0.75]), "percentiles")
-    if "degrees" in config:
-        degrees = _degrees(config["degrees"])
-    elif "degree" in config:
-        degree = _degree(config["degree"])
-    else:
-        raise ConfigError("forecast needs 'degree' or 'degrees'")
-    panel = ingest_csv(config["data"], scale_max or config.get("scale_max", False))
-    fit_until = _number(config["fit_until"], "fit_until")
+def _cmd_forecast(cfg: dict, bundle: _Bundle) -> None:
+    levels = cfg.get("percentiles", (0.95, 0.90, 0.75))
+    panel = ingest_csv(cfg["data"], cfg.get("scale_max", False))
+    fit_until = cfg["fit_until"]
     grid = panel.common_grid()
-    if grid is None:
-        raise ConfigError("forecast needs a common observation grid")
     keep = grid <= fit_until
     if keep.sum() < 5:
         raise ConfigError(f"fit_until={fit_until} leaves too few observations")
@@ -486,12 +466,13 @@ def _cmd_forecast(config: dict, seed, out_dir: Path, scale_max: bool) -> _Bundle
         raise ConfigError(f"fit_until={fit_until} holds out no observations")
     restricted = PathPanel.from_matrix(grid[keep], panel.values_matrix()[:, keep])
 
-    if "degrees" in config:
-        report = select_degree(restricted, degrees)
+    if "degrees" in cfg:
+        report = select_degree(restricted, cfg["degrees"])
         degree = report.chosen_p
         xi = report[degree].xi_hat
     else:
-        xi = fit(restricted, degree).xi_hat
+        degree = cfg["degree"]
+        xi = _nr_fit(restricted, degree).xi_hat
 
     vdata = transform(restricted)
     alpha = fit_initial(vdata)
@@ -510,15 +491,12 @@ def _cmd_forecast(config: dict, seed, out_dir: Path, scale_max: bool) -> _Bundle
     held = ~keep
     rel_err = np.abs(m[held] - mean_curve[held]) / m[held]
 
-    bundle = _Bundle("forecast", config, seed, out_dir)
-    fc_path = out_dir / "forecast.csv"
     header = ["t", "sample_mean", "forecast_mean"]
     cols = [grid, m, mean_curve]
     for lv_f, (lo, hi) in bands.items():
         header += [f"p{lv_f}_lo", f"p{lv_f}_hi"]
         cols += [lo, hi]
-    _write_csv(fc_path, header, cols)
-    bundle.add_file("forecast", fc_path)
+    bundle.add_csv("forecast", "forecast.csv", header, cols)
     bundle.results = {
         "degree": degree,
         "fit_until": fit_until,
@@ -531,7 +509,10 @@ def _cmd_forecast(config: dict, seed, out_dir: Path, scale_max: bool) -> _Bundle
             "max_relative_error": float(rel_err.max()),
         },
     }
-    return bundle
+
+
+_COMMANDS = {"simulate": _cmd_simulate, "fit": _cmd_fit, "select": _cmd_select,
+             "fpt": _cmd_fpt, "forecast": _cmd_forecast}
 
 
 # ---------------------------------------------------------------------------
@@ -539,22 +520,19 @@ def _cmd_forecast(config: dict, seed, out_dir: Path, scale_max: bool) -> _Bundle
 
 def run(command: str, config: dict, seed=None, out_dir="msl-out",
         scale_max: bool = False, method=None) -> Path:
-    """Execute one command; returns the path of the written report."""
-    out = Path(out_dir)
-    seed = _seed(seed, "--seed") if seed is not None else _seed(config.get("seed"), "seed")
-    if command == "simulate":
-        bundle = _cmd_simulate(config, seed, out, scale_max)
-    elif command == "fit":
-        bundle = _cmd_fit(config, seed, out, scale_max, method)
-    elif command == "select":
-        bundle = _cmd_select(config, seed, out, scale_max)
-    elif command == "fpt":
-        bundle = _cmd_fpt(config, seed, out, scale_max)
-    elif command == "forecast":
-        bundle = _cmd_forecast(config, seed, out, scale_max)
-    else:
+    """Check ``config`` against ``SCHEMAS[command]``, run it and return the report's path."""
+    if command not in SCHEMAS:
         raise ConfigError(f"unknown command {command!r}")
-    return bundle.write()
+    cfg = SCHEMAS[command](config)
+    if seed is not None:
+        cfg["seed"] = _seed(seed, "--seed")
+    if scale_max:
+        cfg["scale_max"] = True
+    if method is not None:
+        cfg["method"] = _method(method, "--method")
+    bundle = _Bundle(command, config, cfg.get("seed"))
+    _COMMANDS[command](cfg, bundle)
+    return bundle.write(Path(out_dir))
 
 
 def main(argv=None) -> int:
@@ -563,8 +541,7 @@ def main(argv=None) -> int:
         description="Lognormal diffusion with a multisigmoidal logistic mean: "
                     "simulation, inference, model selection and first-passage times.",
     )
-    parser.add_argument("command",
-                        choices=["simulate", "fit", "select", "fpt", "forecast"])
+    parser.add_argument("command", choices=list(SCHEMAS))
     parser.add_argument("--config", required=True, help="JSON configuration file")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
     parser.add_argument("--out", default="msl-out", help="output directory")
@@ -574,24 +551,25 @@ def main(argv=None) -> int:
                         help="fit method (fit command only)")
     args = parser.parse_args(argv)
 
-    try:
-        cfg_path = Path(args.config)
-        if not cfg_path.exists():
-            raise ConfigError(f"config file not found: {cfg_path}")
+    # warnings are held back so that a failing run prints its one line only
+    with warnings.catch_warnings(record=True) as caught:
         try:
-            config = json.loads(cfg_path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{cfg_path}: invalid JSON ({exc})") from None
-        if not isinstance(config, dict):
-            raise ConfigError(f"{cfg_path}: top level must be an object")
-        report = run(args.command, config, seed=args.seed, out_dir=args.out,
-                     scale_max=args.scale_max, method=args.method)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (FitError, VolterraError, SingularInformationError, np.linalg.LinAlgError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
+            cfg_path = Path(args.config)
+            try:
+                config = json.loads(_read_text(cfg_path))
+            except json.JSONDecodeError as exc:
+                raise ConfigError(f"{cfg_path}: invalid JSON ({exc})") from None
+            report = run(args.command, config, seed=args.seed, out_dir=args.out,
+                         scale_max=args.scale_max, method=args.method)
+        except ConfigError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except (FitError, VolterraError, SingularInformationError, np.linalg.LinAlgError,
+                FloatingPointError) as exc:
+            print(f"numerical failure: {exc}", file=sys.stderr)
+            return 3
+    for w in caught:
+        warnings.showwarning(w.message, w.category, w.filename, w.lineno, w.file, w.line)
     print(report)
     return 0
 

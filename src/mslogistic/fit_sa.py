@@ -42,7 +42,7 @@ from scipy.special import stdtrit
 from .fit_nr import FitError, _scaled_vandermonde, usable_saturation_pairs
 from .likelihood import _check_rows, _neg_core_loglik, _Workspace, neg_core_loglik, transform
 from .model import ModelParams
-from .simulate import PathPanel, sample_mean
+from .simulate import PathPanel, check_seed, sample_mean
 
 __all__ = ["ParamBox", "SaSchedule", "SaResult", "build_box", "anneal"]
 
@@ -102,6 +102,7 @@ class SaSchedule:
                 raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
         if not self.t_final > 0.0:
             raise ValueError(f"t_final must be positive, got {self.t_final!r}")
+        check_seed(self.seed)
 
 
 @dataclass(frozen=True)

@@ -11,9 +11,10 @@ Four measures are computed per candidate degree:
   estimated from the panel and the fitted law, evaluated along the grid and
   summarized by its median and mean.
 
-Degree choice is BIC-first with a parsimony tie-break: the smallest degree
-within two BIC units of the minimum wins.  RAE typically keeps improving with
-degree and is reported but never decisive.
+Degree choice is BIC-first with a parsimony tie-break, among the degrees
+whose fit converged: the smallest degree within two BIC units of the minimum
+wins.  RAE typically keeps improving with degree and is reported but never
+decisive.
 """
 
 from __future__ import annotations
@@ -99,7 +100,7 @@ class DegreeGoodness:
 
 @dataclass(frozen=True)
 class GoodnessReport:
-    """Degree sweep outcome; ``chosen_p`` minimizes BIC with a parsimony tie-break."""
+    """Degree sweep outcome; ``chosen_p`` minimizes BIC over converged degrees, with parsimony."""
 
     per_degree: tuple[DegreeGoodness, ...]
     chosen_p: int
@@ -151,8 +152,10 @@ def select_degree(
     ``fitter`` defaults to the Newton-Raphson fit, run on the sweep's own
     transformed data, so the panel is transformed once; it must return an object
     with ``xi_hat`` (ModelParams) and ``converged``.  Degrees whose fit raises
-    are recorded in ``failures`` and skipped; if every degree fails, the last
-    error propagates.
+    are recorded in ``failures`` and skipped.  A degree whose fit did not
+    converge keeps its entry (``converged=False``) and is also listed in
+    ``failures``; only converged degrees can be chosen.  If no degree
+    converges, FitError is raised.
     """
     p_list = list(p_range)
     if not p_list:
@@ -201,10 +204,13 @@ def select_degree(
                 converged=bool(getattr(res, "converged", True)),
             )
         )
-    if not entries:
-        raise FitError(f"every degree in {p_list} failed to fit") from last_error
+        if not entries[-1].converged:
+            failures.append((p, f"the degree-{p} fit did not converge"))
+    converged = [e for e in entries if e.converged]
+    if not converged:
+        raise FitError(f"no degree in {p_list} gave a converged fit") from last_error
 
-    best_bic = min(e.bic for e in entries)
-    chosen = min(e.p for e in entries if e.bic <= best_bic + bic_tie_window)
+    best_bic = min(e.bic for e in converged)
+    chosen = min(e.p for e in converged if e.bic <= best_bic + bic_tie_window)
     return GoodnessReport(per_degree=tuple(entries), chosen_p=chosen,
                           failures=tuple(failures))

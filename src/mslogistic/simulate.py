@@ -24,7 +24,15 @@ from scipy.special import ndtri
 
 from .model import Degenerate, InitialDistribution, ModelParams
 
-__all__ = ["SamplePath", "PathPanel", "SimSpec", "simulate_panel", "sample_mean", "geometric_mean"]
+__all__ = ["SamplePath", "PathPanel", "SimSpec", "simulate_panel", "sample_mean", "geometric_mean",
+           "check_seed"]
+
+
+def check_seed(seed, name: str = "seed"):
+    """Return ``seed`` if it is an integer in [0, 2**64) (not a bool), else raise ValueError."""
+    if isinstance(seed, (int, np.integer)) and not isinstance(seed, bool) and 0 <= seed < 2**64:
+        return seed
+    raise ValueError(f"{name}: expected an integer in [0, 2**64), got {seed!r}")
 
 
 @dataclass(frozen=True)
@@ -190,13 +198,17 @@ class SimSpec:
             raise ValueError("grid must be a 1-d array with at least two times")
         if np.any(np.diff(grid) <= 0):
             raise ValueError("grid times must be strictly increasing")
-        if self.d < 1:
-            raise ValueError("need at least one path")
+        if not isinstance(self.d, (int, np.integer)) or isinstance(self.d, bool) or self.d < 1:
+            raise ValueError(f"need at least one path: d must be an integer >= 1, got {self.d!r}")
+        check_seed(self.seed)
         object.__setattr__(self, "grid", grid)
 
 
 def simulate_panel(spec: SimSpec) -> PathPanel:
-    """Draw ``spec.d`` independent paths of the process on ``spec.grid``."""
+    """Draw ``spec.d`` independent paths of the process on ``spec.grid``.
+
+    Raises FloatingPointError when a simulated value underflows to 0 or overflows.
+    """
     grid = spec.grid
     params = spec.params
     log_gap = np.logaddexp(np.log(params.eta), -params.poly.value(grid))
@@ -232,6 +244,9 @@ def simulate_panel(spec: SimSpec) -> PathPanel:
         log_x0 += spec.init.mu1
     incr += log_x0
     np.exp(rows, out=rows)
+    if not 0.0 < rows.min() <= rows.max() < np.inf:  # NaN fails both comparisons
+        raise FloatingPointError("simulated values leave the floating-point range; "
+                                 "check sigma2, the initial law and the grid")
     return PathPanel._from_owned(grid.copy(), rows)
 
 

@@ -1,11 +1,12 @@
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mslogistic.cli import ConfigError, ingest_csv, main, run
+from mslogistic.cli import SCHEMAS, ConfigError, ingest_csv, main, run
 
 DATA_DIR = Path(__file__).parent / "data"
 FIXTURE = DATA_DIR / "epidemic_shaped.csv"
@@ -372,3 +373,172 @@ class TestMainEntry:
     def test_largest_seed_accepted(self, tmp_path):
         run("simulate", sim_config(paths=2, num=11, seed=2**64 - 1), out_dir=tmp_path / "o")
         assert load_report(tmp_path / "o")["meta"]["seed"] == 2**64 - 1
+
+    @pytest.mark.parametrize("command, payload, fragment", [
+        ("simulate", {**sim_config(), "paths": True}, "paths: expected an integer >= 1"),
+        ("simulate", {**sim_config(), "grid": {"times": [0.0, 2.0, 1.0]}},
+         "grid times must be strictly increasing"),
+        ("simulate", {**sim_config(), "init": {"x0": 5.0, "sigma1sq": 0.1}}, "init: needs"),
+        ("fit", {"data": str(FIXTURE), "degree": 3, "nr": {"tol": "x"}}, "nr.tol: expected"),
+        ("fit", {"data": str(FIXTURE), "degree": 3, "nr": {"max_iter": 1.5}},
+         "nr.max_iter: expected an integer"),
+        ("fit", {"data": 5, "degree": 3}, "data: expected a file path string"),
+        ("fit", {"data": str(FIXTURE), "degree": 3, "scale_max": "no"}, "scale_max: expected"),
+        ("fit", {"data": str(FIXTURE), "degree": 3, "scale_max": 1}, "scale_max: expected"),
+        ("fit", {"data": str(FIXTURE), "degree": 3, "method": "newton"}, "method: expected"),
+        ("fit", {"data": str(FIXTURE), "degree": 3, "sa": {"gamma": "x"}}, "sa.gamma: expected"),
+        ("fit", {"data": str(FIXTURE), "degree": 3, "confidence_levels": 0.9},
+         "confidence_levels: expected a list"),
+        ("fpt", {"params": {"eta": math.exp(-1), "beta": [0.1, -0.009, 0.0002], "sigma2": 1e-4},
+                 "x0": 5.0, "t0": 0.0, "data": str(FIXTURE), "degree": 3,
+                 "boundary": 15.0, "t_max": 210.0}, "(exactly one)"),
+        ("fpt", {"data": str(FIXTURE), "boundary": 0.7, "t_max": 350.0}, "'data' + 'degree'"),
+        ("fpt", {"params": {"eta": math.exp(-1), "beta": [0.1], "sigma2": 1e-4}, "x0": 5.0,
+                 "boundary": 15.0, "t_max": 210.0}, "'params' + 'x0' + 't0'"),
+        ("forecast", {"data": str(FIXTURE), "fit_until": 246.0, "degree": 3, "degrees": [3]},
+         "needs 'degree' or 'degrees'"),
+        ("select", [{"data": str(FIXTURE)}], "config: expected an object, got list"),
+    ])
+    def test_schema_violation_exit_code(self, tmp_path, capsys, command, payload, fragment):
+        self.assert_config_error(tmp_path, capsys, command, payload, fragment)
+
+    def assert_numerical_failure(self, tmp_path, capsys, command, payload, fragment):
+        cfg = write_config(tmp_path, payload)
+        code = main([command, "--config", str(cfg), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("numerical failure: ") and err.count("\n") == 1
+        assert fragment in err
+        assert not (tmp_path / "o").exists()
+
+    def test_select_without_converged_degree_exit_code(self, tmp_path, capsys):
+        self.assert_numerical_failure(tmp_path, capsys, "select",
+                                      {"data": str(FIXTURE), "degrees": [30]},
+                                      "no degree in [30] gave a converged fit")
+
+    def test_fpt_unconverged_fit_exit_code(self, tmp_path, capsys):
+        self.assert_numerical_failure(
+            tmp_path, capsys, "fpt",
+            {"data": str(FIXTURE), "degree": 6, "boundary": 0.7, "t_max": 350.0},
+            "did not converge")
+
+    def test_forecast_unconverged_fit_exit_code(self, tmp_path, capsys):
+        self.assert_numerical_failure(tmp_path, capsys, "forecast",
+                                      {"data": str(FIXTURE), "degree": 6, "fit_until": 246.0},
+                                      "did not converge")
+
+    def test_fpt_overflowing_horizon_exit_code(self, tmp_path, capsys):
+        cfg = {"params": {"eta": math.exp(-1), "beta": [0.1, -0.009, 0.0002], "sigma2": 1e-4},
+               "x0": 5.0, "t0": 0.0, "boundary": 15.0, "t_max": 1e300}
+        self.assert_numerical_failure(tmp_path, capsys, "fpt", cfg, "non-finite value")
+
+    def test_simulate_underflowing_paths_exit_code(self, tmp_path, capsys):
+        cfg = {**sim_config(), "params": {"eta": 0.3679, "beta": [0.1], "sigma2": 1e300}}
+        self.assert_numerical_failure(tmp_path, capsys, "simulate", cfg, "floating-point range")
+
+    def test_non_finite_result_writes_nothing(self, tmp_path, monkeypatch):
+        import mslogistic.cli as cli
+
+        original = cli._cmd_select
+
+        def with_nan(cfg, bundle):
+            original(cfg, bundle)
+            bundle.results["chosen_p"] = float("nan")
+
+        monkeypatch.setitem(cli._COMMANDS, "select", with_nan)
+        with pytest.raises(FloatingPointError, match="select: non-finite value"):
+            run("select", {"data": str(FIXTURE), "degrees": [2, 3]}, out_dir=tmp_path / "o")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("where", ["config", "data"])
+    def test_directory_input_exit_code(self, tmp_path, capsys, where):
+        if where == "config":
+            code = main(["fit", "--config", str(tmp_path), "--out", str(tmp_path / "o")])
+        else:
+            cfg = write_config(tmp_path, {"data": str(tmp_path), "degree": 3})
+            code = main(["fit", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and "Is a directory" in err
+
+    @pytest.mark.parametrize("where", ["config", "data"])
+    def test_non_utf8_input_exit_code(self, tmp_path, capsys, where):
+        bad = tmp_path / "latin1.txt"
+        if where == "config":
+            bad.write_bytes('{"data": "caf\xe9.csv", "degree": 3}'.encode("latin-1"))
+            cfg = bad
+        else:
+            bad.write_bytes("t,caf\xe9\n0,1.0\n1,2.0\n".encode("latin-1"))
+            cfg = write_config(tmp_path, {"data": str(bad), "degree": 1})
+        code = main(["fit", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and "not UTF-8 text" in err
+
+    def test_ingest_unreadable_file_is_config_error(self, tmp_path):
+        with pytest.raises(ConfigError, match="Is a directory"):
+            ingest_csv(tmp_path)
+        with pytest.raises(ConfigError, match="No such file"):
+            ingest_csv(tmp_path / "missing.csv")
+
+
+    def test_warnings_are_shown_on_success_and_dropped_on_failure(self, tmp_path, monkeypatch):
+        import warnings
+
+        import mslogistic.cli as cli
+
+        def warn_then(outcome):
+            def command(cfg, bundle):
+                warnings.warn("2 paths excluded", UserWarning)
+                outcome(cfg, bundle)
+            return command
+
+        cfg = str(write_config(tmp_path, {"data": str(FIXTURE), "degrees": [2, 3]}))
+        argv = ["select", "--config", cfg, "--out", str(tmp_path / "o")]
+        monkeypatch.setitem(cli._COMMANDS, "select", warn_then(cli._cmd_select))
+        with pytest.warns(UserWarning, match="2 paths excluded"):
+            assert main(argv) == 0
+
+        def fail(cfg, bundle):
+            raise cli.FitError("no fit")
+
+        monkeypatch.setitem(cli._COMMANDS, "select", warn_then(fail))
+        with warnings.catch_warnings(record=True) as shown:
+            warnings.simplefilter("always")
+            assert main(argv) == 3
+        assert shown == []
+
+
+class TestConvergencePolicy:
+    def test_select_lists_unconverged_degrees_as_failures(self, tmp_path):
+        run("select", {"data": str(FIXTURE), "degrees": [2, 3, 4, 5, 6]}, out_dir=tmp_path)
+        results = load_report(tmp_path)["results"]
+        assert results["chosen_p"] == 3
+        assert sorted(results["failures"]) == ["5", "6"]
+        assert [p for p, e in results["per_degree"].items() if not e["converged"]] == ["5", "6"]
+
+    def test_forecast_degrees_choose_a_converged_degree(self, tmp_path):
+        run("forecast", {"data": str(FIXTURE), "degrees": [5, 6, 3], "fit_until": 246.0},
+            out_dir=tmp_path)
+        assert load_report(tmp_path)["results"]["degree"] == 3
+
+
+class TestSchemas:
+    def readme_examples(self):
+        text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        section = text.split("## Command line", 1)[1]
+        block = section.split("```jsonc", 1)[1].split("```", 1)[0]
+        parts = re.split(r"^// (\w+).*$", block, flags=re.M)[1:]
+        return [(command, json.loads(body)) for command, body in zip(parts[::2], parts[1::2])]
+
+    def test_readme_examples_pass_the_schema(self):
+        examples = self.readme_examples()
+        assert {command for command, _ in examples} == set(SCHEMAS)
+        for command, config in examples:
+            SCHEMAS[command](config)
+
+    def test_checked_config_holds_library_values(self):
+        cfg = SCHEMAS["simulate"](sim_config(num=3))
+        assert cfg["params"].poly.beta == (0.1, -0.009, 0.0002)
+        assert cfg["init"].x0 == 5.0
+        np.testing.assert_array_equal(cfg["grid"], [0.0, 25.0, 50.0])

@@ -265,3 +265,11 @@ class TestSchedule:
     def test_integer_counts_accepted(self):
         sched = SaSchedule(replications=1, chain_length=np.int64(2), max_iter=1, pilot_pairs=1)
         assert sched.chain_length == 2
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 1.5, "x", True])
+    def test_seed_must_be_an_unsigned_64_bit_integer(self, seed):
+        with pytest.raises(ValueError, match=r"seed: expected an integer in \[0, 2\*\*64\)"):
+            SaSchedule(seed=seed)
+
+    def test_largest_seed_accepted(self):
+        assert SaSchedule(seed=2**64 - 1).seed == 2**64 - 1

@@ -189,3 +189,30 @@ class TestSelectDegree:
         aic, bic = aic_bic(3, entry.loglik, n)
         assert entry.aic == pytest.approx(aic, rel=1e-14)
         assert entry.bic == pytest.approx(bic, rel=1e-14)
+
+
+class TestConvergencePolicy:
+    """Only converged degrees are ranked; the others are kept and flagged."""
+
+    @staticmethod
+    def fitter(unconverged):
+        class Result:
+            def __init__(self, res, converged):
+                self.xi_hat, self.converged = res.xi_hat, converged
+
+        return lambda pnl, p: Result(fit(pnl, p), p not in unconverged)
+
+    def test_unconverged_degree_is_listed_and_never_chosen(self, case1_params):
+        panel = make_case1_panel(case1_params, seed=79, d=30, n_points=61)
+        report = select_degree(panel, [2, 3, 4], fitter=self.fitter({3}))
+        assert [e.p for e in report.per_degree] == [2, 3, 4]
+        assert not report[3].converged and report[4].converged
+        assert report.failures == ((3, "the degree-3 fit did not converge"),)
+        assert report.chosen_p == 4
+
+    def test_no_converged_degree_raises(self, case1_params):
+        from mslogistic.fit_nr import FitError
+
+        panel = make_case1_panel(case1_params, seed=79, d=30, n_points=61)
+        with pytest.raises(FitError, match="no degree in \\[2, 3\\] gave a converged fit"):
+            select_degree(panel, [2, 3], fitter=self.fitter({2, 3}))

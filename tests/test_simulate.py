@@ -298,3 +298,24 @@ class TestValidation:
     def test_grid_must_increase(self):
         with pytest.raises(ValueError):
             SimSpec(params=CASE1, init=Degenerate(1.0), grid=np.array([0.0, 0.0, 1.0]), d=1, seed=0)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 1.5, "x", True])
+    def test_seed_must_be_an_unsigned_64_bit_integer(self, seed):
+        with pytest.raises(ValueError, match=r"seed: expected an integer in \[0, 2\*\*64\)"):
+            spec(seed=seed)
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1, np.uint64(5)])
+    def test_seed_range_accepted(self, seed):
+        assert spec(seed=seed).seed == seed
+
+    @pytest.mark.parametrize("d", [True, 2.5, 0, "3"])
+    def test_path_count_must_be_a_positive_integer(self, d):
+        with pytest.raises(ValueError, match="need at least one path"):
+            spec(d=d)
+
+    @pytest.mark.parametrize("sigma2", [1e300, 1e30])
+    def test_values_outside_float_range_raise(self, sigma2):
+        params = ModelParams(eta=CASE1.eta, poly=CASE1.poly, sigma2=sigma2)
+        with pytest.raises(FloatingPointError, match="floating-point range"):
+            with np.errstate(all="ignore"):
+                simulate_panel(spec(params=params, n=11, d=2))
