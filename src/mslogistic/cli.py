@@ -62,12 +62,12 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------------------
 # config schema
 
-def _build(factory, *args, **kwargs):
+def _build(factory, *args, where: str = "", **kwargs):
     """Call a library constructor or check; its ValueError/TypeError is a ConfigError."""
     try:
         return factory(*args, **kwargs)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from None
+        raise ConfigError(f"{where}: {exc}" if where else str(exc)) from None
 
 
 @dataclass(frozen=True)
@@ -132,7 +132,7 @@ class _Table:
                 raise ConfigError(f"{name}: needs {alts} (exactly one), got {sorted(given)}")
         checked = {k: self.fields[k][1](v, f"{where}.{k}" if where else k)
                    for k, v in value.items()}
-        return checked if self.make is None else _build(self.make, checked)
+        return checked if self.make is None else _build(self.make, checked, where=name)
 
 
 def _real(v) -> bool:
@@ -263,12 +263,14 @@ def _is_float(cell: str) -> bool:
         return False
 
 
-def _csv_bytes(header: list[str], columns) -> bytes:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(header)
-    writer.writerows([repr(float(v)) for v in row] for row in zip(*columns))
-    return buf.getvalue().encode("utf-8")
+def _write_csv(path: Path, header: list[str], columns) -> str:
+    """Stream ``columns`` to ``path`` as CSV rows and return the file's SHA-256."""
+    with path.open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in zip(*columns):
+            writer.writerow([repr(float(v)) for v in row])
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def _params_dict(xi: ModelParams) -> dict:
@@ -286,10 +288,15 @@ class _Bundle:
     csvs: dict = field(default_factory=dict)
 
     def add_csv(self, name: str, filename: str, header: list[str], columns) -> None:
-        self.csvs[name] = (filename, _csv_bytes(header, columns))
+        self.csvs[name] = (filename, header, columns)
 
     def write(self, out_dir: Path) -> Path:
         """Write the bundle; a non-finite result raises FloatingPointError and writes nothing."""
+        try:
+            json.dumps(self.results, allow_nan=False)
+        except ValueError:
+            raise FloatingPointError(f"{self.command}: non-finite value in the results") from None
+        out_dir.mkdir(parents=True, exist_ok=True)
         canonical = json.dumps(self.config, sort_keys=True).encode()
         report = {
             "meta": {
@@ -301,18 +308,11 @@ class _Bundle:
             },
             "results": self.results,
             "files": {name: {"path": str(out_dir / filename),
-                             "sha256": hashlib.sha256(data).hexdigest()}
-                      for name, (filename, data) in self.csvs.items()},
+                             "sha256": _write_csv(out_dir / filename, header, columns)}
+                      for name, (filename, header, columns) in self.csvs.items()},
         }
-        try:
-            text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
-        except ValueError:
-            raise FloatingPointError(f"{self.command}: non-finite value in the results") from None
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for filename, data in self.csvs.values():
-            (out_dir / filename).write_bytes(data)
         path = out_dir / "report.json"
-        path.write_text(text, encoding="utf-8")
+        path.write_text(json.dumps(report, sort_keys=True, indent=2) + "\n", encoding="utf-8")
         return path
 
 
@@ -330,7 +330,7 @@ def _nr_fit(panel: PathPanel, degree: int, **opts):
 def _cmd_simulate(cfg: dict, bundle: _Bundle) -> None:
     bundle.seed = cfg.get("seed", 0)
     spec = _build(SimSpec, params=cfg["params"], init=cfg["init"], grid=cfg["grid"],
-                  d=cfg["paths"], seed=bundle.seed)
+                  d=cfg["paths"], seed=bundle.seed, where="simulate")
     panel = simulate_panel(spec)
     grid, d = spec.grid, spec.d
     bundle.add_csv("panel", "panel.csv", ["t"] + [f"path{i + 1}" for i in range(d)],
@@ -349,7 +349,7 @@ def _cmd_fit(cfg: dict, bundle: _Bundle) -> None:
     degree = cfg["degree"]
     if method == "sa":
         bundle.seed = cfg.get("seed", SaSchedule.seed)
-        sched = _build(SaSchedule, **cfg.get("sa", {}), seed=bundle.seed)
+        sched = _build(SaSchedule, **cfg.get("sa", {}), seed=bundle.seed, where="sa")
         res = anneal(panel, degree, build_box(panel, degree), sched)
         details = {
             "replications": [
@@ -429,7 +429,7 @@ def _cmd_fpt(cfg: dict, bundle: _Bundle) -> None:
 
     boundary = cfg["boundary"]
     problem = _build(FptProblem, params=params, x0=x0, t0=t0, boundary=boundary,
-                     t_max=cfg["t_max"])
+                     t_max=cfg["t_max"], where="fpt")
     try:
         dens = solve_density(problem)
     except NotImplementedError as exc:

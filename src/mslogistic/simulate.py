@@ -205,10 +205,7 @@ class SimSpec:
 
 
 def simulate_panel(spec: SimSpec) -> PathPanel:
-    """Draw ``spec.d`` independent paths of the process on ``spec.grid``.
-
-    Raises FloatingPointError when a simulated value underflows to 0 or overflows.
-    """
+    """Draw ``spec.d`` paths on ``spec.grid``; FloatingPointError if a value under/overflows."""
     grid = spec.grid
     params = spec.params
     log_gap = np.logaddexp(np.log(params.eta), -params.poly.value(grid))
@@ -243,11 +240,13 @@ def simulate_panel(spec: SimSpec) -> PathPanel:
         log_x0 *= np.sqrt(spec.init.sigma1sq)
         log_x0 += spec.init.mu1
     incr += log_x0
-    np.exp(rows, out=rows)
-    if not 0.0 < rows.min() <= rows.max() < np.inf:  # NaN fails both comparisons
+    try:  # overflow raises here; a value that underflows to 0 fails the panel's check
+        with np.errstate(over="raise"):
+            np.exp(rows, out=rows)
+        return PathPanel._from_owned(grid.copy(), rows)
+    except (FloatingPointError, ValueError):
         raise FloatingPointError("simulated values leave the floating-point range; "
-                                 "check sigma2, the initial law and the grid")
-    return PathPanel._from_owned(grid.copy(), rows)
+                                 "check sigma2, the initial law and the grid") from None
 
 
 def sample_mean(panel: PathPanel) -> np.ndarray:

@@ -319,3 +319,7 @@ class TestValidation:
         with pytest.raises(FloatingPointError, match="floating-point range"):
             with np.errstate(all="ignore"):
                 simulate_panel(spec(params=params, n=11, d=2))
+
+    def test_values_underflowing_to_zero_raise(self):
+        with pytest.raises(FloatingPointError, match="floating-point range"):
+            simulate_panel(spec(init=LognormalStart(mu1=-800.0, sigma1sq=0.0), n=11, d=2))
