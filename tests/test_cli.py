@@ -398,11 +398,7 @@ class TestMainEntry:
         ("forecast", {"data": str(FIXTURE), "fit_until": 246.0, "degree": 3, "degrees": [3]},
          "needs 'degree' or 'degrees'"),
         ("select", [{"data": str(FIXTURE)}], "config: expected an object, got list"),
-    ])
-    def test_schema_violation_exit_code(self, tmp_path, capsys, command, payload, fragment):
-        self.assert_config_error(tmp_path, capsys, command, payload, fragment)
-
-    @pytest.mark.parametrize("command, payload, message", [
+        # a library constructor's error names the config key it came from
         ("simulate", {**sim_config(), "init": {"mu1": 1.0, "sigma1sq": -0.5}},
          "error: init: sigma1sq must be nonnegative"),
         ("fit", {"data": str(FIXTURE), "degree": 3, "method": "sa", "sa": {"gamma": 1.5}},
@@ -410,9 +406,8 @@ class TestMainEntry:
         ("fpt", {"params": {"eta": 0.37, "beta": [0.1], "sigma2": 1e-4}, "x0": 5.0, "t0": 10.0,
                  "boundary": 15.0, "t_max": 10.0}, "error: fpt: t_max must exceed t0"),
     ])
-    def test_constructor_error_names_its_config_key(self, tmp_path, capsys, command, payload,
-                                                    message):
-        self.assert_config_error(tmp_path, capsys, command, payload, message)
+    def test_schema_violation_exit_code(self, tmp_path, capsys, command, payload, fragment):
+        self.assert_config_error(tmp_path, capsys, command, payload, fragment)
 
     def assert_numerical_failure(self, tmp_path, capsys, command, payload, fragment):
         cfg = write_config(tmp_path, payload)

@@ -313,13 +313,12 @@ class TestValidation:
         with pytest.raises(ValueError, match="need at least one path"):
             spec(d=d)
 
-    @pytest.mark.parametrize("sigma2", [1e300, 1e30])
-    def test_values_outside_float_range_raise(self, sigma2):
-        params = ModelParams(eta=CASE1.eta, poly=CASE1.poly, sigma2=sigma2)
+    @pytest.mark.parametrize("kwargs", [
+        {"params": ModelParams(eta=CASE1.eta, poly=CASE1.poly, sigma2=1e300)},
+        {"params": ModelParams(eta=CASE1.eta, poly=CASE1.poly, sigma2=1e30)},
+        {"init": LognormalStart(mu1=-800.0, sigma1sq=0.0)},  # underflow to 0 only
+    ])
+    def test_values_outside_float_range_raise(self, kwargs):
         with pytest.raises(FloatingPointError, match="floating-point range"):
             with np.errstate(all="ignore"):
-                simulate_panel(spec(params=params, n=11, d=2))
-
-    def test_values_underflowing_to_zero_raise(self):
-        with pytest.raises(FloatingPointError, match="floating-point range"):
-            simulate_panel(spec(init=LognormalStart(mu1=-800.0, sigma1sq=0.0), n=11, d=2))
+                simulate_panel(spec(**kwargs, n=11, d=2))
