@@ -16,8 +16,9 @@ which lives only in the metadata block.
 
 Exit codes: 0 success, 2 config/data validation error (unreadable and
 non-UTF-8 files included), 3 numerical failure: a Newton-Raphson fit that does
-not converge, a ``select`` sweep with no converged degree, or a non-finite
-result (nothing is written).  A failing run prints one line on stderr.
+not converge, a ``select`` sweep with no converged degree, a non-finite result
+(nothing is written) or an allocation that runs out of memory.  A failing run
+prints one line on stderr.
 
 Panel CSVs are wide: first column ``t``, one further column per path.  With
 ``--scale-max`` (or ``"scale_max": true``) each path is divided by its own
@@ -334,7 +335,7 @@ def _cmd_simulate(cfg: dict, bundle: _Bundle) -> None:
     panel = simulate_panel(spec)
     grid, d = spec.grid, spec.d
     bundle.add_csv("panel", "panel.csv", ["t"] + [f"path{i + 1}" for i in range(d)],
-                   [grid] + [p.values for p in panel.paths])
+                   [grid, *panel.values_matrix()])
     bundle.results = {
         "paths": d,
         "points_per_path": int(grid.size),
@@ -567,6 +568,9 @@ def main(argv=None) -> int:
         except (FitError, VolterraError, SingularInformationError, np.linalg.LinAlgError,
                 FloatingPointError) as exc:
             print(f"numerical failure: {exc}", file=sys.stderr)
+            return 3
+        except MemoryError as exc:
+            print(f"out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
             return 3
     for w in caught:
         warnings.showwarning(w.message, w.category, w.filename, w.lineno, w.file, w.line)

@@ -144,7 +144,7 @@ def initial_theta(panel: PathPanel, p: int) -> tuple[float, PolyCoeffs, float, n
     return eta0, PolyCoeffs(tuple(coef[1:])), r2, resid
 
 
-def initial_sigma2(panel: PathPanel, sigma1sq_hat: float | None = None) -> float:
+def initial_sigma2(panel: PathPanel) -> float:
     """No-intercept slope of the lognormal variance proxy over elapsed time.
 
     ``2 log(m_j / m^g_j)`` estimates ``sigma1sq + sigma2 (t_j - t0)``; the
@@ -156,8 +156,7 @@ def initial_sigma2(panel: PathPanel, sigma1sq_hat: float | None = None) -> float
     grid = panel.common_grid()
     if grid is None:
         raise FitError("sigma2 starting value needs a common observation grid")
-    if sigma1sq_hat is None:
-        sigma1sq_hat = fit_initial(transform(panel)).sigma1sq_hat
+    sigma1sq_hat = fit_initial(transform(panel)).sigma1sq_hat
     proxy = 2.0 * np.log(sample_mean(panel) / geometric_mean(panel))
     x = grid - grid[0]
     slope = float(np.dot(x, proxy - sigma1sq_hat) / np.dot(x, x))
@@ -277,18 +276,12 @@ def fit(
     Non-convergence is reported, not raised: the best iterate reached is
     returned with ``converged=False`` and the residual trace attached.
     """
-    return _fit_prepared(panel, transform(panel), p, tol, max_iter, max_backtracks, init)
-
-
-def _fit_prepared(panel: PathPanel, vdata: VData, p: int, tol: float = 1e-9,
-                  max_iter: int = 200, max_backtracks: int = 30,
-                  init: tuple[np.ndarray, float] | None = None) -> NrResult:
-    """:func:`fit` on a panel whose :class:`VData` is already prepared."""
+    vdata = transform(panel)
     init_solution = None
     if init is None:
         eta0, beta0, r2, resid = initial_theta(panel, p)
         try:
-            s2_0 = initial_sigma2(panel, fit_initial(vdata).sigma1sq_hat)
+            s2_0 = initial_sigma2(panel)
         except FitError:
             s2_0 = 1e-4
         init_solution = InitSolution(eta0=eta0, beta0=beta0, sigma2_0=s2_0,
@@ -337,26 +330,13 @@ def _fit_prepared(panel: PathPanel, vdata: VData, p: int, tol: float = 1e-9,
             full_system, z0, full_scale, full_typ, tol, max_iter, max_backtracks
         )
         if full_norm <= norm or converged:
-            theta = z[:-1]
-            used_fallback = True
-            trace = list(trace) + list(trace2)
-            norm = full_norm
-            message = message2
-            sigma2 = float(max(z[-1], SIGMA2_FLOOR))
-            return NrResult(
-                xi_hat=ModelParams.from_vector(np.append(theta, sigma2)),
-                iterations=len(trace) - 1,
-                residual_norm=norm,
-                converged=converged,
-                trace=tuple(trace),
-                init=init_solution,
-                used_fallback=used_fallback,
-                message=message,
-            )
+            theta, sigma2, used_fallback = z[:-1], z[-1], True
+            trace, norm, message = list(trace) + list(trace2), full_norm, message2
 
-    _, sigma2 = _eval_reduced(vdata, theta)
-    if not np.isfinite(sigma2):
-        sigma2 = s2_0
+    if not used_fallback:
+        _, sigma2 = _eval_reduced(vdata, theta)
+        if not np.isfinite(sigma2):
+            sigma2 = s2_0
     return NrResult(
         xi_hat=ModelParams.from_vector(np.append(theta, max(sigma2, SIGMA2_FLOOR))),
         iterations=len(trace) - 1,

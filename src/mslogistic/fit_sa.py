@@ -122,22 +122,19 @@ def build_box(panel: PathPanel, p: int, confidence: float = 0.999) -> ParamBox:
     information for eta and are skipped (all skipped is an error).  A
     degenerate eta interval (all ratios equal) is widened by +-10%.
     """
-    ratios = []
-    skipped = []
-    for i, path in enumerate(panel.paths):
-        if path.values[-1] > path.values[0]:
-            ratios.append(1.0 / (path.values[-1] / path.values[0] - 1.0))
-        else:
-            skipped.append(i)
-    if skipped:
+    values = panel.values_matrix()
+    first, last = values[:, 0], values[:, -1]
+    grows = last > first
+    if not grows.all():
         warnings.warn(
-            f"paths {skipped} do not end above their first value; "
+            f"paths {np.flatnonzero(~grows).tolist()} do not end above their first value; "
             "excluded from the eta interval",
             stacklevel=2,
         )
-    if not ratios:
+    if not grows.any():
         raise FitError("no path ends above its first value; eta interval undefined")
-    a, b = min(ratios), max(ratios)
+    ratios = 1.0 / (last[grows] / first[grows] - 1.0)
+    a, b = ratios.min(), ratios.max()
     if a == b:
         a, b = a * 0.9, b * 1.1
 

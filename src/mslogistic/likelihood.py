@@ -25,9 +25,11 @@ with d paths this cuts the work per likelihood evaluation by a factor of d.
 On a common grid, :func:`transform` is one array operation on the panel's
 stored ``(d, N)`` value matrix: ``v = diff(log V, axis=1) / sqrt(diff(grid))``,
 group ``j`` is the column of transitions ``j -> j+1`` and the group sums are
-column sums.  Panels whose paths have different grids go through a per-path
-loop that finds the groups by sorting the (start, end) pairs.  Both give the
-same :class:`VData`, field for field.
+column sums.  The result is kept on the panel with its arrays read-only, so
+every stage that reads a panel (degree selection, the fits, the intervals)
+shares one preparation.  Panels whose paths have different grids go through a
+per-path loop that finds the groups by sorting the (start, end) pairs, on every
+call.  Both give the same :class:`VData`, field for field.
 
 Times are shifted so the panel starts at 0 (the curve family is closed under
 time shifts); fitted parameters therefore live on the clock ``s = t - t0``,
@@ -93,10 +95,12 @@ class VData:
 
 
 def transform(panel: PathPanel) -> VData:
-    """Change of variables from raw observations to grouped standardized log-increments."""
+    """Grouped standardized log-increments of ``panel``, kept on it if it has a common grid."""
     grid = panel.common_grid()
     if grid is not None:
-        return _transform_grid(panel, grid)
+        if panel._prepared is None:
+            object.__setattr__(panel, "_prepared", _transform_grid(panel, grid))
+        return panel._prepared
     t0 = panel.t0
     all_times = np.unique(np.concatenate([p.times for p in panel.paths])) - t0
 
@@ -135,9 +139,9 @@ def _transform_grid(panel: PathPanel, grid: np.ndarray) -> VData:
 
 
 def _vdata(panel, times, n, g_lo, g_hi, g_count, g_sum_v, g_sum_v2) -> VData:
-    """Assemble a :class:`VData`, deriving ``g_delta`` and ``z1``-``z3`` from the groups."""
+    """Assemble a :class:`VData` of read-only arrays, deriving ``g_delta`` and ``z1``-``z3``."""
     g_delta = times[g_hi] - times[g_lo]
-    return VData(
+    vdata = VData(
         v0=panel.first_values(),
         times=times,
         t0=panel.t0,
@@ -152,6 +156,10 @@ def _vdata(panel, times, n, g_lo, g_hi, g_count, g_sum_v, g_sum_v2) -> VData:
         z2=float(np.sum(g_sum_v * np.sqrt(g_delta))),
         z3=float(np.sum(g_count * g_delta)),
     )
+    for value in vars(vdata).values():
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+    return vdata
 
 
 @dataclass(frozen=True)

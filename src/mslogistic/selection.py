@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .fit_nr import FitError, _fit_prepared
+from .fit_nr import FitError, fit
 from .likelihood import fit_initial, loglik, transform
 from .model import ModelParams, integrated_drift
 from .simulate import PathPanel, geometric_mean, sample_mean
@@ -149,20 +149,20 @@ def select_degree(
 ) -> GoodnessReport:
     """Fit every degree in ``p_range`` and pick one by BIC with parsimony.
 
-    ``fitter`` defaults to the Newton-Raphson fit, run on the sweep's own
-    transformed data, so the panel is transformed once; it must return an object
-    with ``xi_hat`` (ModelParams) and ``converged``.  Degrees whose fit raises
-    are recorded in ``failures`` and skipped.  A degree whose fit did not
-    converge keeps its entry (``converged=False``) and is also listed in
-    ``failures``; only converged degrees can be chosen.  If no degree
-    converges, FitError is raised.
+    ``fitter`` defaults to the Newton-Raphson :func:`~mslogistic.fit_nr.fit`,
+    which reads the prepared data the panel keeps, so the panel is transformed
+    once; it must return an object with ``xi_hat`` (ModelParams) and
+    ``converged``.  Degrees whose fit raises are recorded in ``failures`` and
+    skipped.  A degree whose fit did not converge keeps its entry
+    (``converged=False``) and is also listed in ``failures``; only converged
+    degrees can be chosen.  If no degree converges, FitError is raised.
     """
     p_list = list(p_range)
     if not p_list:
         raise ValueError("empty degree range")
 
     vdata = transform(panel)
-    fitter = fitter or (lambda pnl, p: _fit_prepared(pnl, vdata, p))
+    fitter = fitter or fit
     alpha = fit_initial(vdata)
     grid = panel.common_grid()
     m = sample_mean(panel)

@@ -70,16 +70,20 @@ class PathPanel:
     :meth:`common_grid` and :meth:`values_matrix` return without scanning or
     re-stacking.  :meth:`from_matrix` keeps the one copy of the matrix that it
     validated and its paths are row views of that copy; a panel built from a
-    tuple of paths stacks their values once.  Paths on different grids (a
-    ragged panel) have no grid and no matrix.
+    tuple of paths copies its grid and stacks their values once.  Paths on
+    different grids (a ragged panel) have no grid and no matrix.
 
     The ``pointwise_*`` cross-sectional moments are computed on first use and
     kept as read-only arrays; on a ragged panel they raise like :meth:`values_matrix`.
+    So is the likelihood's prepared data: :func:`~mslogistic.likelihood.transform`
+    stores its read-only ``VData`` on a common-grid panel and returns it on later
+    calls.  A ragged panel keeps none, as its paths' arrays stay writeable.
     """
 
     paths: tuple[SamplePath, ...]
     _grid: np.ndarray | None = field(init=False, repr=False, compare=False)
     _values: np.ndarray | None = field(init=False, repr=False, compare=False)
+    _prepared: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         paths = tuple(self.paths)
@@ -95,7 +99,7 @@ class PathPanel:
         common = all(len(p) == len(first) and np.array_equal(p.times, first) for p in paths[1:])
         values = _read_only(np.vstack([p.values for p in paths])) if common else None
         object.__setattr__(self, "paths", paths)
-        object.__setattr__(self, "_grid", first if common else None)
+        object.__setattr__(self, "_grid", _read_only(first.copy()) if common else None)
         object.__setattr__(self, "_values", values)
 
     @classmethod
@@ -200,6 +204,8 @@ class SimSpec:
             raise ValueError("grid times must be strictly increasing")
         if not isinstance(self.d, (int, np.integer)) or isinstance(self.d, bool) or self.d < 1:
             raise ValueError(f"need at least one path: d must be an integer >= 1, got {self.d!r}")
+        if self.d * grid.size * 8 > np.iinfo(np.intp).max:
+            raise ValueError(f"{self.d} paths of {grid.size} points exceed numpy's largest array")
         check_seed(self.seed)
         object.__setattr__(self, "grid", grid)
 

@@ -146,21 +146,20 @@ def fd_hessian_neg_loglik(vdata, xi: ModelParams, rel_step: float = 1e-4) -> np.
 
 @pytest.fixture
 def transform_calls(monkeypatch):
-    """Count ``likelihood.transform`` calls made through any package module."""
-    import importlib
+    """The panels whose prepared data ``likelihood.transform`` computes, once per computation.
 
-    modules = [importlib.import_module(f"mslogistic.{name}") for name in
-               ("likelihood", "fit_nr", "fit_sa", "selection", "asymptotics", "cli")]
-    original = modules[0].transform
+    A call that returns the result a panel keeps computes nothing and is not listed.
+    """
+    from mslogistic import likelihood
+
+    original = likelihood._vdata
     calls = []
 
-    def counting(panel):
+    def counting(panel, *args):
         calls.append(panel)
-        return original(panel)
+        return original(panel, *args)
 
-    for module in modules:
-        if getattr(module, "transform", None) is original:
-            monkeypatch.setattr(module, "transform", counting)
+    monkeypatch.setattr(likelihood, "_vdata", counting)
     return calls
 
 

@@ -7,17 +7,24 @@ public package API, so it runs against any checkout; put that checkout's
 ``src`` first on the path to pin or audit its ``simulate_panel``:
 
     PYTHONPATH=src python tests/data/make_sim_golden.py > tests/data/sim_golden.json
+    PYTHONPATH=src python tests/data/make_sim_golden.py --check
+
+``--check`` writes nothing: it prints a diff against the recorded file and
+exits 1 if they differ.
 """
 
+import difflib
 import hashlib
 import json
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 
 from mslogistic import Degenerate, LognormalStart, ModelParams, PolyCoeffs, SimSpec, simulate_panel
 
+GOLDEN = Path(__file__).parent / "sim_golden.json"
 PARAMS = {"eta": math.exp(-1.0), "beta": [0.1, -0.009, 0.0002], "sigma2": 1e-4}
 INITS = {"degenerate": {"x0": 5.0}, "lognormal": {"mu1": math.log(5.0), "sigma1sq": 0.04}}
 T_MAX = 50.0
@@ -41,16 +48,23 @@ def digest(record: dict) -> dict:
     return {"shape": list(values.shape), "sha256": hashlib.sha256(values.tobytes()).hexdigest()}
 
 
-def main() -> None:
+def main() -> int:
     records = []
     for init in INITS:
         for d, points, seed in SIZES:
             record = {"init": init, "d": d, "points": points, "seed": seed}
             records.append({**record, **digest(record)})
-    json.dump({"params": PARAMS, "inits": INITS, "t_max": T_MAX, "records": records},
-              sys.stdout, indent=1)
-    sys.stdout.write("\n")
+    text = json.dumps({"params": PARAMS, "inits": INITS, "t_max": T_MAX, "records": records},
+                      indent=1) + "\n"
+    if "--check" not in sys.argv[1:]:
+        sys.stdout.write(text)
+        return 0
+    diff = list(difflib.unified_diff(GOLDEN.read_text().splitlines(keepends=True),
+                                     text.splitlines(keepends=True),
+                                     str(GOLDEN), "generated"))
+    sys.stdout.writelines(diff)
+    return 1 if diff else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -227,10 +227,10 @@ class TestForecastCommand:
 
     @pytest.mark.parametrize("choice", [{"degree": 3}, {"degrees": [2, 3, 4]}])
     def test_fits_once(self, tmp_path, transform_calls, choice):
-        # one transform for the fit (or the degree sweep), one for the initial law
+        # the fit (or the degree sweep) and the initial law share one preparation
         cfg = {"data": str(FIXTURE), "fit_until": 246.0, **choice}
         run("forecast", cfg, out_dir=tmp_path / "fc")
-        assert len(transform_calls) == 2
+        assert len(transform_calls) == 1
 
     def test_degrees_uses_the_sweep_fit(self, tmp_path):
         base = {"data": str(FIXTURE), "fit_until": 246.0}
@@ -291,6 +291,21 @@ class TestMainEntry:
         f.write_text(f"t,a,b\n0,1.0,2.0\n1,2.0,{cell}\n2,3.0,4.0\n", encoding="utf-8")
         self.assert_config_error(tmp_path, capsys, "fit", {"data": str(f), "degree": 1},
                                  f":3: non-finite value {cell!r} in column 'b'")
+
+    @pytest.mark.parametrize("message, line", [
+        ("Unable to allocate 8.00 GiB", "out of memory: Unable to allocate 8.00 GiB\n"),
+        ("", "out of memory: an allocation failed\n"),
+    ])
+    def test_out_of_memory_exit_code(self, tmp_path, capsys, monkeypatch, message, line):
+        def no_memory(spec):
+            raise MemoryError(message)
+
+        monkeypatch.setattr("mslogistic.cli.simulate_panel", no_memory)
+        cfg = write_config(tmp_path, sim_config())
+        code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 3
+        assert capsys.readouterr().err == line
+        assert not (tmp_path / "o").exists()
 
     def test_negative_initial_variance_exit_code(self, tmp_path, capsys):
         cfg = {**sim_config(), "init": {"mu1": 1.0, "sigma1sq": -0.5}}
@@ -405,6 +420,8 @@ class TestMainEntry:
          "error: sa: gamma must lie in (0, 1)"),
         ("fpt", {"params": {"eta": 0.37, "beta": [0.1], "sigma2": 1e-4}, "x0": 5.0, "t0": 10.0,
                  "boundary": 15.0, "t_max": 10.0}, "error: fpt: t_max must exceed t0"),
+        ("simulate", sim_config(paths=2**62), "error: simulate: 4611686018427387904 paths of 51"),
+        ("simulate", sim_config(paths=2**64), "exceed numpy's largest array"),
     ])
     def test_schema_violation_exit_code(self, tmp_path, capsys, command, payload, fragment):
         self.assert_config_error(tmp_path, capsys, command, payload, fragment)

@@ -112,6 +112,28 @@ class TestTransform:
         assert v.t0 == 2.0
         np.testing.assert_allclose(v.times, [0.0, 1.0, 2.5])
 
+    @pytest.mark.parametrize("from_paths", [False, True])
+    def test_repeat_returns_the_kept_read_only_data(self, transform_calls, from_paths):
+        panel = make_case1_panel(CASE1, seed=5, d=6, n_points=21)
+        if from_paths:
+            panel = PathPanel(tuple(SamplePath(p.times.copy(), p.values.copy())
+                                    for p in panel.paths))
+        vdata = transform(panel)
+        assert transform(panel) is vdata
+        assert transform_calls == [panel]
+        for f in dataclasses.fields(vdata):
+            value = getattr(vdata, f.name)
+            if isinstance(value, np.ndarray):
+                assert not value.flags.writeable, f.name
+
+    def test_ragged_panel_recomputed_with_equal_values(self, transform_calls):
+        panel = random_panel(np.random.default_rng(7), d=4)
+        assert panel.common_grid() is None
+        first, second = transform(panel), transform(panel)
+        assert first is not second
+        assert_same_vdata(first, second)
+        assert transform_calls == [panel, panel]
+
 
 def assert_same_vdata(a, b):
     """Every field equal with ``==``, arrays also in dtype and shape."""

@@ -1,10 +1,12 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mslogistic import ModelParams, PolyCoeffs
+from mslogistic import ModelParams, PathPanel, PolyCoeffs, transform
+from mslogistic.asymptotics import fisher_info
 from mslogistic.fit_nr import fit
 from mslogistic.selection import (
     aic_bic,
@@ -101,6 +103,24 @@ class TestSelectDegree:
         report = select_degree(panel, range(2, 5))
         assert len(report.per_degree) == 3
         assert transform_calls == [panel]
+
+    def test_warm_panel_equals_a_fresh_copy(self, case1_params):
+        panel = make_case1_panel(case1_params, seed=74, d=30, n_points=61)
+        transform(panel)
+
+        def chain(pnl):
+            report = select_degree(pnl, range(2, 5))
+            res = fit(pnl, report.chosen_p)
+            return report, res, fisher_info(transform(pnl), res.xi_hat)
+
+        fresh = PathPanel.from_matrix(panel.common_grid(), panel.values_matrix())
+        (warm_report, warm_fit, warm_info), (report, res, info) = chain(panel), chain(fresh)
+        assert (warm_report.chosen_p, warm_report.failures) == (report.chosen_p, report.failures)
+        for a, b in zip(warm_report.per_degree, report.per_degree, strict=True):
+            for f in dataclasses.fields(a):
+                assert np.array_equal(getattr(a, f.name), getattr(b, f.name)), f.name
+        assert (warm_fit.xi_hat, warm_fit.trace) == (res.xi_hat, res.trace)
+        assert np.array_equal(warm_info.matrix, info.matrix)
 
     def test_sweep_computes_each_moment_once(self, case1_params, moment_calls):
         panel = make_case1_panel(case1_params, seed=74, d=30, n_points=61)

@@ -139,6 +139,18 @@ class TestGolden:
         assert SIM_GOLDEN["params"] == make_sim_golden.PARAMS
         assert SIM_GOLDEN["inits"] == make_sim_golden.INITS
 
+    def test_check_mode_diffs_and_writes_nothing(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr("sys.argv", ["make_sim_golden.py", "--check"])
+        assert make_sim_golden.main() == 0
+        assert capsys.readouterr().out == ""
+        stale = tmp_path / "sim_golden.json"
+        stale.write_text(make_sim_golden.GOLDEN.read_text().replace('"t_max": 50.0', '"t_max": 5'))
+        monkeypatch.setattr(make_sim_golden, "GOLDEN", stale)
+        before = stale.read_text()
+        assert make_sim_golden.main() == 1
+        assert '- "t_max": 5,\n+ "t_max": 50.0,' in capsys.readouterr().out
+        assert stale.read_text() == before
+
 
 class TestPanelStatistics:
     def test_sample_mean_single_path(self):
@@ -312,6 +324,14 @@ class TestValidation:
     def test_path_count_must_be_a_positive_integer(self, d):
         with pytest.raises(ValueError, match="need at least one path"):
             spec(d=d)
+
+    @pytest.mark.parametrize("d", [2**62, 2**64, (2**63 - 1) // (8 * 11) + 1])
+    def test_panel_numpy_cannot_address_rejected(self, d):
+        with pytest.raises(ValueError, match="exceed numpy's largest array"):
+            spec(d=d, n=11)
+
+    def test_largest_addressable_panel_accepted(self):
+        assert spec(d=(2**63 - 1) // (8 * 11), n=11).d == (2**63 - 1) // (8 * 11)
 
     @pytest.mark.parametrize("kwargs", [
         {"params": ModelParams(eta=CASE1.eta, poly=CASE1.poly, sigma2=1e300)},
