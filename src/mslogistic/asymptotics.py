@@ -41,6 +41,9 @@ __all__ = [
 ]
 
 
+MAX_CONDITION = 1e12  # largest condition number of the equilibrated information
+
+
 class SingularInformationError(RuntimeError):
     """Information matrix too ill-conditioned to invert reliably."""
 
@@ -53,7 +56,6 @@ class FisherInfo:
     theta_block: np.ndarray       # (p+1, p+1) before the 1/sigma2 factor
     cross: np.ndarray             # (p+1,) before the 1/sigma2 factor
     corner: float                 # scalar before the 1/sigma2 factor
-    time_scale: float             # internal conditioning scale (t in units of this)
 
     @property
     def dim(self) -> int:
@@ -71,19 +73,19 @@ class FisherInfo:
         diag[diag <= 0] = 1.0
         return 1.0 / np.sqrt(diag)
 
-    def inverse(self, max_condition: float = 1e12) -> np.ndarray:
+    def inverse(self) -> np.ndarray:
         """Covariance matrix ``I^{-1}`` via the equilibrated core.
 
         Raises :class:`SingularInformationError` when the equilibrated core's
-        condition number exceeds ``max_condition``.
+        condition number exceeds :data:`MAX_CONDITION`.
         """
         d = self.scaling_vector()
         core = self.matrix * np.outer(d, d)
         w, v = np.linalg.eigh(core)
-        if w.min() <= 0 or w.max() / w.min() > max_condition:
+        if w.min() <= 0 or w.max() / w.min() > MAX_CONDITION:
             cond = math.inf if w.min() <= 0 else w.max() / w.min()
             raise SingularInformationError(
-                f"rescaled information condition number {cond:.3e} exceeds {max_condition:.1e}"
+                f"rescaled information condition number {cond:.3e} exceeds {MAX_CONDITION:.1e}"
             )
         core_inv = (v / w) @ v.T
         return core_inv * np.outer(d, d)
@@ -110,10 +112,7 @@ def fisher_info(vdata: VData, xi: ModelParams) -> FisherInfo:
     matrix[p + 1, : p + 1] = cross
     matrix[p + 1, p + 1] = corner
     matrix /= xi.sigma2
-
-    t_scale = float(np.max(np.abs(vdata.times))) or 1.0
-    return FisherInfo(matrix=matrix, theta_block=theta_block, cross=cross,
-                      corner=corner, time_scale=t_scale)
+    return FisherInfo(matrix=matrix, theta_block=theta_block, cross=cross, corner=corner)
 
 
 @dataclass(frozen=True)
@@ -132,7 +131,6 @@ class CiReport:
 
     parameters: tuple[ParameterInterval, ...]
     levels: tuple[float, ...]
-    condition_scale: float
 
     def __getitem__(self, name: str) -> ParameterInterval:
         for p in self.parameters:
@@ -170,8 +168,7 @@ def confidence_intervals(
         grad = np.asarray(grad, dtype=float)
         var = float(grad @ cov @ grad)
         entries.append(_wald(nm, float(value), math.sqrt(max(var, 0.0)), levels))
-    return CiReport(parameters=tuple(entries), levels=tuple(levels),
-                    condition_scale=fi.time_scale)
+    return CiReport(parameters=tuple(entries), levels=tuple(levels))
 
 
 @dataclass(frozen=True)

@@ -51,7 +51,7 @@ from .fpt import FptProblem, VolterraError, solve_density
 from .likelihood import fit_initial, transform
 from .model import Degenerate, LognormalStart, ModelParams, PolyCoeffs, percentile, process_mean
 from .selection import select_degree
-from .simulate import PathPanel, SimSpec, check_seed, simulate_panel
+from .simulate import MAX_FLOATS, PathPanel, SimSpec, check_seed, simulate_panel
 
 __all__ = ["main", "run", "ingest_csv", "ConfigError", "SCHEMAS"]
 
@@ -141,9 +141,10 @@ def _real(v) -> bool:
             or isinstance(v, int) and not isinstance(v, bool) and abs(v) < 1e308)
 
 
-def _count(low: int) -> _Scalar:
-    return _Scalar(f"an integer >= {low}", lambda v: isinstance(v, int)
-                   and not isinstance(v, bool) and v >= low)
+def _count(low: int, high: float = math.inf) -> _Scalar:
+    desc = f"an integer >= {low}" if high == math.inf else f"an integer in [{low}, {high}]"
+    return _Scalar(desc, lambda v: isinstance(v, int) and not isinstance(v, bool)
+                   and low <= v <= high)
 
 
 _number = _Scalar("a finite number", _real, float)
@@ -165,7 +166,7 @@ _INIT = _Table(
 )
 _GRID = _Table(
     {"times": (False, _List(_number, 2)), "start": (False, _number),
-     "stop": (False, _number), "num": (False, _count(2))},
+     "stop": (False, _number), "num": (False, _count(2, MAX_FLOATS))},
     one_of=(("times",), ("start", "stop", "num")),
     make=lambda c: (np.array(c["times"]) if "times" in c
                     else np.linspace(c["start"], c["stop"], c["num"])),

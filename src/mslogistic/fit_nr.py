@@ -45,6 +45,8 @@ __all__ = [
 ]
 
 SIGMA2_FLOOR = 1e-12
+MAX_BACKTRACKS = 30   # step halvings per Newton iteration before the line search stalls
+NOISE_SIGMAS = 5.0    # saturation ratios below this many noise SDs are dropped
 
 
 class FitError(RuntimeError):
@@ -90,12 +92,12 @@ def _scaled_vandermonde(t: np.ndarray, p: int, intercept: bool):
     return design / norms, norms, design
 
 
-def usable_saturation_pairs(panel: PathPanel, noise_sigmas: float = 5.0):
+def usable_saturation_pairs(panel: PathPanel):
     """Times and ratios ``m_N/m_j - 1`` that carry usable saturation signal.
 
     Pairs where the ratio is nonpositive are infeasible for the log response
     (this always drops the final time).  Pairs where the ratio is positive but
-    smaller than ``noise_sigmas`` times its own sampling noise (delta-method
+    smaller than ``NOISE_SIGMAS`` times its own sampling noise (delta-method
     estimate from the cross-sectional spread of the panel) are noise-dominated:
     their log response has unbounded variance as the ratio approaches zero and
     a large structural bias, so they are dropped too.  On noiseless panels the
@@ -115,7 +117,7 @@ def usable_saturation_pairs(panel: PathPanel, noise_sigmas: float = 5.0):
         noise = (m[-1] / m[:-1]) * rel
     else:
         noise = np.zeros_like(ratio)
-    keep = ratio > noise_sigmas * noise
+    keep = ratio > NOISE_SIGMAS * noise
     return t[:-1], ratio, keep
 
 
@@ -212,7 +214,7 @@ def _fd_jacobian(f, x: np.ndarray, fx: np.ndarray, typ: np.ndarray) -> np.ndarra
 
 
 def _newton_loop(f, x0: np.ndarray, scale: np.ndarray, typ: np.ndarray,
-                 tol: float, max_iter: int, max_backtracks: int):
+                 tol: float, max_iter: int):
     """Damped Newton iteration on ``f`` with backtracking on the scaled norm.
 
     Returns ``(x, norm, trace, converged, message)``; accepted steps never
@@ -241,7 +243,7 @@ def _newton_loop(f, x0: np.ndarray, scale: np.ndarray, typ: np.ndarray,
                 break
         accepted = False
         lam = 1.0
-        for _ in range(max_backtracks + 1):
+        for _ in range(MAX_BACKTRACKS + 1):
             cand = x + lam * step
             fc = f(cand)
             cand_norm = float(np.max(np.abs(fc / scale))) if np.all(np.isfinite(fc)) else np.inf
@@ -266,7 +268,6 @@ def fit(
     p: int,
     tol: float = 1e-9,
     max_iter: int = 200,
-    max_backtracks: int = 30,
     init: tuple[np.ndarray, float] | None = None,
 ) -> NrResult:
     """Maximum-likelihood fit of degree ``p`` by damped Newton-Raphson.
@@ -306,8 +307,7 @@ def fit(
     scale = np.maximum(scale, 1e-12 * np.max(scale) + 1e-300)
 
     theta, norm, trace, converged, message = _newton_loop(
-        reduced, theta0, scale, typ, tol, max_iter, max_backtracks
-    )
+        reduced, theta0, scale, typ, tol, max_iter)
     used_fallback = False
 
     if not converged:
@@ -327,8 +327,7 @@ def fit(
         full_scale = np.concatenate(([sig_scale], scale))
         full_typ = np.concatenate((typ, [max(s2_now, 1e-8)]))
         z, full_norm, trace2, converged, message2 = _newton_loop(
-            full_system, z0, full_scale, full_typ, tol, max_iter, max_backtracks
-        )
+            full_system, z0, full_scale, full_typ, tol, max_iter)
         if full_norm <= norm or converged:
             theta, sigma2, used_fallback = z[:-1], z[-1], True
             trace, norm, message = list(trace) + list(trace2), full_norm, message2

@@ -44,6 +44,8 @@ from .likelihood import _check_rows, _neg_core_loglik, _Workspace, neg_core_logl
 from .model import ModelParams
 from .simulate import PathPanel, check_seed, sample_mean
 
+FLAT_TOL = 1e-12  # equality tolerance of the flat-chain stop
+
 __all__ = ["ParamBox", "SaSchedule", "SaResult", "build_box", "anneal"]
 
 
@@ -79,7 +81,7 @@ class ParamBox:
 
 @dataclass(frozen=True)
 class SaSchedule:
-    """Annealing control constants (all overridable)."""
+    """Annealing schedule: every field can be set (the flat-chain tolerance is :data:`FLAT_TOL`)."""
 
     p0: float = 0.9                # initial uphill acceptance probability
     gamma: float = 0.95            # geometric cooling ratio
@@ -89,7 +91,6 @@ class SaSchedule:
     seed: int = 0
     replications: int = 10
     pilot_pairs: int = 100         # proposal pairs used to calibrate T0
-    flat_tol: float = 1e-12        # equality tolerance for the flat-chain stop
 
     def __post_init__(self):
         if not 0.0 < self.gamma < 1.0:
@@ -229,7 +230,7 @@ def _run_lockstep(vdata, box: ParamBox, sched: SaSchedule, t0_temp: float,
             np.copyto(f_best, f_cand, where=better)
             recent[:, step] = f_curr
         found[reps], f_found[reps] = best, f_best
-        flat = recent.max(axis=1) - recent.min(axis=1) <= sched.flat_tol
+        flat = recent.max(axis=1) - recent.min(axis=1) <= FLAT_TOL
         stops[reps[flat]] = "flat_chain"
         reps, current, f_curr, best, f_best, recent, block, read = (
             a[~flat] for a in (reps, current, f_curr, best, f_best, recent, block, read))

@@ -99,7 +99,7 @@ def transform(panel: PathPanel) -> VData:
     grid = panel.common_grid()
     if grid is not None:
         if panel._prepared is None:
-            object.__setattr__(panel, "_prepared", _transform_grid(panel, grid))
+            panel._prepared = _transform_grid(panel, grid)
         return panel._prepared
     t0 = panel.t0
     all_times = np.unique(np.concatenate([p.times for p in panel.paths])) - t0

@@ -27,7 +27,7 @@ import numpy as np
 
 from .fit_nr import FitError, fit
 from .likelihood import fit_initial, loglik, transform
-from .model import ModelParams, integrated_drift
+from .model import ModelParams, curve, integrated_drift
 from .simulate import PathPanel, geometric_mean, sample_mean
 
 __all__ = [
@@ -41,6 +41,7 @@ __all__ = [
 ]
 
 VARIANCE_FLOOR = 1e-12
+BIC_TIE_WINDOW = 2.0  # BIC units within which the smallest degree wins
 
 
 def rae(sample_mean_series, fitted_mean_series) -> float:
@@ -145,7 +146,6 @@ def select_degree(
     panel: PathPanel,
     p_range=range(2, 7),
     fitter: Callable[[PathPanel, int], object] | None = None,
-    bic_tie_window: float = 2.0,
 ) -> GoodnessReport:
     """Fit every degree in ``p_range`` and pick one by BIC with parsimony.
 
@@ -184,10 +184,7 @@ def select_degree(
             failures.append((p, f"non-finite log-likelihood at the degree-{p} fit"))
             continue
         aic, bic = aic_bic(p, l_value, vdata.n)
-        ratio = np.exp(
-            np.asarray(integrated_drift(ModelParams(xi.eta, xi.poly, 0.0), 0.0, grid - grid[0]))
-        )
-        fitted = init_mean * ratio
+        fitted = curve(xi, init_mean, 0.0, grid - grid[0])
         times, dra = dra_curve(panel, xi, alpha.mu1_hat, alpha.sigma1sq_hat)
         entries.append(
             DegreeGoodness(
@@ -211,6 +208,6 @@ def select_degree(
         raise FitError(f"no degree in {p_list} gave a converged fit") from last_error
 
     best_bic = min(e.bic for e in converged)
-    chosen = min(e.p for e in converged if e.bic <= best_bic + bic_tie_window)
+    chosen = min(e.p for e in converged if e.bic <= best_bic + BIC_TIE_WINDOW)
     return GoodnessReport(per_degree=tuple(entries), chosen_p=chosen,
                           failures=tuple(failures))

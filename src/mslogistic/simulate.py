@@ -12,11 +12,13 @@ drawn or in which order, and paths can be generated concurrently.
 
 :func:`simulate_panel` resets one generator's key per path, draws each path's
 uniforms into a row of one ``(d, N)`` buffer and transforms the buffer in place.
+The returned panel keeps that buffer as its value matrix; no per-path object
+exists until :attr:`PathPanel.paths` is read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -26,6 +28,9 @@ from .model import Degenerate, InitialDistribution, ModelParams
 
 __all__ = ["SamplePath", "PathPanel", "SimSpec", "simulate_panel", "sample_mean", "geometric_mean",
            "check_seed"]
+
+
+MAX_FLOATS = np.iinfo(np.intp).max // 8  # float64 values one numpy array can address
 
 
 def check_seed(seed, name: str = "seed"):
@@ -61,17 +66,17 @@ class SamplePath:
         return self.times.size
 
 
-@dataclass(frozen=True)
 class PathPanel:
     """A bundle of independent sample paths sharing their first observation time.
 
     The panel works out once whether all paths share one time grid.  If they
-    do, it holds the grid and a read-only ``(d, N)`` value matrix, which
+    do, it holds only the grid and a read-only ``(d, N)`` value matrix, which
     :meth:`common_grid` and :meth:`values_matrix` return without scanning or
-    re-stacking.  :meth:`from_matrix` keeps the one copy of the matrix that it
-    validated and its paths are row views of that copy; a panel built from a
-    tuple of paths copies its grid and stacks their values once.  Paths on
-    different grids (a ragged panel) have no grid and no matrix.
+    re-stacking, and :attr:`paths` is built on first read as read-only row
+    views of the matrix.  :meth:`from_matrix` keeps the one copy of the matrix
+    that it validated; a tuple of paths on one grid is copied and stacked once
+    and not kept.  Paths on different grids (a ragged panel) are kept as
+    given, with no grid and no matrix.
 
     The ``pointwise_*`` cross-sectional moments are computed on first use and
     kept as read-only arrays; on a ragged panel they raise like :meth:`values_matrix`.
@@ -80,27 +85,21 @@ class PathPanel:
     calls.  A ragged panel keeps none, as its paths' arrays stay writeable.
     """
 
-    paths: tuple[SamplePath, ...]
-    _grid: np.ndarray | None = field(init=False, repr=False, compare=False)
-    _values: np.ndarray | None = field(init=False, repr=False, compare=False)
-    _prepared: object = field(default=None, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        paths = tuple(self.paths)
+    def __init__(self, paths):
+        paths = tuple(paths)
         if len(paths) < 1:
             raise ValueError("panel needs at least one path")
         t0 = paths[0].times[0]
         for i, p in enumerate(paths):
             if p.times[0] != t0:
-                raise ValueError(
-                    f"path {i} starts at t={p.times[0]} but path 0 starts at t={t0}"
-                )
+                raise ValueError(f"path {i} starts at t={p.times[0]} but path 0 starts at t={t0}")
         first = paths[0].times
-        common = all(len(p) == len(first) and np.array_equal(p.times, first) for p in paths[1:])
-        values = _read_only(np.vstack([p.values for p in paths])) if common else None
-        object.__setattr__(self, "paths", paths)
-        object.__setattr__(self, "_grid", _read_only(first.copy()) if common else None)
-        object.__setattr__(self, "_values", values)
+        self._grid = self._values = self._prepared = None
+        if all(len(p) == len(first) and np.array_equal(p.times, first) for p in paths[1:]):
+            self._grid = _read_only(first.copy())
+            self._values = _read_only(np.vstack([p.values for p in paths]))
+        else:
+            self.paths = paths
 
     @classmethod
     def from_matrix(cls, times, values) -> "PathPanel":
@@ -129,26 +128,22 @@ class PathPanel:
         if not positive.all():
             i, j = divmod(int(np.argmin(positive)), times.size)
             raise ValueError(f"path {i}: nonpositive value {values[i, j]} at index {j}")
-        # the matrix is validated as a whole, so the per-path checks are skipped
-        panel = object.__new__(cls)
-        paths = []
-        for row in values:
-            path = object.__new__(SamplePath)
-            object.__setattr__(path, "times", times)
-            object.__setattr__(path, "values", row)
-            paths.append(path)
-        object.__setattr__(panel, "paths", tuple(paths))
-        object.__setattr__(panel, "_grid", times)
-        object.__setattr__(panel, "_values", values)
+        panel = cls.__new__(cls)
+        panel._grid, panel._values, panel._prepared = times, values, None
         return panel
+
+    @cached_property
+    def paths(self) -> tuple[SamplePath, ...]:
+        """The paths; on a common grid, read-only row views of the matrix, built on first read."""
+        return tuple(SamplePath(self._grid, row) for row in self._values)
 
     @property
     def d(self) -> int:
-        return len(self.paths)
+        return len(self.paths) if self._values is None else self._values.shape[0]
 
     @property
     def t0(self) -> float:
-        return float(self.paths[0].times[0])
+        return float((self.paths[0].times if self._grid is None else self._grid)[0])
 
     def common_grid(self) -> np.ndarray | None:
         """The shared time grid, or None if paths are observed on different grids."""
@@ -204,7 +199,7 @@ class SimSpec:
             raise ValueError("grid times must be strictly increasing")
         if not isinstance(self.d, (int, np.integer)) or isinstance(self.d, bool) or self.d < 1:
             raise ValueError(f"need at least one path: d must be an integer >= 1, got {self.d!r}")
-        if self.d * grid.size * 8 > np.iinfo(np.intp).max:
+        if self.d * grid.size > MAX_FLOATS:
             raise ValueError(f"{self.d} paths of {grid.size} points exceed numpy's largest array")
         check_seed(self.seed)
         object.__setattr__(self, "grid", grid)

@@ -4,16 +4,24 @@ Four paths of the diffusion, 251 daily observations, two growth waves,
 each path divided by its own maximum (so values are fractions of the
 observed peak).  Parameters are at the scale of a two-wave epidemic fit.
 
-    python tests/data/make_fixture.py > tests/data/epidemic_shaped.csv
+    PYTHONPATH=src python tests/data/make_fixture.py > tests/data/epidemic_shaped.csv
+    PYTHONPATH=src python tests/data/make_fixture.py --check
+
+``--check`` writes nothing: it prints a diff against the bundled file and
+exits 1 if they differ.
 """
 
 import csv
+import difflib
+import io
 import sys
+from pathlib import Path
 
 import numpy as np
 
 from mslogistic import Degenerate, ModelParams, PathPanel, PolyCoeffs, SimSpec, simulate_panel
 
+FIXTURE = Path(__file__).parent / "epidemic_shaped.csv"
 PARAMS = ModelParams(
     eta=0.03605835,
     poly=PolyCoeffs((0.04774851, -0.0004685118, 1.506227e-06)),
@@ -31,14 +39,28 @@ def build_panel() -> PathPanel:
     return PathPanel.from_matrix(grid, vals / vals.max(axis=1, keepdims=True))
 
 
-def main() -> None:
+def render() -> str:
+    """The fixture as CSV text: a header, then one row per time and one column per path."""
     panel = build_panel()
-    grid = panel.common_grid()
-    writer = csv.writer(sys.stdout)
+    out = io.StringIO()
+    writer = csv.writer(out)
     writer.writerow(["t", "c1", "c2", "c3", "c4"])
-    for k, t in enumerate(grid):
-        writer.writerow([repr(float(t))] + [repr(float(p.values[k])) for p in panel.paths])
+    for t, column in zip(panel.common_grid(), panel.values_matrix().T):
+        writer.writerow([repr(float(t))] + [repr(float(v)) for v in column])
+    return out.getvalue()
+
+
+def main() -> int:
+    text = render()
+    if "--check" not in sys.argv[1:]:
+        sys.stdout.write(text)
+        return 0
+    diff = list(difflib.unified_diff(FIXTURE.read_bytes().decode().splitlines(keepends=True),
+                                     text.splitlines(keepends=True),
+                                     str(FIXTURE), "generated"))
+    sys.stdout.writelines(diff)
+    return 1 if diff else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -138,10 +138,9 @@ class TestFisherInfo:
 
 class TestConfidenceIntervals:
     @staticmethod
-    def diag_fi(variances, time_scale=1.0):
+    def diag_fi(variances):
         m = np.diag(1.0 / np.asarray(variances))
-        return FisherInfo(matrix=m, theta_block=m[:-1, :-1], cross=m[:-1, -1],
-                          corner=m[-1, -1], time_scale=time_scale)
+        return FisherInfo(matrix=m, theta_block=m[:-1, :-1], cross=m[:-1, -1], corner=m[-1, -1])
 
     def test_diagonal_half_width(self):
         fi = self.diag_fi([0.04, 0.01, 0.0025])
@@ -165,14 +164,13 @@ class TestConfidenceIntervals:
         # (pure scale disparity, by contrast, is benign and must not raise)
         v = np.array([1.0, 1.0, 0.5])
         m = np.outer(v, v) + 1e-15 * np.eye(3)
-        fi = FisherInfo(matrix=m, theta_block=m[:-1, :-1], cross=m[:-1, -1],
-                        corner=m[-1, -1], time_scale=1.0)
+        fi = FisherInfo(matrix=m, theta_block=m[:-1, :-1], cross=m[:-1, -1], corner=m[-1, -1])
         xi = ModelParams(eta=1.0, poly=PolyCoeffs((0.5,)), sigma2=0.01)
         with pytest.raises(SingularInformationError):
             confidence_intervals(fi, xi)
         ok = np.diag([1.0, 1.0, 1e-15])
         fi_ok = FisherInfo(matrix=ok, theta_block=ok[:-1, :-1], cross=ok[:-1, -1],
-                           corner=ok[-1, -1], time_scale=1.0)
+                           corner=ok[-1, -1])
         cov = fi_ok.inverse()
         assert cov[2, 2] == pytest.approx(1e15, rel=1e-6)
 

@@ -422,6 +422,8 @@ class TestMainEntry:
                  "boundary": 15.0, "t_max": 10.0}, "error: fpt: t_max must exceed t0"),
         ("simulate", sim_config(paths=2**62), "error: simulate: 4611686018427387904 paths of 51"),
         ("simulate", sim_config(paths=2**64), "exceed numpy's largest array"),
+        ("simulate", sim_config(num=2**63),
+         "grid.num: expected an integer in [2, 1152921504606846975], got 9223372036854775808"),
     ])
     def test_schema_violation_exit_code(self, tmp_path, capsys, command, payload, fragment):
         self.assert_config_error(tmp_path, capsys, command, payload, fragment)

@@ -26,6 +26,7 @@ from pathlib import Path
 from hypothesis import given, settings, strategies as st
 
 from mslogistic import cli
+from mslogistic.simulate import MAX_FLOATS
 
 FIXTURE = str(Path(__file__).parent / "data" / "epidemic_shaped.csv")
 
@@ -38,7 +39,7 @@ VALID = {
     "a file path string": [FIXTURE, FIXTURE, "no-such-panel.csv"],
     "'nr' or 'sa'": ["nr", "sa"],
     "an integer >= 1": [3, 1, 2],
-    "an integer >= 2": [11, 2],
+    f"an integer in [2, {MAX_FLOATS}]": [11, 2],
 }
 SEEDS = [0, 7, 2**64 - 1]
 MUTATIONS = [None, True, "x", -1, 0, 1.5, 1e300, float("nan"), [], {}, [2.0], "3"]

@@ -1,3 +1,4 @@
+import gc
 import importlib.util
 import json
 import math
@@ -32,6 +33,9 @@ SIM_GOLDEN = json.loads((DATA_DIR / "sim_golden.json").read_text())
 _maker = importlib.util.spec_from_file_location("make_sim_golden", DATA_DIR / "make_sim_golden.py")
 make_sim_golden = importlib.util.module_from_spec(_maker)
 _maker.loader.exec_module(make_sim_golden)
+_maker = importlib.util.spec_from_file_location("make_fixture", DATA_DIR / "make_fixture.py")
+make_fixture = importlib.util.module_from_spec(_maker)
+_maker.loader.exec_module(make_fixture)
 
 CASE1 = ModelParams(eta=math.exp(-1), poly=PolyCoeffs((0.1, -0.009, 0.0002)), sigma2=1e-4)
 
@@ -150,6 +154,21 @@ class TestGolden:
         assert make_sim_golden.main() == 1
         assert '- "t_max": 5,\n+ "t_max": 50.0,' in capsys.readouterr().out
         assert stale.read_text() == before
+
+
+class TestFixtureScript:
+    def test_check_mode_diffs_and_writes_nothing(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr("sys.argv", ["make_fixture.py", "--check"])
+        assert make_fixture.main() == 0
+        assert capsys.readouterr().out == ""
+        stale = tmp_path / "epidemic_shaped.csv"
+        stale.write_bytes(make_fixture.FIXTURE.read_bytes().replace(b"t,c1,", b"t,x1,"))
+        monkeypatch.setattr(make_fixture, "FIXTURE", stale)
+        before = stale.read_bytes()
+        assert make_fixture.main() == 1
+        out = capsys.readouterr().out
+        assert "-t,x1,c2,c3,c4" in out and "+t,c1,c2,c3,c4" in out
+        assert stale.read_bytes() == before
 
 
 class TestPanelStatistics:
@@ -279,6 +298,37 @@ class TestPanelStorage:
         with pytest.raises(ValueError, match="common grid"):
             panel.values_matrix()
         np.testing.assert_array_equal(panel.first_values(), [1.0, 1.0])
+
+
+class TestLazyPaths:
+    def test_tuple_built_panel_keeps_one_copy(self):
+        t = np.array([0.0, 1.0, 2.0])
+        a, b = np.array([1.0, 2.0, 3.0]), np.array([2.0, 2.0, 2.0])
+        panel = PathPanel((SamplePath(t, a), SamplePath(t, b)))
+        a[1] = 50.0
+        t[2] = 7.0
+        matrix = panel.values_matrix()
+        assert matrix[0, 1] == 2.0
+        for path, row in zip(panel.paths, matrix):
+            assert np.array_equal(path.values, row)
+            assert np.array_equal(path.times, [0.0, 1.0, 2.0])
+            with pytest.raises(ValueError):
+                path.values[0] = 5.0
+            with pytest.raises(ValueError):
+                path.times[0] = 5.0
+
+    def test_simulated_panel_builds_paths_on_first_read(self):
+        def sample_paths():
+            return sum(isinstance(o, SamplePath) for o in gc.get_objects())
+
+        before = sample_paths()
+        panel = simulate_panel(spec(d=200, n=51))
+        assert panel.d == 200 and panel.t0 == 0.0
+        assert panel.first_values().shape == (200,)
+        assert sample_paths() == before
+        assert len(panel.paths) == 200
+        assert sample_paths() == before + 200
+        assert panel.paths is panel.paths
 
 
 class TestValidation:
