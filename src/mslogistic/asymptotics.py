@@ -25,8 +25,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
+from ._special import ndtri
 from .likelihood import VData, compute_stats, direction_signs
 from .model import ModelParams
 

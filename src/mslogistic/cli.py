@@ -87,18 +87,25 @@ class _Scalar:
 
 @dataclass(frozen=True)
 class _List:
-    """A JSON list of at least ``min_len`` values, each accepted by ``item``."""
+    """A JSON list of at least ``min_len`` values, each accepted by ``item``.
+
+    With ``distinct``, no value may appear twice.
+    """
 
     item: _Scalar
     min_len: int = 1
+    distinct: bool = False
 
     def __call__(self, value, where: str) -> list:
-        desc = f"a list of {self.min_len} or more values, each {self.item.desc}"
+        what = "distinct values" if self.distinct else "values"
+        desc = f"a list of {self.min_len} or more {what}, each {self.item.desc}"
         if not isinstance(value, list) or len(value) < self.min_len:
             raise ConfigError(f"{where}: expected {desc}, got {value!r}")
         for i, v in enumerate(value):
             if not self.item.ok(v):
                 raise ConfigError(f"{where}: expected {desc}; {where}[{i}] is {v!r}")
+            if self.distinct and v in value[:i]:
+                raise ConfigError(f"{where}: expected {desc}; {where}[{i}] repeats {v!r}")
         return [self.item.convert(v) for v in value]
 
 
@@ -175,6 +182,7 @@ _NR = _Table({"tol": (False, _positive), "max_iter": (False, _count(1))})
 _SA = _Table({"replications": (False, _count(1)), "chain_length": (False, _count(1)),
               "max_iter": (False, _count(1)), "gamma": (False, _number),
               "p0": (False, _number), "t_final": (False, _number)})
+_DEGREES = _List(_count(1), distinct=True)
 _DATA = {"data": (True, _path), "scale_max": (False, _flag), "seed": (False, _seed)}
 
 SCHEMAS: dict[str, _Table] = {
@@ -183,13 +191,13 @@ SCHEMAS: dict[str, _Table] = {
     "fit": _Table({**_DATA, "degree": (True, _count(1)), "method": (False, _method),
                    "nr": (False, _NR), "sa": (False, _SA),
                    "confidence_levels": (False, _List(_level))}),
-    "select": _Table({**_DATA, "degrees": (True, _List(_count(1)))}),
+    "select": _Table({**_DATA, "degrees": (True, _DEGREES)}),
     "fpt": _Table({**_DATA, "data": (False, _path), "degree": (False, _count(1)),
                    "params": (False, _PARAMS), "x0": (False, _positive), "t0": (False, _number),
                    "boundary": (True, _positive), "t_max": (True, _number)},
                   one_of=(("params", "x0", "t0"), ("data", "degree"))),
     "forecast": _Table({**_DATA, "fit_until": (True, _number), "degree": (False, _count(1)),
-                        "degrees": (False, _List(_count(1))),
+                        "degrees": (False, _DEGREES),
                         "percentiles": (False, _List(_level))},
                        one_of=(("degree",), ("degrees",))),
 }

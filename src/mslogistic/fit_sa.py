@@ -37,7 +37,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import stdtrit
 
 from .fit_nr import FitError, _scaled_vandermonde, usable_saturation_pairs
 from .likelihood import _check_rows, _neg_core_loglik, _Workspace, neg_core_loglik, transform
@@ -123,6 +122,8 @@ def build_box(panel: PathPanel, p: int, confidence: float = 0.999) -> ParamBox:
     information for eta and are skipped (all skipped is an error).  A
     degenerate eta interval (all ratios equal) is widened by +-10%.
     """
+    from scipy.special import stdtrit  # costly import, paid only by SA fits
+
     values = panel.values_matrix()
     first, last = values[:, 0], values[:, -1]
     grows = last > first

@@ -29,8 +29,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
+from ._special import ndtr
 from .model import ModelParams, carrying_capacity, curve, drift_rate, integrated_drift
 
 __all__ = [

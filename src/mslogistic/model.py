@@ -26,7 +26,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, ndtri
+
+from ._special import expit, ndtri
 
 __all__ = [
     "PolyCoeffs",

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import ndtri
 
 from .model import Degenerate, InitialDistribution, ModelParams
 
@@ -42,14 +41,19 @@ def check_seed(seed, name: str = "seed"):
 
 @dataclass(frozen=True)
 class SamplePath:
-    """One discretely observed trajectory: strictly increasing times, positive values."""
+    """One discretely observed trajectory: strictly increasing times, positive values.
+
+    Both arrays are read-only float64.  An argument that the caller could still
+    write through is copied; read-only views of read-only arrays (a panel's
+    rows and grid) are kept as they are.
+    """
 
     times: np.ndarray
     values: np.ndarray
 
     def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        values = np.asarray(self.values, dtype=float)
+        times = _frozen(self.times)
+        values = _frozen(self.values)
         if times.ndim != 1 or times.shape != values.shape:
             raise ValueError("times and values must be 1-d arrays of equal length")
         if times.size < 1:
@@ -82,7 +86,7 @@ class PathPanel:
     kept as read-only arrays; on a ragged panel they raise like :meth:`values_matrix`.
     So is the likelihood's prepared data: :func:`~mslogistic.likelihood.transform`
     stores its read-only ``VData`` on a common-grid panel and returns it on later
-    calls.  A ragged panel keeps none, as its paths' arrays stay writeable.
+    calls.  A ragged panel keeps none and is prepared again on every call.
     """
 
     def __init__(self, paths):
@@ -181,6 +185,20 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _frozen(x) -> np.ndarray:
+    """``x`` as a read-only float64 array that the caller cannot write through.
+
+    ``x`` is kept if it and every array it views are read-only, else copied.
+    """
+    a = np.asarray(x, dtype=float)
+    base = a
+    while isinstance(base, np.ndarray) and not base.flags.writeable:
+        if base.base is None:
+            return a
+        base = base.base
+    return _read_only(a.copy())
+
+
 @dataclass(frozen=True)
 class SimSpec:
     """Everything needed to draw a reproducible panel."""
@@ -207,6 +225,8 @@ class SimSpec:
 
 def simulate_panel(spec: SimSpec) -> PathPanel:
     """Draw ``spec.d`` paths on ``spec.grid``; FloatingPointError if a value under/overflows."""
+    from scipy.special import ndtri  # costly import, paid only by simulation
+
     grid = spec.grid
     params = spec.params
     log_gap = np.logaddexp(np.log(params.eta), -params.poly.value(grid))

@@ -362,6 +362,15 @@ class TestMainEntry:
         self.assert_config_error(tmp_path, capsys, command, {"data": str(FIXTURE), **payload},
                                  "degree")
 
+    @pytest.mark.parametrize("command, payload", [
+        ("select", {"degrees": [3, 3]}),
+        ("forecast", {"degrees": [2, 3, 2], "fit_until": 246.0}),
+    ])
+    def test_duplicate_degrees_exit_code(self, tmp_path, capsys, command, payload):
+        self.assert_config_error(tmp_path, capsys, command, {"data": str(FIXTURE), **payload},
+                                 "degrees: expected a list of 1 or more distinct values")
+        assert not (tmp_path / "o").exists()
+
     def test_fpt_horizon_before_start_exit_code(self, tmp_path, capsys):
         cfg = {"params": {"eta": math.exp(-1), "beta": [0.1, -0.009, 0.0002], "sigma2": 1e-4},
                "x0": 5.0, "t0": 10.0, "boundary": 15.0, "t_max": 10.0}

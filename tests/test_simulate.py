@@ -22,6 +22,7 @@ from mslogistic import (
     process_mean,
     sample_mean,
     simulate_panel,
+    transform,
 )
 
 from conftest import make_case1_panel
@@ -289,6 +290,32 @@ class TestPanelStorage:
         np.testing.assert_array_equal(panel.values_matrix(), [[1.0, 2.0, 3.0], [2.0, 2.0, 2.0]])
         assert not panel.values_matrix().flags.writeable
         np.testing.assert_array_equal(panel.first_values(), [1.0, 2.0])
+
+    def test_ragged_panel_ignores_later_changes_to_its_inputs(self):
+        a, b = np.array([1.0, 2.0, 3.0]), np.array([1.0, 1.5])
+        panel = PathPanel((SamplePath([0.0, 1.0, 2.0], a), SamplePath([0.0, 2.0], b)))
+        before = transform(panel).g_sum_v.copy()
+        a[1] = -5.0
+        b[1] = 7.0
+        np.testing.assert_array_equal(transform(panel).g_sum_v, before)
+        np.testing.assert_array_equal(panel.paths[0].values, [1.0, 2.0, 3.0])
+
+    def test_sample_path_arrays_are_read_only_float64(self):
+        t = np.array([0.0, 1.0])
+        path = SamplePath(t, [1, 2])
+        assert path.times is not t and path.values.dtype == np.float64
+        for arr in (path.times, path.values):
+            with pytest.raises(ValueError):
+                arr[0] = 5.0
+        # a read-only array that no writeable array shares is kept as it is
+        assert SamplePath(path.times, path.values).times is path.times
+        view = np.array([1.0, 2.0])
+        view.flags.writeable = False
+        assert SamplePath(t, view[:]).values.base is view
+        writeable_base = np.array([1.0, 2.0])
+        view = writeable_base[:]
+        view.flags.writeable = False
+        assert not np.shares_memory(SamplePath(t, view).values, writeable_base)
 
     def test_ragged_panel_has_no_grid(self):
         p1 = SamplePath([0.0, 1.0, 2.0], [1.0, 2.0, 3.0])
