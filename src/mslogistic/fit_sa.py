@@ -44,6 +44,7 @@ from .model import ModelParams
 from .simulate import PathPanel, check_seed, sample_mean
 
 FLAT_TOL = 1e-12  # equality tolerance of the flat-chain stop
+BOX_CONFIDENCE = 0.999  # two-sided level of the OLS beta intervals
 
 __all__ = ["ParamBox", "SaSchedule", "SaResult", "build_box", "anneal"]
 
@@ -115,7 +116,7 @@ class SaResult:
     t0_temperature: float
 
 
-def build_box(panel: PathPanel, p: int, confidence: float = 0.999) -> ParamBox:
+def build_box(panel: PathPanel, p: int) -> ParamBox:
     """Data-driven parameter box for degree ``p``.
 
     Paths whose last value does not exceed their first carry no growth-ratio
@@ -156,7 +157,7 @@ def build_box(panel: PathPanel, p: int, confidence: float = 0.999) -> ParamBox:
     s2 = float(resid @ resid) / dof
     cov = s2 * np.linalg.inv(scaled.T @ scaled)
     se = np.sqrt(np.diag(cov)) / norms
-    t_quant = stdtrit(dof, 0.5 + confidence / 2.0)
+    t_quant = stdtrit(dof, 0.5 + BOX_CONFIDENCE / 2.0)
     intervals = tuple((float(c - t_quant * s), float(c + t_quant * s)) for c, s in zip(coef, se))
 
     return ParamBox(eta_interval=(float(a), float(b)), beta_intervals=intervals)

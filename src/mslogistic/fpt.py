@@ -44,6 +44,11 @@ __all__ = [
     "crossing_time_deterministic",
 ]
 
+SCOUT_POINTS = 2001        # uniform scouting grid of the location function
+GROWTH_THRESHOLD = 1e-4    # rise per scout step that marks a growth window
+COARSE_FACTOR = 20.0       # coarse integration step over the fine one
+CROSSING_SCAN_POINTS = 4000  # bracketing subintervals of the deterministic crossing
+
 
 class VolterraError(RuntimeError):
     """Numerical failure while solving the passage-density equation."""
@@ -91,9 +96,7 @@ def fptl(problem: FptProblem, t):
     t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr <= problem.t0):
         raise ValueError("fptl is defined for t > t0")
-    z = problem.log_boundary_gap(t_arr) / (
-        problem.params.sigma * np.sqrt(t_arr - problem.t0)
-    )
+    z = problem.log_boundary_gap(t_arr) / (problem.params.sigma * np.sqrt(t_arr - problem.t0))
     return ndtr(-z) if problem.upcrossing else ndtr(z)
 
 
@@ -108,20 +111,19 @@ class FptlCurve:
     t_max: float
 
 
-def fptl_curve(problem: FptProblem, scout_points: int = 2001,
-               growth_threshold: float = 1e-4) -> FptlCurve:
-    """Evaluate the location function on a uniform scouting grid.
+def fptl_curve(problem: FptProblem) -> FptlCurve:
+    """Evaluate the location function on a uniform scouting grid of :data:`SCOUT_POINTS`.
 
     Growth windows are maximal runs of scout steps on which the curve rises by
-    more than ``growth_threshold`` per step; they flag where the passage
+    more than :data:`GROWTH_THRESHOLD` per step; they flag where the passage
     density concentrates.
     """
-    grid = np.linspace(problem.t0, problem.t_max, scout_points)
-    vals = np.empty(scout_points)
+    grid = np.linspace(problem.t0, problem.t_max, SCOUT_POINTS)
+    vals = np.empty(SCOUT_POINTS)
     vals[0] = 0.0
     vals[1:] = fptl(problem, grid[1:])
 
-    rising = np.diff(vals) > growth_threshold
+    rising = np.diff(vals) > GROWTH_THRESHOLD
     intervals = []
     start = None
     for k, flag in enumerate(rising):
@@ -136,12 +138,11 @@ def fptl_curve(problem: FptProblem, scout_points: int = 2001,
                      t0=problem.t0, t_max=problem.t_max)
 
 
-def adaptive_steps(curve: FptlCurve, base_step: float | None = None,
-                   coarse_factor: float = 20.0) -> np.ndarray:
+def adaptive_steps(curve: FptlCurve, base_step: float | None = None) -> np.ndarray:
     """Integration grid: fine inside growth windows, coarse elsewhere.
 
     The fine step is 1/400 of the total growth-window width (or ``base_step``
-    when given); the coarse step is ``coarse_factor`` times that.  Without
+    when given); the coarse step is :data:`COARSE_FACTOR` times that.  Without
     growth windows the schedule is uniform with 400 steps.  Returns the full
     node vector covering ``[t0, t_max]`` exactly.
     """
@@ -152,7 +153,7 @@ def adaptive_steps(curve: FptlCurve, base_step: float | None = None,
 
     growth_width = sum(b - a for a, b in curve.growth_intervals)
     fine = base_step if base_step is not None else growth_width / 400.0
-    coarse = coarse_factor * fine
+    coarse = COARSE_FACTOR * fine
 
     edges = [curve.t0]
     marks: list[tuple[float, float, float]] = []
@@ -198,8 +199,7 @@ def _kernel(problem: FptProblem, t: float, b_t: float, slope_t: float,
     return 0.5 * (slope_t - diff / dt) * phi
 
 
-def solve_density(problem: FptProblem, steps: np.ndarray | None = None,
-                  scout_points: int = 2001) -> FptDensity:
+def solve_density(problem: FptProblem, steps: np.ndarray | None = None) -> FptDensity:
     """Solve the Volterra equation for the passage density on ``[t0, t_max]``.
 
     ``steps`` overrides the FPTL-driven adaptive grid (full node vector,
@@ -217,7 +217,7 @@ def solve_density(problem: FptProblem, steps: np.ndarray | None = None,
             "up-crossing case is wired up"
         )
     if steps is None:
-        steps = adaptive_steps(fptl_curve(problem, scout_points))
+        steps = adaptive_steps(fptl_curve(problem))
     t = np.asarray(steps, dtype=float)
     if t[0] != problem.t0 or np.any(np.diff(t) <= 0):
         raise ValueError("steps must start at t0 and increase strictly")
@@ -285,27 +285,24 @@ def solve_density(problem: FptProblem, steps: np.ndarray | None = None,
 
 
 def crossing_time_deterministic(params: ModelParams, l0: float, t0: float,
-                                boundary: float, t_max: float = None,
-                                scan_points: int = 4000) -> float | None:
+                                boundary: float) -> float | None:
     """Smallest time where the deterministic curve reaches ``boundary``.
 
-    Returns None when the boundary exceeds the attainable level.  ``t_max``
-    defaults to a horizon detected from the carrying capacity.
+    Returns None when the boundary exceeds the attainable level.  The scanned
+    horizon doubles until the curve passes the boundary (at most 60 times).
     """
     if boundary <= l0:
         return t0
     if params.poly.beta[-1] > 0 and boundary > carrying_capacity(params, l0, t0):
         return None
-    if t_max is None:
-        t_max = t0 + 10.0 * max(1.0, abs(t0))
-        # expand until the curve envelope passes the boundary or gives up
-        for _ in range(60):
-            if np.max(curve(params, l0, t0, np.linspace(t0, t_max, 200))) >= boundary:
-                break
-            t_max = t0 + 2.0 * (t_max - t0)
-        else:
-            return None
-    grid = np.linspace(t0, t_max, scan_points + 1)
+    t_max = t0 + 10.0 * max(1.0, abs(t0))
+    for _ in range(60):
+        if np.max(curve(params, l0, t0, np.linspace(t0, t_max, 200))) >= boundary:
+            break
+        t_max = t0 + 2.0 * (t_max - t0)
+    else:
+        return None
+    grid = np.linspace(t0, t_max, CROSSING_SCAN_POINTS + 1)
     vals = np.asarray(curve(params, l0, t0, grid))
     above = vals >= boundary
     if not np.any(above):

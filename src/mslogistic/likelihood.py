@@ -25,11 +25,11 @@ with d paths this cuts the work per likelihood evaluation by a factor of d.
 On a common grid, :func:`transform` is one array operation on the panel's
 stored ``(d, N)`` value matrix: ``v = diff(log V, axis=1) / sqrt(diff(grid))``,
 group ``j`` is the column of transitions ``j -> j+1`` and the group sums are
-column sums.  The result is kept on the panel with its arrays read-only, so
-every stage that reads a panel (degree selection, the fits, the intervals)
-shares one preparation.  Panels whose paths have different grids go through a
-per-path loop that finds the groups by sorting the (start, end) pairs, on every
-call.  Both give the same :class:`VData`, field for field.
+column sums.  Other panels go through a per-path loop that finds the groups
+by sorting the (start, end) pairs; both give the same :class:`VData`, field
+for field.  A panel cannot change once built, so each panel's read-only result
+is computed once and kept while the panel lives: every stage that reads a
+panel (degree selection, the fits, the intervals) shares one preparation.
 
 Times are shifted so the panel starts at 0 (the curve family is closed under
 time shifts); fitted parameters therefore live on the clock ``s = t - t0``,
@@ -39,6 +39,7 @@ with ``t0`` recorded on the :class:`VData`.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -94,13 +95,19 @@ class VData:
         return self.v0.size
 
 
+_PREPARED = weakref.WeakKeyDictionary()  # panel -> its VData, dropped with the panel
+
+
 def transform(panel: PathPanel) -> VData:
-    """Grouped standardized log-increments of ``panel``, kept on it if it has a common grid."""
-    grid = panel.common_grid()
-    if grid is not None:
-        if panel._prepared is None:
-            panel._prepared = _transform_grid(panel, grid)
-        return panel._prepared
+    """Grouped standardized log-increments of ``panel``, computed once per panel."""
+    if panel not in _PREPARED:
+        grid = panel.common_grid()
+        _PREPARED[panel] = _transform_paths(panel) if grid is None else _transform_grid(panel, grid)
+    return _PREPARED[panel]
+
+
+def _transform_paths(panel: PathPanel) -> VData:
+    """:func:`transform` on any panel: a per-path loop that groups equal time pairs."""
     t0 = panel.t0
     all_times = np.unique(np.concatenate([p.times for p in panel.paths])) - t0
 
@@ -126,7 +133,7 @@ def _transform_grid(panel: PathPanel, grid: np.ndarray) -> VData:
 
     Group ``j`` is the column of transitions ``j -> j+1``.  Column sums of a
     C-ordered matrix add the rows in path order, as ``bincount`` does over the
-    path-ordered transitions, so every field equals the general path's.
+    path-ordered transitions, so every field equals :func:`_transform_paths`'s.
     """
     # scaled and squared in place: one (d, N-1) buffer besides the log
     v = np.diff(np.log(panel.values_matrix()), axis=1)

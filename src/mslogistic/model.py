@@ -46,6 +46,9 @@ __all__ = [
     "log_saturation_gap",
 ]
 
+INFLECTION_SCAN_POINTS = 2000   # bracketing subintervals of the inflection scan
+INFLECTION_WIDTH_TOL = 1e-12    # bisection stops at an interval this wide
+
 
 @dataclass(frozen=True)
 class PolyCoeffs:
@@ -276,35 +279,29 @@ def _inflection_residual(params: ModelParams, t):
     return dp - p * p * np.tanh(0.5 * (q + math.log(params.eta)))
 
 
-def inflection_points(
-    params: ModelParams,
-    t0: float,
-    t_max: float,
-    l0: float = 1.0,
-    scan_points: int = 2000,
-    width_tol: float = 1e-12,
-) -> InflectionSet:
+def inflection_points(params: ModelParams, t0: float, t_max: float,
+                      l0: float = 1.0) -> InflectionSet:
     """Locate curvature sign changes of :func:`curve` on ``(t0, t_max)``.
 
-    A uniform bracketing scan (``scan_points`` subintervals) is followed by
-    bisection down to an interval of width ``width_tol``.  Roots of the
-    inflection equation that do not flip the curvature sign are excluded and
-    recorded in the result's metadata.
+    A uniform bracketing scan (:data:`INFLECTION_SCAN_POINTS` subintervals) is
+    followed by bisection down to an interval of width :data:`INFLECTION_WIDTH_TOL`.
+    Roots of the inflection equation that do not flip the curvature sign are
+    excluded and recorded in the result's metadata.
     """
     if not t_max > t0:
         raise ValueError("t_max must exceed t0")
-    grid = np.linspace(t0, t_max, scan_points + 1)
+    grid = np.linspace(t0, t_max, INFLECTION_SCAN_POINTS + 1)
     res = _inflection_residual(params, grid)
 
     roots: list[float] = []
-    for k in range(scan_points):
+    for k in range(INFLECTION_SCAN_POINTS):
         a, b = grid[k], grid[k + 1]
         fa, fb = res[k], res[k + 1]
         if fa == 0.0 and a > t0:
             roots.append(float(a))
             continue
         if fa * fb < 0.0:
-            while b - a > width_tol:
+            while b - a > INFLECTION_WIDTH_TOL:
                 m = 0.5 * (a + b)
                 fm = _inflection_residual(params, m)
                 if fa * fm <= 0.0:
@@ -318,7 +315,7 @@ def inflection_points(
     excluded: list[float] = []
     mag = np.abs(res)
     scale = max(np.max(mag), 1.0)
-    for k in range(1, scan_points):
+    for k in range(1, INFLECTION_SCAN_POINTS):
         if mag[k] <= mag[k - 1] and mag[k] <= mag[k + 1] and mag[k] < 1e-9 * scale:
             if res[k - 1] * res[k + 1] > 0.0:
                 excluded.append(float(grid[k]))

@@ -41,11 +41,13 @@ def check_seed(seed, name: str = "seed"):
 
 @dataclass(frozen=True)
 class SamplePath:
-    """One discretely observed trajectory: strictly increasing times, positive values.
+    """One discretely observed trajectory: finite increasing times, finite positive values.
 
     Both arrays are read-only float64.  An argument that the caller could still
     write through is copied; read-only views of read-only arrays (a panel's
-    rows and grid) are kept as they are.
+    rows and grid) are kept as they are.  That is the contract's one limit: a
+    caller who turns a kept array's ``writeable`` flag back on and writes to it
+    changes the path, and any panel and prepared data built from it.
     """
 
     times: np.ndarray
@@ -54,15 +56,7 @@ class SamplePath:
     def __post_init__(self):
         times = _frozen(self.times)
         values = _frozen(self.values)
-        if times.ndim != 1 or times.shape != values.shape:
-            raise ValueError("times and values must be 1-d arrays of equal length")
-        if times.size < 1:
-            raise ValueError("a path needs at least one observation")
-        if np.any(np.diff(times) <= 0):
-            raise ValueError("observation times must be strictly increasing")
-        if not np.all(values > 0):
-            j = int(np.argmin(values > 0))
-            raise ValueError(f"nonpositive value {values[j]} at index {j}")
+        _check(times, values[np.newaxis], "")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)
 
@@ -84,9 +78,9 @@ class PathPanel:
 
     The ``pointwise_*`` cross-sectional moments are computed on first use and
     kept as read-only arrays; on a ragged panel they raise like :meth:`values_matrix`.
-    So is the likelihood's prepared data: :func:`~mslogistic.likelihood.transform`
-    stores its read-only ``VData`` on a common-grid panel and returns it on later
-    calls.  A ragged panel keeps none and is prepared again on every call.
+    A panel cannot change once built, so every panel, ragged or not, is
+    prepared for the likelihood once: :func:`~mslogistic.likelihood.transform`
+    keeps its result for as long as the panel lives.
     """
 
     def __init__(self, paths):
@@ -98,11 +92,10 @@ class PathPanel:
             if p.times[0] != t0:
                 raise ValueError(f"path {i} starts at t={p.times[0]} but path 0 starts at t={t0}")
         first = paths[0].times
-        self._grid = self._values = self._prepared = None
         if all(len(p) == len(first) and np.array_equal(p.times, first) for p in paths[1:]):
-            self._grid = _read_only(first.copy())
-            self._values = _read_only(np.vstack([p.values for p in paths]))
+            self._grid, self._values = first, _read_only(np.vstack([p.values for p in paths]))
         else:
+            self._grid = self._values = None
             self.paths = paths
 
     @classmethod
@@ -118,22 +111,9 @@ class PathPanel:
     @classmethod
     def _from_owned(cls, times: np.ndarray, values: np.ndarray) -> "PathPanel":
         """Validate and keep ``times`` and C-ordered ``values`` without copying."""
-        times = _read_only(times)
-        values = _read_only(values)
-        if times.ndim != 1 or values.ndim != 2 or values.shape[1] != times.size:
-            raise ValueError("path 0: times and values must be 1-d arrays of equal length")
-        if values.shape[0] < 1:
-            raise ValueError("panel needs at least one path")
-        if times.size < 1:
-            raise ValueError("path 0: a path needs at least one observation")
-        if np.any(np.diff(times) <= 0):
-            raise ValueError("path 0: observation times must be strictly increasing")
-        positive = values > 0
-        if not positive.all():
-            i, j = divmod(int(np.argmin(positive)), times.size)
-            raise ValueError(f"path {i}: nonpositive value {values[i, j]} at index {j}")
+        _check(times, values, "path {}: ")
         panel = cls.__new__(cls)
-        panel._grid, panel._values, panel._prepared = times, values, None
+        panel._grid, panel._values = _read_only(times), _read_only(values)
         return panel
 
     @cached_property
@@ -180,6 +160,34 @@ class PathPanel:
         return np.array([p.values[0] for p in self.paths])
 
 
+def _check(times: np.ndarray, values: np.ndarray, where: str) -> None:
+    """Require finite positive ``(d, N)`` ``values``, ``d, N >= 1``, at finite increasing ``times``.
+
+    Messages about row ``i`` start with ``where.format(i)``.  ``values`` is only
+    reduced by ``min`` and ``max`` until a check fails.
+    """
+    if times.ndim != 1 or values.ndim != 2 or values.shape[1] != times.size:
+        raise ValueError(where.format(0) + "times and values must be 1-d arrays of equal length")
+    if values.shape[0] < 1:
+        raise ValueError("panel needs at least one path")
+    if times.size < 1:
+        raise ValueError(where.format(0) + "a path needs at least one observation")
+    if problem := _times_problem(times):
+        raise ValueError(where.format(0) + "observation times " + problem)
+    if not values.min() > 0:  # NaN fails here too
+        i, j = divmod(int(np.argmin(values > 0)), times.size)
+        raise ValueError(where.format(i) + f"nonpositive value {values[i, j]} at index {j}")
+    if values.max() == np.inf:
+        i, j = divmod(int(np.argmax(values)), times.size)
+        raise ValueError(where.format(i) + f"infinite value {values[i, j]} at index {j}")
+
+
+def _times_problem(t: np.ndarray) -> str | None:
+    """What keeps the nonempty ``t`` from being finite and strictly increasing, or None."""
+    if not ((np.diff(t) > 0).all() and np.isfinite(t[[0, -1]]).all()):
+        return "must be strictly increasing" if (np.diff(t) <= 0).any() else "must be finite"
+
+
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
@@ -201,7 +209,7 @@ def _frozen(x) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SimSpec:
-    """Everything needed to draw a reproducible panel."""
+    """Everything needed to draw a reproducible panel; ``grid`` is read-only like path times."""
 
     params: ModelParams
     init: InitialDistribution
@@ -210,11 +218,11 @@ class SimSpec:
     seed: int
 
     def __post_init__(self):
-        grid = np.asarray(self.grid, dtype=float)
+        grid = _frozen(self.grid)
         if grid.ndim != 1 or grid.size < 2:
             raise ValueError("grid must be a 1-d array with at least two times")
-        if np.any(np.diff(grid) <= 0):
-            raise ValueError("grid times must be strictly increasing")
+        if problem := _times_problem(grid):
+            raise ValueError(f"grid times {problem}")
         if not isinstance(self.d, (int, np.integer)) or isinstance(self.d, bool) or self.d < 1:
             raise ValueError(f"need at least one path: d must be an integer >= 1, got {self.d!r}")
         if self.d * grid.size > MAX_FLOATS:
@@ -227,8 +235,7 @@ def simulate_panel(spec: SimSpec) -> PathPanel:
     """Draw ``spec.d`` paths on ``spec.grid``; FloatingPointError if a value under/overflows."""
     from scipy.special import ndtri  # costly import, paid only by simulation
 
-    grid = spec.grid
-    params = spec.params
+    grid, params = spec.grid, spec.params
     log_gap = np.logaddexp(np.log(params.eta), -params.poly.value(grid))
     step_mean = (log_gap[:-1] - log_gap[1:]) - 0.5 * params.sigma2 * np.diff(grid)
     step_sd = params.sigma * np.sqrt(np.diff(grid))
@@ -264,7 +271,7 @@ def simulate_panel(spec: SimSpec) -> PathPanel:
     try:  # overflow raises here; a value that underflows to 0 fails the panel's check
         with np.errstate(over="raise"):
             np.exp(rows, out=rows)
-        return PathPanel._from_owned(grid.copy(), rows)
+        return PathPanel._from_owned(grid, rows)
     except (FloatingPointError, ValueError):
         raise FloatingPointError("simulated values leave the floating-point range; "
                                  "check sigma2, the initial law and the grid") from None

@@ -1,5 +1,7 @@
 import dataclasses
+import gc
 import math
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +25,8 @@ from mslogistic import (
     transform,
 )
 from mslogistic.cli import ingest_csv
-from mslogistic.likelihood import _neg_core_loglik, _Workspace, core_loglik, neg_core_loglik
+from mslogistic.likelihood import (_neg_core_loglik, _transform_paths, _Workspace, core_loglik,
+                                   neg_core_loglik)
 from mslogistic.model import log_saturation_gap
 
 from conftest import make_case1_panel, mean_gradient, path_transitions
@@ -94,12 +97,12 @@ class TestTransform:
         v = transform(panel)
         assert type(v.n) is int and v.n == sum(len(p) - 1 for p in panel.paths)
 
-    def test_no_per_transition_arrays(self, case1_params, monkeypatch):
+    def test_no_per_transition_arrays(self, case1_params):
         d, n_points = 200, 501
         panel = make_case1_panel(case1_params, seed=3, d=d, n_points=n_points)
-        grid_vdata = transform(panel)
-        monkeypatch.setattr(PathPanel, "common_grid", lambda self: None)
-        for vdata in (grid_vdata, transform(panel)):
+        grid_vdata, path_vdata = transform(panel), _transform_paths(panel)
+        assert grid_vdata is not path_vdata
+        for vdata in (grid_vdata, path_vdata):
             assert type(vdata.n) is int and vdata.n == d * (n_points - 1)
             for f in dataclasses.fields(vdata):
                 value = getattr(vdata, f.name)
@@ -126,13 +129,23 @@ class TestTransform:
             if isinstance(value, np.ndarray):
                 assert not value.flags.writeable, f.name
 
-    def test_ragged_panel_recomputed_with_equal_values(self, transform_calls):
+    def test_ragged_panel_prepared_once(self, transform_calls):
         panel = random_panel(np.random.default_rng(7), d=4)
         assert panel.common_grid() is None
-        first, second = transform(panel), transform(panel)
-        assert first is not second
-        assert_same_vdata(first, second)
-        assert transform_calls == [panel, panel]
+        assert transform(panel) is transform(panel)
+        assert transform_calls == [panel]
+
+    @pytest.mark.parametrize("ragged", [False, True])
+    def test_kept_data_does_not_keep_the_panel_alive(self, ragged):
+        if ragged:
+            panel = random_panel(np.random.default_rng(8), d=3)
+        else:
+            panel = make_case1_panel(CASE1, seed=8, d=3, n_points=11)
+        vdata = weakref.ref(transform(panel))
+        owner = weakref.ref(panel)
+        del panel
+        gc.collect()
+        assert owner() is None and vdata() is None
 
 
 def assert_same_vdata(a, b):
@@ -153,26 +166,25 @@ class TestGridTransform:
         (0, 200, 101, False), (1, 50, 501, True), (2, 1, 51, False),
         (3, 7, 2, True), (4, 1, 2, False), (5, 13, 17, True),
     ])
-    def test_equals_per_path_transform(self, monkeypatch, seed, d, n, lognormal):
+    def test_equals_per_path_transform(self, seed, d, n, lognormal):
         rng = np.random.default_rng(seed)
         grid = 3.0 + np.cumsum(rng.uniform(0.05, 1.0, size=n))
         init = LognormalStart(1.5, 0.04) if lognormal else Degenerate(5.0)
         panel = simulate_panel(SimSpec(params=CASE1, init=init, grid=grid, d=d, seed=seed))
         assert panel.common_grid() is not None
-        fast = transform(panel)
-        monkeypatch.setattr(PathPanel, "common_grid", lambda self: None)
-        slow = transform(panel)
+        fast, slow = transform(panel), _transform_paths(panel)
+        assert fast is not slow
         assert_same_vdata(fast, slow)
 
-    def test_panel_of_paths_on_one_grid_takes_grid_path(self, monkeypatch):
+    def test_panel_of_paths_on_one_grid_takes_grid_path(self):
         rng = np.random.default_rng(6)
         t = np.array([0.5, 1.0, 2.5, 4.0])
         panel = PathPanel(tuple(SamplePath(t.copy(), np.exp(rng.normal(size=4)))
                                 for _ in range(3)))
         np.testing.assert_array_equal(panel.common_grid(), t)
-        fast = transform(panel)
-        monkeypatch.setattr(PathPanel, "common_grid", lambda self: None)
-        assert_same_vdata(fast, transform(panel))
+        fast, slow = transform(panel), _transform_paths(panel)
+        assert fast is not slow
+        assert_same_vdata(fast, slow)
 
     def test_groups_are_columns(self):
         panel = PathPanel.from_matrix([0.0, 1.0, 3.0], [[1.0, 2.0, 4.0], [1.0, 4.0, 4.0]])

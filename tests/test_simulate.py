@@ -270,12 +270,17 @@ class TestPanelStorage:
             np.testing.assert_array_equal(path.values, matrix[i])
             assert path.times is panel.common_grid()
 
-    def test_simulation_leaves_the_spec_grid_writeable(self):
-        s = spec(d=2, n=5)
-        panel = simulate_panel(s)
-        assert s.grid.flags.writeable
-        assert not panel.common_grid().flags.writeable
-        assert not np.shares_memory(s.grid, panel.common_grid())
+    def test_later_writes_to_the_callers_grid_reach_neither_spec_nor_panel(self):
+        g = np.linspace(0.0, 50.0, 51)
+        s = SimSpec(params=CASE1, init=Degenerate(5.0), grid=g, d=3, seed=1)
+        g[5] = -1.0
+        panel = simulate_panel(s)  # raised FloatingPointError while the spec kept g
+        expected = np.linspace(0.0, 50.0, 51)
+        np.testing.assert_array_equal(s.grid, expected)
+        assert panel.common_grid() is s.grid and not s.grid.flags.writeable
+        fresh = simulate_panel(SimSpec(params=CASE1, init=Degenerate(5.0), grid=expected, d=3,
+                                       seed=1))
+        np.testing.assert_array_equal(panel.values_matrix(), fresh.values_matrix())
 
     def test_transposed_input_stored_c_ordered(self):
         values = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]).T
@@ -369,10 +374,30 @@ class TestValidation:
         ([], [], r"path 0: a path needs at least one observation"),
         ([0.0, 1.0], [[1.0, 2.0], [1.0, float("nan")]], r"path 1: nonpositive value nan at index 1"),
         ([0.0, 1.0], np.empty((0, 2)), r"panel needs at least one path"),
+        ([0.0, np.nan, 2.0], [[1.0, 2.0, 3.0]], r"path 0: observation times must be finite"),
+        ([0.0, 1.0, np.inf], [[1.0, 2.0, 3.0]], r"path 0: observation times must be finite"),
+        ([0.0, 1.0, 2.0], [[1.0, 2.0, 3.0], [1.0, np.inf, 3.0]],
+         r"path 1: infinite value inf at index 1"),
+        ([0.0, 1.0], [[np.inf, 2.0], [1.0, -np.inf]], r"path 1: nonpositive value -inf at index 1"),
     ])
     def test_from_matrix_messages(self, times, values, message):
         with pytest.raises(ValueError, match=message):
             PathPanel.from_matrix(times, values)
+
+    @pytest.mark.parametrize("times, values, message", [
+        ([0.0, 1.0], [1.0, 2.0, 3.0], "times and values must be 1-d arrays of equal length"),
+        ([[0.0, 1.0]], [[1.0, 2.0]], "times and values must be 1-d arrays of equal length"),
+        ([], [], "a path needs at least one observation"),
+        ([0.0, 1.0, 1.0], [1.0, 2.0, 3.0], "observation times must be strictly increasing"),
+        ([0.0, 1.0], [1.0, -2.0], "nonpositive value -2.0 at index 1"),
+        ([0.0, np.nan, 2.0], [1.0, 2.0, 3.0], "observation times must be finite"),
+        ([-np.inf, 0.0], [1.0, 2.0], "observation times must be finite"),
+        ([0.0, 1.0, 2.0], [1.0, np.inf, 3.0], "infinite value inf at index 1"),
+    ])
+    def test_sample_path_messages(self, times, values, message):
+        with pytest.raises(ValueError) as err:
+            SamplePath(times, values)
+        assert str(err.value) == message
 
     def test_nonincreasing_times_rejected(self):
         with pytest.raises(ValueError):
@@ -387,6 +412,17 @@ class TestValidation:
     def test_grid_must_increase(self):
         with pytest.raises(ValueError):
             SimSpec(params=CASE1, init=Degenerate(1.0), grid=np.array([0.0, 0.0, 1.0]), d=1, seed=0)
+
+    @pytest.mark.parametrize("grid, message", [
+        ([0.0], "grid must be a 1-d array with at least two times"),
+        ([0.0, 2.0, 1.0], "grid times must be strictly increasing"),
+        ([0.0, np.nan, 1.0], "grid times must be finite"),
+        ([0.0, 1.0, np.inf], "grid times must be finite"),
+    ])
+    def test_grid_messages(self, grid, message):
+        with pytest.raises(ValueError) as err:
+            SimSpec(params=CASE1, init=Degenerate(1.0), grid=grid, d=1, seed=0)
+        assert str(err.value) == message
 
     @pytest.mark.parametrize("seed", [-1, 2**64, 1.5, "x", True])
     def test_seed_must_be_an_unsigned_64_bit_integer(self, seed):
