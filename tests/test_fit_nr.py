@@ -1,4 +1,7 @@
+import importlib.util
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +26,16 @@ from mslogistic.fit_nr import (
 )
 
 from conftest import make_case1_panel
+
+DATA_DIR = Path(__file__).parent / "data"
+# Outcomes of named Newton-Raphson fits and one degree sweep, written by
+# make_nr_golden.py: the fixture at degrees 1-6 (5 and 6 end on the full
+# system), case-1 panels at degrees 2-5, a rank-deficient panel, and
+# select_degree on the fixture.
+NR_GOLDEN_TEXT = (DATA_DIR / "nr_golden.json").read_text()
+_maker = importlib.util.spec_from_file_location("make_nr_golden", DATA_DIR / "make_nr_golden.py")
+make_nr_golden = importlib.util.module_from_spec(_maker)
+_maker.loader.exec_module(make_nr_golden)
 
 
 def noiseless_panel(params, grid, l0=5.0, d=1):
@@ -268,3 +281,17 @@ class TestFit:
         res = fit(panel, 3, init=(theta0, 1e-4))
         assert res.converged
         assert res.init is None
+
+
+class TestGolden:
+    def test_matches_recorded_fits_bit_for_bit(self):
+        # compares the repr text of every float, so a change in any bit shows
+        assert make_nr_golden.dumps(
+            {name: make_nr_golden.record(name) for name in make_nr_golden.NAMES}
+        ) + "\n" == NR_GOLDEN_TEXT
+
+    def test_fallback_and_reduced_paths_both_pinned(self):
+        golden = json.loads(NR_GOLDEN_TEXT)
+        fits = [rec for name, rec in golden.items() if name != "select_fixture"]
+        assert {rec["used_fallback"] for rec in fits} == {True, False}
+        assert golden["fixture_p5"]["message"] == "line search stalled"
