@@ -57,10 +57,6 @@ class FisherInfo:
     cross: np.ndarray             # (p+1,) before the 1/sigma2 factor
     corner: float                 # scalar before the 1/sigma2 factor
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
     def scaling_vector(self) -> np.ndarray:
         """diag(D) with D I D of unit diagonal (equilibration scaling).
 
@@ -130,7 +126,6 @@ class CiReport:
     """Wald confidence intervals for the process parameters (and functions of them)."""
 
     parameters: tuple[ParameterInterval, ...]
-    levels: tuple[float, ...]
 
     def __getitem__(self, name: str) -> ParameterInterval:
         for p in self.parameters:
@@ -168,7 +163,7 @@ def confidence_intervals(
         grad = np.asarray(grad, dtype=float)
         var = float(grad @ cov @ grad)
         entries.append(_wald(nm, float(value), math.sqrt(max(var, 0.0)), levels))
-    return CiReport(parameters=tuple(entries), levels=tuple(levels))
+    return CiReport(parameters=tuple(entries))
 
 
 @dataclass(frozen=True)
@@ -178,7 +173,6 @@ class InitialParamLaws:
     d: int
     mu1_variance: float       # variance of mu1_hat: sigma1sq / d
     chi2_dof: int             # law of d * sigma1sq_hat / sigma1sq
-    chi2_scale: float         # sigma1sq / d: sigma1sq_hat ~ chi2_dof scaled by this
 
 
 def initial_param_laws(d: int, sigma1sq: float) -> InitialParamLaws:
@@ -187,9 +181,4 @@ def initial_param_laws(d: int, sigma1sq: float) -> InitialParamLaws:
         raise ValueError("exact initial-parameter laws need at least two paths")
     if sigma1sq <= 0:
         raise ValueError("sigma1sq must be positive")
-    return InitialParamLaws(
-        d=d,
-        mu1_variance=sigma1sq / d,
-        chi2_dof=d - 1,
-        chi2_scale=sigma1sq / d,
-    )
+    return InitialParamLaws(d=d, mu1_variance=sigma1sq / d, chi2_dof=d - 1)

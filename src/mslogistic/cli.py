@@ -20,9 +20,13 @@ not converge, a ``select`` sweep with no converged degree, a non-finite result
 (nothing is written) or an allocation that runs out of memory.  A failing run
 prints one line on stderr.
 
+The flags ``--seed``, ``--method`` and ``--scale-max`` are config keys: :func:`main`
+writes each one given into the config, so :func:`run` checks it like the key,
+the config hash covers it, and a command without that key rejects it.
+
 Panel CSVs are wide: first column ``t``, one further column per path.  With
-``--scale-max`` (or ``"scale_max": true``) each path is divided by its own
-maximum on ingestion, turning counts into fractions of the observed peak.
+``"scale_max": true`` each path is divided by its own maximum on ingestion,
+turning counts into fractions of the observed peak.
 """
 
 from __future__ import annotations
@@ -437,13 +441,9 @@ def _cmd_fpt(cfg: dict, bundle: _Bundle) -> None:
         fitted_from = {"data": cfg["data"], "degree": cfg["degree"],
                        "estimates": _params_dict(params), "panel_t0": panel.t0}
 
-    boundary = cfg["boundary"]
-    problem = _build(FptProblem, params=params, x0=x0, t0=t0, boundary=boundary,
+    problem = _build(FptProblem, params=params, x0=x0, t0=t0, boundary=cfg["boundary"],
                      t_max=cfg["t_max"], where="fpt")
-    try:
-        dens = solve_density(problem)
-    except NotImplementedError as exc:
-        raise ConfigError(f"fpt: boundary {boundary} is below the start {x0}; {exc}") from None
+    dens = solve_density(problem)
 
     bundle.add_csv("density", "fpt_density.csv", ["t", "density", "cumulative"],
                    [dens.times, dens.density, dens.cumulative])
@@ -528,18 +528,11 @@ _COMMANDS = {"simulate": _cmd_simulate, "fit": _cmd_fit, "select": _cmd_select,
 # ---------------------------------------------------------------------------
 # entry point
 
-def run(command: str, config: dict, seed=None, out_dir="msl-out",
-        scale_max: bool = False, method=None) -> Path:
+def run(command: str, config: dict, out_dir="msl-out") -> Path:
     """Check ``config`` against ``SCHEMAS[command]``, run it and return the report's path."""
     if command not in SCHEMAS:
         raise ConfigError(f"unknown command {command!r}")
     cfg = SCHEMAS[command](config)
-    if seed is not None:
-        cfg["seed"] = _seed(seed, "--seed")
-    if scale_max:
-        cfg["scale_max"] = True
-    if method is not None:
-        cfg["method"] = _method(method, "--method")
     bundle = _Bundle(command, config, cfg.get("seed"))
     _COMMANDS[command](cfg, bundle)
     return bundle.write(Path(out_dir))
@@ -553,12 +546,12 @@ def main(argv=None) -> int:
     )
     parser.add_argument("command", choices=list(SCHEMAS))
     parser.add_argument("--config", required=True, help="JSON configuration file")
-    parser.add_argument("--seed", type=int, default=None, help="override the config seed")
+    parser.add_argument("--seed", type=int, default=None, help="set the config key seed")
     parser.add_argument("--out", default="msl-out", help="output directory")
-    parser.add_argument("--scale-max", action="store_true",
-                        help="divide each ingested path by its own maximum")
+    parser.add_argument("--scale-max", action="store_true", default=None,
+                        help="set the config key scale_max to true")
     parser.add_argument("--method", choices=["nr", "sa"], default=None,
-                        help="fit method (fit command only)")
+                        help="set the config key method")
     args = parser.parse_args(argv)
 
     # warnings are held back so that a failing run prints its one line only
@@ -569,8 +562,10 @@ def main(argv=None) -> int:
                 config = json.loads(_read_text(cfg_path))
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"{cfg_path}: invalid JSON ({exc})") from None
-            report = run(args.command, config, seed=args.seed, out_dir=args.out,
-                         scale_max=args.scale_max, method=args.method)
+            flags = {"seed": args.seed, "method": args.method, "scale_max": args.scale_max}
+            if isinstance(config, dict):
+                config.update((k, v) for k, v in flags.items() if v is not None)
+            report = run(args.command, config, out_dir=args.out)
         except ConfigError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2

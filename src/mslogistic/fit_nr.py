@@ -7,14 +7,14 @@ through the closed-form root and runs a damped Newton iteration on the p+1
 shape equations alone, falling back to the full (p+2)-dimensional system if
 the reduced iteration stalls.
 
-Starting values come from two regressions on the sample mean curve:
-
-* shape: ordinary least squares of ``-log(m_N/m_j - 1)`` on ``(1, t, ..., t^p)``
-  (the response approximates the exponent polynomial plus ``log eta`` when the
-  sample mean has effectively saturated by the last observation);
-* noise: the cross-sectional lognormal variance proxy ``2 log(m_j / m^g_j)``
-  estimates ``sigma1sq + sigma2 (t_j - t0)``, so its recentred slope over time
-  estimates sigma2.
+The starting shape comes from ordinary least squares of ``-log(m_N/m_j - 1)``
+on ``(1, t, ..., t^p)`` over the sample mean curve (the response approximates
+the exponent polynomial plus ``log eta`` when the sample mean has effectively
+saturated by the last observation).  A second regression, of the
+cross-sectional lognormal variance proxy ``2 log(m_j / m^g_j)`` (which
+estimates ``sigma1sq + sigma2 (t_j - t0)``) on time, only fills
+``InitSolution.sigma2_0``: the solver eliminates sigma2 through its
+closed-form root and never starts from that value.
 
 Residual components of the shape system carry scale factors ``t^l`` and can
 differ by many orders of magnitude; convergence is therefore declared on
@@ -25,7 +25,7 @@ starting point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,7 +61,6 @@ class InitSolution:
     beta0: PolyCoeffs
     sigma2_0: float
     r_squared: float
-    residuals: np.ndarray = field(repr=False)
 
 
 @dataclass(frozen=True)
@@ -193,13 +192,10 @@ def system_residual(vdata: VData, xi: ModelParams) -> np.ndarray:
     return np.concatenate(([sig_eq], _theta_residual(stats, s2)))
 
 
-def _eval_reduced(vdata: VData, theta: np.ndarray) -> tuple[np.ndarray, float]:
-    """Shape residual with sigma2 eliminated through its closed-form root."""
-    if theta[0] <= 0:
-        return np.full(theta.size, np.inf), np.nan
+def _shape_point(vdata: VData, theta: np.ndarray) -> tuple[LikelihoodStats, float]:
+    """Stats at the shape ``theta`` and the floored closed-form sigma2 root there."""
     stats = compute_stats(vdata, ModelParams.from_vector(np.append(theta, 0.0)))
-    s2 = max(sigma2_root(stats, stats.n), SIGMA2_FLOOR)
-    return _theta_residual(stats, s2), s2
+    return stats, max(sigma2_root(stats, stats.n), SIGMA2_FLOOR)
 
 
 def _fd_jacobian(f, x: np.ndarray, fx: np.ndarray, typ: np.ndarray) -> np.ndarray:
@@ -218,7 +214,8 @@ def _newton_loop(f, x0: np.ndarray, scale: np.ndarray, typ: np.ndarray,
     """Damped Newton iteration on ``f`` with backtracking on the scaled norm.
 
     Returns ``(x, norm, trace, converged, message)``; accepted steps never
-    increase the scaled residual norm.
+    increase the scaled residual norm.  A non-finite Jacobian or step ends the
+    iteration as a singular Jacobian.
     """
     x = x0.copy()
     fx = f(x)
@@ -229,6 +226,9 @@ def _newton_loop(f, x0: np.ndarray, scale: np.ndarray, typ: np.ndarray,
         if norm < tol:
             return x, norm, trace, True, ""
         jac = _fd_jacobian(f, x, fx, typ)
+        if not np.all(np.isfinite(jac)):
+            message = "singular Jacobian"
+            break
         try:
             step = np.linalg.solve(jac, -fx)
         except np.linalg.LinAlgError:
@@ -239,6 +239,8 @@ def _newton_loop(f, x0: np.ndarray, scale: np.ndarray, typ: np.ndarray,
             try:
                 step = np.linalg.solve(jac + shift * np.eye(x.size), -fx)
             except np.linalg.LinAlgError:
+                step = None
+            if step is None or not np.all(np.isfinite(step)):
                 message = "singular Jacobian"
                 break
         accepted = False
@@ -268,37 +270,37 @@ def fit(
     p: int,
     tol: float = 1e-9,
     max_iter: int = 200,
-    init: tuple[np.ndarray, float] | None = None,
+    init: np.ndarray | None = None,
 ) -> NrResult:
     """Maximum-likelihood fit of degree ``p`` by damped Newton-Raphson.
 
-    ``init`` optionally overrides the regression starting point as
-    ``(theta0, sigma2_0)`` with ``theta0 = (eta, beta_1..beta_p)``.
+    ``init`` optionally overrides the regression start ``theta0 = (eta, beta_1..beta_p)``;
+    sigma2 needs no start, as its closed-form root eliminates it.
     Non-convergence is reported, not raised: the best iterate reached is
     returned with ``converged=False`` and the residual trace attached.
     """
     vdata = transform(panel)
     init_solution = None
     if init is None:
-        eta0, beta0, r2, resid = initial_theta(panel, p)
+        eta0, beta0, r2, _ = initial_theta(panel, p)
         try:
             s2_0 = initial_sigma2(panel)
         except FitError:
             s2_0 = 1e-4
-        init_solution = InitSolution(eta0=eta0, beta0=beta0, sigma2_0=s2_0,
-                                     r_squared=r2, residuals=resid)
+        init_solution = InitSolution(eta0=eta0, beta0=beta0, sigma2_0=s2_0, r_squared=r2)
         theta0 = np.array([eta0, *beta0.beta])
     else:
-        theta0, s2_0 = np.asarray(init[0], dtype=float), float(init[1])
+        theta0 = np.asarray(init, dtype=float)
 
     typ = np.maximum(np.abs(theta0), 1e-6)
 
     def reduced(theta):
-        return _eval_reduced(vdata, theta)[0]
+        if theta[0] <= 0:
+            return np.full(theta.size, np.inf)
+        return _theta_residual(*_shape_point(vdata, theta))
 
     # per-equation characteristic scales, frozen at the starting point
-    stats0 = compute_stats(vdata, ModelParams.from_vector(np.append(theta0, 0.0)))
-    s2_for_scale = max(sigma2_root(stats0, stats0.n), SIGMA2_FLOOR)
+    stats0, s2_for_scale = _shape_point(vdata, theta0)
     scale = np.maximum.reduce([
         np.abs(stats0.y),
         np.abs(stats0.x),
@@ -306,8 +308,10 @@ def fit(
     ])
     scale = np.maximum(scale, 1e-12 * np.max(scale) + 1e-300)
 
+    # accepted steps keep eta > 0, so the root at theta is finite
     theta, norm, trace, converged, message = _newton_loop(
         reduced, theta0, scale, typ, tol, max_iter)
+    stats, sigma2 = _shape_point(vdata, theta)
     used_fallback = False
 
     if not converged:
@@ -317,25 +321,15 @@ def fit(
                 return np.full(z.size, np.inf)
             return system_residual(vdata, ModelParams.from_vector(z))
 
-        _, s2_now = _eval_reduced(vdata, theta)
-        if not np.isfinite(s2_now):
-            s2_now = s2_0
-        z0 = np.concatenate((theta, [max(s2_now, SIGMA2_FLOOR)]))
-        stats_now = compute_stats(vdata, ModelParams.from_vector(np.append(theta, 0.0)))
-        sig_scale = max(abs(stats_now.z1 + stats_now.a - 2 * stats_now.b),
-                        s2_now * stats_now.n, 1e-300)
+        sig_scale = max(abs(stats.z1 + stats.a - 2 * stats.b), sigma2 * stats.n, 1e-300)
         full_scale = np.concatenate(([sig_scale], scale))
-        full_typ = np.concatenate((typ, [max(s2_now, 1e-8)]))
+        full_typ = np.append(typ, max(sigma2, 1e-8))
         z, full_norm, trace2, converged, message2 = _newton_loop(
-            full_system, z0, full_scale, full_typ, tol, max_iter)
+            full_system, np.append(theta, sigma2), full_scale, full_typ, tol, max_iter)
         if full_norm <= norm or converged:
             theta, sigma2, used_fallback = z[:-1], z[-1], True
             trace, norm, message = list(trace) + list(trace2), full_norm, message2
 
-    if not used_fallback:
-        _, sigma2 = _eval_reduced(vdata, theta)
-        if not np.isfinite(sigma2):
-            sigma2 = s2_0
     return NrResult(
         xi_hat=ModelParams.from_vector(np.append(theta, max(sigma2, SIGMA2_FLOOR))),
         iterations=len(trace) - 1,

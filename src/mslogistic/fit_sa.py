@@ -44,6 +44,7 @@ from .model import ModelParams
 from .simulate import PathPanel, check_seed, sample_mean
 
 FLAT_TOL = 1e-12  # equality tolerance of the flat-chain stop
+CONTAINS_RTOL = 1e-12  # ParamBox.contains slack, relative to each interval's width
 BOX_CONFIDENCE = 0.999  # two-sided level of the OLS beta intervals
 
 __all__ = ["ParamBox", "SaSchedule", "SaResult", "build_box", "anneal"]
@@ -74,8 +75,8 @@ class ParamBox:
         return np.array([self.eta_interval[1], *(iv[1] for iv in self.beta_intervals),
                          self.sigma2_interval[1]])
 
-    def contains(self, vec: np.ndarray, rtol: float = 1e-12) -> bool:
-        pad = rtol * (self.upper - self.lower)
+    def contains(self, vec: np.ndarray) -> bool:
+        pad = CONTAINS_RTOL * (self.upper - self.lower)
         return bool(np.all(vec >= self.lower - pad) and np.all(vec <= self.upper + pad))
 
 

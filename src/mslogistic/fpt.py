@@ -2,8 +2,8 @@
 
 On the log scale the process is a driftless Brownian motion (variance rate
 ``sigma2``) plus the deterministic integrated drift, so the first passage of
-``X`` through a constant level ``S`` (with ``x0 < S``) is the first passage of
-the Brownian part through the moving boundary
+``X`` up through a constant level ``S`` above the start ``x0`` is the first
+passage of the Brownian part through the moving boundary
 
     B(t) = log(S / x0) - H(t0, t),
 
@@ -56,7 +56,7 @@ class VolterraError(RuntimeError):
 
 @dataclass(frozen=True)
 class FptProblem:
-    """Passage of the process started at ``x0`` through the constant level ``boundary``."""
+    """Up-crossing of the constant level ``boundary`` above the start ``x0``."""
 
     params: ModelParams
     x0: float
@@ -67,16 +67,13 @@ class FptProblem:
     def __post_init__(self):
         if self.x0 <= 0 or self.boundary <= 0:
             raise ValueError("x0 and boundary must be positive")
-        if self.boundary == self.x0:
-            raise ValueError("boundary must differ from the starting value")
+        if not self.boundary > self.x0:
+            raise ValueError(f"boundary {self.boundary} must exceed the start {self.x0} "
+                             "(down-crossing passages are not solved)")
         if not self.t_max > self.t0:
             raise ValueError("t_max must exceed t0")
         if self.params.sigma2 <= 0:
             raise ValueError("passage-time problems need sigma2 > 0")
-
-    @property
-    def upcrossing(self) -> bool:
-        return self.x0 < self.boundary
 
     def log_boundary_gap(self, t):
         """``B(t) = log(boundary/x0) - H(t0, t)`` on the log scale."""
@@ -89,15 +86,12 @@ class FptProblem:
 
 
 def fptl(problem: FptProblem, t):
-    """Passage-location function ``P[X(t) > S | X(t0) = x0]`` for ``t > t0``.
-
-    (For a down-crossing problem the complementary probability is returned.)
-    """
+    """Passage-location function ``P[X(t) > S | X(t0) = x0]`` for ``t > t0``."""
     t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr <= problem.t0):
         raise ValueError("fptl is defined for t > t0")
     z = problem.log_boundary_gap(t_arr) / (problem.params.sigma * np.sqrt(t_arr - problem.t0))
-    return ndtr(-z) if problem.upcrossing else ndtr(z)
+    return ndtr(-z)
 
 
 @dataclass(frozen=True)
@@ -200,7 +194,7 @@ def _kernel(problem: FptProblem, t: float, b_t: float, slope_t: float,
 
 
 def solve_density(problem: FptProblem, steps: np.ndarray | None = None) -> FptDensity:
-    """Solve the Volterra equation for the passage density on ``[t0, t_max]``.
+    """Solve the Volterra equation for the up-crossing density on ``[t0, t_max]``.
 
     ``steps`` overrides the FPTL-driven adaptive grid (full node vector,
     starting at ``t0``).  Mean and standard deviation are moments of the
@@ -211,11 +205,6 @@ def solve_density(problem: FptProblem, steps: np.ndarray | None = None) -> FptDe
     cumulative renormalized to the captured mass.  ``mass_warning`` flags
     horizons that truncate more than 5% of the mass.
     """
-    if not problem.upcrossing:
-        raise NotImplementedError(
-            "down-crossing densities use the mirrored boundary; only the "
-            "up-crossing case is wired up"
-        )
     if steps is None:
         steps = adaptive_steps(fptl_curve(problem))
     t = np.asarray(steps, dtype=float)

@@ -256,14 +256,12 @@ def percentile(params: ModelParams, init: InitialDistribution, t0: float, t, alp
 class InflectionSet:
     """Inflection points of the curve on a scanned interval.
 
-    ``times`` are the roots of the inflection equation where the curvature
-    genuinely changes sign; grid points where the residual grazes zero without
-    crossing (saddle-like) are reported separately in ``excluded_times``.
+    ``times`` are the roots of the inflection equation located by
+    :func:`inflection_points`, and ``values`` the curve's values there.
     """
 
     times: tuple[float, ...]
     values: tuple[float, ...]
-    excluded_times: tuple[float, ...] = ()
 
 
 def _inflection_residual(params: ModelParams, t):
@@ -285,8 +283,8 @@ def inflection_points(params: ModelParams, t0: float, t_max: float,
 
     A uniform bracketing scan (:data:`INFLECTION_SCAN_POINTS` subintervals) is
     followed by bisection down to an interval of width :data:`INFLECTION_WIDTH_TOL`.
-    Roots of the inflection equation that do not flip the curvature sign are
-    excluded and recorded in the result's metadata.
+    A root is found where the residual changes sign between scan points or
+    is exactly zero at one.
     """
     if not t_max > t0:
         raise ValueError("t_max must exceed t0")
@@ -310,16 +308,6 @@ def inflection_points(params: ModelParams, t0: float, t_max: float,
                     a, fa = m, fm
             roots.append(0.5 * (a + b))
 
-    # grazing (tangential) near-roots: local minima of |r| that come close to
-    # zero without a sign change do not flip curvature and are excluded
-    excluded: list[float] = []
-    mag = np.abs(res)
-    scale = max(np.max(mag), 1.0)
-    for k in range(1, INFLECTION_SCAN_POINTS):
-        if mag[k] <= mag[k - 1] and mag[k] <= mag[k + 1] and mag[k] < 1e-9 * scale:
-            if res[k - 1] * res[k + 1] > 0.0:
-                excluded.append(float(grid[k]))
-
     roots = sorted(set(roots))
     values = tuple(float(curve(params, l0, t0, r)) for r in roots)
-    return InflectionSet(times=tuple(roots), values=values, excluded_times=tuple(excluded))
+    return InflectionSet(times=tuple(roots), values=values)

@@ -68,7 +68,7 @@ def panel(source) -> PathPanel:
 def fit_record(name: str) -> dict:
     source, p = FITS[name]
     if source == "rank_deficient":
-        res = fit(panel(source), p, max_iter=20, init=(RANK_DEFICIENT_THETA0, 1e-3))
+        res = fit(panel(source), p, max_iter=20, init=RANK_DEFICIENT_THETA0)
     else:
         res = fit(panel(source), p)
     init = res.init and {"eta0": res.init.eta0, "beta0": list(res.init.beta0.beta),

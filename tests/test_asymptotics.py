@@ -133,7 +133,7 @@ class TestFisherInfo:
         d = fi.scaling_vector()
         core = fi.matrix * np.outer(d, d)
         core_inv = cov / np.outer(d, d)
-        assert np.max(np.abs(core @ core_inv - np.eye(fi.dim))) < 1e-8
+        assert np.max(np.abs(core @ core_inv - np.eye(fi.matrix.shape[0]))) < 1e-8
 
 
 class TestConfidenceIntervals:

@@ -124,7 +124,8 @@ class TestSimulateCommand:
 
     def test_seed_flag_overrides(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
-        run("simulate", sim_config(seed=7), seed=8, out_dir=out1)
+        cfg = write_config(tmp_path, sim_config(seed=7))
+        assert main(["simulate", "--config", str(cfg), "--seed", "8", "--out", str(out1)]) == 0
         run("simulate", sim_config(seed=8), out_dir=out2)
         h1 = load_report(out1)["files"]["panel"]["sha256"]
         h2 = load_report(out2)["files"]["panel"]["sha256"]
@@ -156,9 +157,9 @@ class TestFitCommand:
         sim_out = tmp_path / "sim"
         run("simulate", sim_config(paths=60, num=101, seed=4), out_dir=sim_out)
         fit_out = tmp_path / "fit"
-        cfg = {"data": str(sim_out / "panel.csv"), "degree": 3,
+        cfg = {"data": str(sim_out / "panel.csv"), "degree": 3, "method": "sa", "seed": 5,
                "sa": {"replications": 2, "max_iter": 60}}
-        run("fit", cfg, seed=5, out_dir=fit_out, method="sa")
+        run("fit", cfg, out_dir=fit_out)
         report = load_report(fit_out)
         assert report["results"]["method"] == "sa"
         assert len(report["results"]["details"]["replications"]) == 2
@@ -167,9 +168,12 @@ class TestFitCommand:
         cfg = {"data": str(FIXTURE), "degree": 3, "method": "sa",
                "sa": {"replications": 2, "max_iter": 20}}
         run("fit", {**cfg, "seed": 7}, out_dir=tmp_path / "config")
-        run("fit", cfg, seed=7, out_dir=tmp_path / "flag")
+        # the --seed flag overrides the config's seed
+        path = write_config(tmp_path, {**cfg, "seed": 3})
+        assert main(["fit", "--config", str(path), "--seed", "7",
+                     "--out", str(tmp_path / "flag")]) == 0
         run("fit", cfg, out_dir=tmp_path / "none")
-        run("fit", cfg, seed=0, out_dir=tmp_path / "zero")
+        run("fit", {**cfg, "seed": 0}, out_dir=tmp_path / "zero")
         config, flag, none, zero = (load_report(tmp_path / name)
                                     for name in ("config", "flag", "none", "zero"))
         assert config["results"] == flag["results"]
@@ -388,11 +392,33 @@ class TestMainEntry:
 
     def test_simulate_negative_seed_flag_exit_code(self, tmp_path, capsys):
         self.assert_config_error(tmp_path, capsys, "simulate", sim_config(),
-                                 "--seed: expected an integer", "--seed", "-3")
+                                 "seed: expected an integer", "--seed", "-3")
 
     def test_sa_fit_negative_seed_flag_exit_code(self, tmp_path, capsys):
         self.assert_config_error(tmp_path, capsys, "fit", {"data": str(FIXTURE), "degree": 3},
-                                 "--seed: expected an integer", "--method", "sa", "--seed", "-1")
+                                 "seed: expected an integer", "--method", "sa", "--seed", "-1")
+
+    @pytest.mark.parametrize("command, payload, flag", [
+        ("select", {"data": str(FIXTURE), "degrees": [2, 3]}, ["--method", "sa"]),
+        ("simulate", sim_config(), ["--scale-max"]),
+    ])
+    def test_flag_without_config_key_exit_code(self, tmp_path, capsys, command, payload, flag):
+        key = flag[0][2:].replace("-", "_")
+        self.assert_config_error(tmp_path, capsys, command, payload,
+                                 f"unknown keys [{key!r}]", *flag)
+
+    def test_config_hash_covers_flags(self, tmp_path):
+        cfg = write_config(tmp_path, {"data": str(FIXTURE), "degree": 3,
+                                      "sa": {"replications": 2, "max_iter": 20}})
+        hashes = []
+        for method in ("nr", "sa"):
+            out = tmp_path / method
+            assert main(["fit", "--config", str(cfg), "--method", method,
+                         "--out", str(out)]) == 0
+            report = load_report(out)
+            assert report["results"]["method"] == method
+            hashes.append(report["meta"]["config_sha256"])
+        assert hashes[0] != hashes[1]
 
     def test_largest_seed_accepted(self, tmp_path):
         run("simulate", sim_config(paths=2, num=11, seed=2**64 - 1), out_dir=tmp_path / "o")
@@ -456,6 +482,11 @@ class TestMainEntry:
             tmp_path, capsys, "fpt",
             {"data": str(FIXTURE), "degree": 6, "boundary": 0.7, "t_max": 350.0},
             "did not converge")
+
+    def test_fit_non_finite_newton_step_exit_code(self, tmp_path, capsys):
+        # at degree 7 a Jacobian difference point leaves the domain
+        self.assert_numerical_failure(tmp_path, capsys, "fit",
+                                      {"data": str(FIXTURE), "degree": 7}, "did not converge")
 
     def test_forecast_unconverged_fit_exit_code(self, tmp_path, capsys):
         self.assert_numerical_failure(tmp_path, capsys, "forecast",

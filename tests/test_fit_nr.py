@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ from mslogistic import (
     sample_mean,
     transform,
 )
+from mslogistic.cli import ingest_csv
 from mslogistic.fit_nr import (
     FitError,
     fit,
@@ -271,16 +273,28 @@ class TestFit:
         # two distinct transitions but four shape parameters: singular system
         panel = PathPanel.from_matrix([0.0, 1.0, 2.0], [[1.0, 1.5, 2.0], [1.0, 1.4, 2.1]])
         theta0 = np.array([0.5, 0.3, -0.01, 0.001])
-        res = fit(panel, 3, max_iter=20, init=(theta0, 1e-3))
+        res = fit(panel, 3, max_iter=20, init=theta0)
         assert isinstance(res.residual_norm, float)
         assert np.isfinite(res.residual_norm)
 
     def test_explicit_init_override(self, case1_params):
         panel = make_case1_panel(case1_params, seed=46, d=50, n_points=101)
         theta0 = np.array([math.exp(-1), 0.1, -0.009, 0.0002])
-        res = fit(panel, 3, init=(theta0, 1e-4))
+        res = fit(panel, 3, init=theta0)
         assert res.converged
         assert res.init is None
+
+
+    def test_non_finite_jacobian_stops_without_warnings(self):
+        # at degree 7 on the fixture a finite-difference point leaves the
+        # domain; the iteration must stop instead of stepping to NaN
+        panel = ingest_csv(DATA_DIR / "epidemic_shaped.csv")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            res = fit(panel, 7)
+        assert not res.converged
+        assert res.message == "singular Jacobian"
+        assert np.all(np.isfinite(res.xi_hat.as_vector()))
 
 
 class TestGolden:

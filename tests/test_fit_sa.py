@@ -100,7 +100,7 @@ class TestBuildBox:
     def test_all_paths_decreasing_fails(self):
         t = np.linspace(0.0, 5.0, 6)
         panel = PathPanel.from_matrix(t, np.linspace(4.0, 2.0, 6)[None, :])
-        with pytest.raises(FitError):
+        with pytest.raises(FitError), pytest.warns(UserWarning, match="excluded"):
             build_box(panel, 1)
 
 

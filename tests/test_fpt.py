@@ -153,6 +153,8 @@ class TestSolveDensity:
             FptProblem(params=EX41, x0=5.0, t0=0.0, boundary=5.0, t_max=50.0)
         with pytest.raises(ValueError):
             FptProblem(params=EX41, x0=5.0, t0=10.0, boundary=15.0, t_max=5.0)
+        with pytest.raises(ValueError, match="down-crossing"):
+            FptProblem(params=EX41, x0=5.0, t0=0.0, boundary=2.0, t_max=50.0)
         noiseless = ModelParams(eta=1.0, poly=PolyCoeffs((0.5,)), sigma2=0.0)
         with pytest.raises(ValueError):
             FptProblem(params=noiseless, x0=5.0, t0=0.0, boundary=15.0, t_max=50.0)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from mslogistic import ModelParams, PathPanel, PolyCoeffs, transform
 from mslogistic.asymptotics import fisher_info
+from mslogistic.cli import ingest_csv
 from mslogistic.fit_nr import fit
 from mslogistic.selection import (
     aic_bic,
@@ -236,3 +238,10 @@ class TestConvergencePolicy:
         panel = make_case1_panel(case1_params, seed=79, d=30, n_points=61)
         with pytest.raises(FitError, match="no degree in \\[2, 3\\] gave a converged fit"):
             select_degree(panel, [2, 3], fitter=self.fitter({2, 3}))
+
+    def test_degree_with_non_finite_newton_step_is_listed(self):
+        # the degree-7 fit of the fixture stops on a non-finite Jacobian
+        panel = ingest_csv(Path(__file__).parent / "data" / "epidemic_shaped.csv")
+        report = select_degree(panel, [3, 7])
+        assert report.chosen_p == 3
+        assert report.failures == ((7, "the degree-7 fit did not converge"),)
