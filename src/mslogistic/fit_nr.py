@@ -308,9 +308,9 @@ def fit(
     ])
     scale = np.maximum(scale, 1e-12 * np.max(scale) + 1e-300)
 
-    # accepted steps keep eta > 0, so the root at theta is finite
     theta, norm, trace, converged, message = _newton_loop(
         reduced, theta0, scale, typ, tol, max_iter)
+    # accepted steps keep eta > 0, so the root at theta is finite
     stats, sigma2 = _shape_point(vdata, theta)
     used_fallback = False
 

@@ -284,7 +284,6 @@ class TestFit:
         assert res.converged
         assert res.init is None
 
-
     def test_non_finite_jacobian_stops_without_warnings(self):
         # at degree 7 on the fixture a finite-difference point leaves the
         # domain; the iteration must stop instead of stepping to NaN
