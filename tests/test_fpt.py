@@ -1,4 +1,6 @@
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +15,15 @@ from mslogistic.fpt import (
     fptl_curve,
     solve_density,
 )
+
+DATA_DIR = Path(__file__).parent / "data"
+# Outcomes of named solve_density calls, written by make_fpt_golden.py:
+# Table 4, the fixture's data-driven problem, Table 4 on a seeded
+# non-uniform grid and on uniform 2-, 3- and 4-node grids.
+FPT_GOLDEN_TEXT = (DATA_DIR / "fpt_golden.json").read_text()
+_maker = importlib.util.spec_from_file_location("make_fpt_golden", DATA_DIR / "make_fpt_golden.py")
+make_fpt_golden = importlib.util.module_from_spec(_maker)
+_maker.loader.exec_module(make_fpt_golden)
 
 EX41 = ModelParams(eta=math.exp(-1), poly=PolyCoeffs((0.1, -0.009, 0.0002)), sigma2=1e-4)
 
@@ -158,6 +169,14 @@ class TestSolveDensity:
         noiseless = ModelParams(eta=1.0, poly=PolyCoeffs((0.5,)), sigma2=0.0)
         with pytest.raises(ValueError):
             FptProblem(params=noiseless, x0=5.0, t0=0.0, boundary=15.0, t_max=50.0)
+
+
+class TestGolden:
+    def test_matches_recorded_densities_bit_for_bit(self):
+        # compares SHA-256s of the arrays and the repr text of every summary
+        assert make_fpt_golden.dumps(
+            {name: make_fpt_golden.record(name) for name in make_fpt_golden.NAMES}
+        ) + "\n" == FPT_GOLDEN_TEXT
 
 
 class TestDeterministicCrossing:
