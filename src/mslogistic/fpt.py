@@ -17,6 +17,8 @@ second-kind Volterra equation with the regular (vanishing-diagonal) kernel
 discretized with the composite trapezoid rule.  For a constant boundary and
 zero drift the integral term vanishes and the recursion reproduces the
 inverse-Gaussian density exactly, which anchors the kernel's sign conventions.
+The kernel does not depend on ``g``: it is evaluated in blocks of about
+:data:`KERNEL_BLOCK` entries, and the recurrence over the nodes stays sequential.
 
 The cheap passage-location (FPTL) function ``P[X(t) > S | X(t0) = x0]``
 locates where the density mass lives; integration steps are fine inside its
@@ -48,6 +50,7 @@ SCOUT_POINTS = 2001        # uniform scouting grid of the location function
 GROWTH_THRESHOLD = 1e-4    # rise per scout step that marks a growth window
 COARSE_FACTOR = 20.0       # coarse integration step over the fine one
 CROSSING_SCAN_POINTS = 4000  # bracketing subintervals of the deterministic crossing
+KERNEL_BLOCK = 2**14       # kernel entries per array pass (128 KB per temporary)
 
 
 class VolterraError(RuntimeError):
@@ -184,53 +187,56 @@ class FptDensity:
     negative_warning: bool
 
 
-def _kernel(problem: FptProblem, t: float, b_t: float, slope_t: float,
-            tau: np.ndarray, y: np.ndarray) -> np.ndarray:
-    dt = t - tau
-    var = problem.params.sigma2 * dt
-    diff = b_t - y
+def _kernel(sigma2: float, dt, diff, slope):
+    """``psi`` at time gap ``dt``, boundary distance ``diff`` and boundary slope ``slope``."""
+    var = sigma2 * dt
     phi = np.exp(-diff * diff / (2.0 * var)) / np.sqrt(2.0 * math.pi * var)
-    return 0.5 * (slope_t - diff / dt) * phi
+    return 0.5 * (slope - diff / dt) * phi
 
 
 def solve_density(problem: FptProblem, steps: np.ndarray | None = None) -> FptDensity:
     """Solve the Volterra equation for the up-crossing density on ``[t0, t_max]``.
 
     ``steps`` overrides the FPTL-driven adaptive grid (full node vector,
-    starting at ``t0``).  Mean and standard deviation are moments of the
-    computed density over the solved horizon (no renormalization: passage
+    finite, starting at ``t0``).  Mean and standard deviation are moments of
+    the computed density over the solved horizon (no renormalization: passage
     densities through near-saturation boundaries carry long right tails, and
     truncated-but-renormalized variances are dominated by the renormalization
     itself); check ``captured_mass`` before trusting them.  Deciles invert the
     cumulative renormalized to the captured mass.  ``mass_warning`` flags
     horizons that truncate more than 5% of the mass.
+
+    The kernel is evaluated in array passes: the free terms at once, then
+    blocks of about :data:`KERNEL_BLOCK` entries (nodes ``t_k`` against
+    ``tau_1 .. tau_{k1-2}``).  Each node reads its row of weight times kernel,
+    so every product and pairwise sum is the node-by-node one and the result
+    is bit-identical to it.  Block entries with ``tau_j >= t_k`` are never
+    read; a time gap of 1 keeps them from raising a floating-point warning.
     """
     if steps is None:
         steps = adaptive_steps(fptl_curve(problem))
     t = np.asarray(steps, dtype=float)
-    if t[0] != problem.t0 or np.any(np.diff(t) <= 0):
-        raise ValueError("steps must start at t0 and increase strictly")
+    if not (np.all(np.isfinite(t)) and t[0] == problem.t0 and np.all(np.diff(t) > 0)):
+        raise ValueError("steps must be finite, start at t0 and increase strictly")
 
     n = t.size
     b = np.asarray(problem.log_boundary_gap(t))
     slope = np.asarray(problem.log_boundary_slope(t))
     g = np.zeros(n)
+    g[1:] = -2.0 * _kernel(problem.params.sigma2, t[1:] - t[0], b[1:], slope[1:])  # free terms
+    # trapezoid weights of tau_1 .. tau_{n-2}: g(t0) = 0, and psi vanishes at tau = t_k
+    w = 0.5 * (t[2:] - t[:-2])
+    rows = max(1, KERNEL_BLOCK // n)
+    for k0 in range(2, n, rows):
+        k1 = min(k0 + rows, n)
+        dt = t[k0:k1, None] - t[1 : k1 - 1]
+        dt[dt <= 0.0] = 1.0  # tau_j >= t_k: never read
+        wk = _kernel(problem.params.sigma2, dt, b[k0:k1, None] - b[1 : k1 - 1], slope[k0:k1, None])
+        wk *= w[: k1 - 2]
+        for k in range(k0, k1):
+            g[k] += 2.0 * float(np.sum(wk[k - k0, : k - 1] * g[1:k]))
 
-    for k in range(1, n):
-        free = -2.0 * _kernel(problem, t[k], b[k], slope[k],
-                              np.array([t[0]]), np.array([0.0]))[0]
-        if k > 1:
-            tau = t[1:k]
-            ker = _kernel(problem, t[k], b[k], slope[k], tau, b[1:k])
-            # trapezoid weights on the nonuniform grid; the tau = t0 node has
-            # g = 0 and the tau = t_k node has a vanishing kernel
-            w = 0.5 * (t[2 : k + 1] - t[0 : k - 1])
-            g[k] = free + 2.0 * float(np.sum(w * ker * g[1:k]))
-        else:
-            g[k] = free
-
-    neg_min = float(g.min())
-    negative_warning = neg_min < -1e-9
+    negative_warning = float(g.min()) < -1e-9
     g_clip = np.maximum(g, 0.0)
 
     cumulative = np.concatenate(
@@ -238,7 +244,7 @@ def solve_density(problem: FptProblem, steps: np.ndarray | None = None) -> FptDe
     )
     captured = float(cumulative[-1])
     mass_warning = captured < 0.95
-    if captured <= 0:
+    if not captured > 0:
         raise VolterraError("no probability mass captured; check the horizon")
 
     mean = float(np.trapezoid(t * g_clip, t))

@@ -1,5 +1,6 @@
 import importlib.util
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -9,12 +10,17 @@ from scipy.special import ndtr
 from mslogistic import ModelParams, PolyCoeffs, carrying_capacity, integrated_drift
 from mslogistic.fpt import (
     FptProblem,
+    VolterraError,
     adaptive_steps,
     crossing_time_deterministic,
     fptl,
     fptl_curve,
     solve_density,
 )
+
+# a floating-point warning inside the solver fails the test instead of
+# reaching msl fpt's stderr
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 DATA_DIR = Path(__file__).parent / "data"
 # Outcomes of named solve_density calls, written by make_fpt_golden.py:
@@ -158,6 +164,26 @@ class TestSolveDensity:
     def test_horizon_warning(self):
         dens = solve_density(ex41_problem(t_max=40.0))
         assert dens.mass_warning  # only ~half the mass has crossed by t=40
+
+    @pytest.mark.parametrize("steps", [
+        [0.0, 50.0, math.nan, 210.0],
+        [0.0, 50.0, 100.0, math.inf],
+        np.append(np.linspace(0.0, 210.0, 400), math.nan),
+    ], ids=["nan", "inf", "nan_appended"])
+    def test_non_finite_steps_rejected(self, steps):
+        with pytest.raises(ValueError, match="steps"):
+            solve_density(ex41_problem(t_max=210.0), np.array(steps))
+
+    @pytest.mark.parametrize("nodes", [None, 2, 3, 4])
+    def test_no_warning_on_table4_and_tiny_grids(self, nodes):
+        prob = ex41_problem(t_max=210.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if nodes is None:
+                solve_density(prob)
+            else:  # too coarse to capture any mass
+                with pytest.raises(VolterraError):
+                    solve_density(prob, np.linspace(0.0, 210.0, nodes))
 
     def test_invalid_problems_rejected(self):
         with pytest.raises(ValueError):
