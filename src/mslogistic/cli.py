@@ -59,6 +59,8 @@ from .simulate import MAX_FLOATS, PathPanel, SimSpec, check_seed, simulate_panel
 
 __all__ = ["main", "run", "ingest_csv", "ConfigError", "SCHEMAS"]
 
+CSV_BLOCK = 2**14  # values formatted per block when streaming a CSV
+
 
 class ConfigError(ValueError):
     """Invalid configuration or input data (exit code 2)."""
@@ -280,10 +282,12 @@ def _is_float(cell: str) -> bool:
 def _write_csv(path: Path, header: list[str], columns) -> str:
     """Stream ``columns`` to ``path`` as CSV rows and return the file's SHA-256."""
     with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in zip(*columns):
-            writer.writerow([repr(float(v)) for v in row])
+        csv.writer(fh).writerow(header)
+        rows = max(1, CSV_BLOCK // len(columns))
+        for j in range(0, len(columns[0]), rows):
+            block = np.array([c[j : j + rows] for c in columns], dtype=float).T.tolist()
+            # a float's repr needs no quoting, so this is what csv.writer writes
+            fh.writelines(",".join(map(repr, row)) + "\r\n" for row in block)
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 

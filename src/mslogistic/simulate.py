@@ -253,8 +253,8 @@ def simulate_panel(spec: SimSpec) -> PathPanel:
         fresh["state"]["key"] = np.array([spec.seed, i], dtype=np.uint64)
         bitgen.state = fresh
         gen.random(out=z[i])
-    # gen.random() can return exactly 0.0; nudge to keep ndtri finite
-    z[z == 0.0] = 0.5 / 2**53
+    # draws are multiples of 2**-53, so this lifts only exact zeros (ndtri(0) = -inf)
+    np.maximum(z, 0.5 / 2**53, out=z)
     ndtri(z, out=z)
 
     incr = rows[:, 1:]

@@ -1,3 +1,5 @@
+import csv
+import hashlib
 import json
 import math
 import re
@@ -6,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from mslogistic import cli
 from mslogistic.cli import SCHEMAS, ConfigError, ingest_csv, main, run
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -98,6 +101,28 @@ class TestIngest:
         f.write_text("t,a\n0,2.0\n1,8.0\n2,4.0\n", encoding="utf-8")
         panel = ingest_csv(f, scale_max=True)
         np.testing.assert_allclose(panel.paths[0].values, [0.25, 1.0, 0.5])
+
+
+class TestWriteCsv:
+    @pytest.mark.parametrize("block", [cli.CSV_BLOCK, 7])
+    def test_matches_csv_writer(self, tmp_path, monkeypatch, block):
+        # the blocked writer must give csv.writer's bytes, non-finite values included
+        monkeypatch.setattr(cli, "CSV_BLOCK", block)
+        rng = np.random.default_rng(0)
+        columns = [np.arange(20.0), rng.standard_normal(20) * 1e300, rng.random(20) * 1e-300]
+        columns[1][[0, 5]] = np.nan
+        columns[2][[3, 19]] = [np.inf, -np.inf]
+        columns[0][7] = -0.0
+        header = ["t", "a,b", 'q"']
+        want = tmp_path / "want.csv"
+        with want.open("w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            for row in zip(*columns):
+                writer.writerow([repr(float(v)) for v in row])
+        sha = cli._write_csv(tmp_path / "got.csv", header, columns)
+        assert (tmp_path / "got.csv").read_bytes() == want.read_bytes()
+        assert sha == hashlib.sha256(want.read_bytes()).hexdigest()
 
 
 class TestSimulateCommand:
