@@ -59,7 +59,7 @@ from .simulate import MAX_FLOATS, PathPanel, SimSpec, check_seed, simulate_panel
 
 __all__ = ["main", "run", "ingest_csv", "ConfigError", "SCHEMAS"]
 
-CSV_BLOCK = 2**14  # values formatted per block when streaming a CSV
+CSV_BLOCK = 2**12  # values formatted per block when streaming a CSV
 
 
 class ConfigError(ValueError):
