@@ -1,8 +1,9 @@
 """Maximum likelihood by Newton-Raphson on the score equations.
 
 The noise variance has a closed-form root given the growth shape, so the
-iteration runs on the shape parameters alone, seeded by two regressions on
-the sample mean curve.
+iteration runs on the shape parameters alone, started from one regression on
+the sample mean curve.  The demo also prints the variance-proxy regression
+estimate of sigma2, which the iteration does not need as a start.
 """
 
 import math
@@ -10,7 +11,7 @@ import math
 import numpy as np
 
 from mslogistic import Degenerate, ModelParams, PolyCoeffs, SimSpec, curve, sample_mean, simulate_panel
-from mslogistic.fit_nr import fit
+from mslogistic.fit_nr import fit, initial_sigma2
 
 truth = ModelParams(eta=math.exp(-1), poly=PolyCoeffs((0.1, -0.009, 0.0002)), sigma2=1e-4)
 panel = simulate_panel(SimSpec(params=truth, init=Degenerate(5.0),
@@ -19,8 +20,10 @@ panel = simulate_panel(SimSpec(params=truth, init=Degenerate(5.0),
 res = fit(panel, 3)
 init = res.init
 print("Regression starting point:")
-print(f"  eta0 = {init.eta0:.4f}, beta0 = {tuple(round(b, 5) for b in init.beta0.beta)}, "
-      f"sigma2_0 = {init.sigma2_0:.2e} (regression R^2 = {init.r_squared:.4f})")
+print(f"  eta0 = {init.eta0:.4f}, beta0 = {tuple(round(b, 5) for b in init.beta0.beta)} "
+      f"(regression R^2 = {init.r_squared:.4f})")
+print(f"  sigma2 from the variance proxy = {initial_sigma2(panel):.2e} "
+      "(not a start: sigma2 is eliminated by its closed-form root)")
 
 print(f"\nNewton iteration: converged = {res.converged} in {res.iterations} steps, "
       f"scaled residual {res.residual_norm:.2e}")

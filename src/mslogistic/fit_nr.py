@@ -10,11 +10,10 @@ the reduced iteration stalls.
 The starting shape comes from ordinary least squares of ``-log(m_N/m_j - 1)``
 on ``(1, t, ..., t^p)`` over the sample mean curve (the response approximates
 the exponent polynomial plus ``log eta`` when the sample mean has effectively
-saturated by the last observation).  A second regression, of the
-cross-sectional lognormal variance proxy ``2 log(m_j / m^g_j)`` (which
-estimates ``sigma1sq + sigma2 (t_j - t0)``) on time, only fills
-``InitSolution.sigma2_0``: the solver eliminates sigma2 through its
-closed-form root and never starts from that value.
+saturated by the last observation).  sigma2 needs no start, as the solver
+eliminates it through its closed-form root; :func:`initial_sigma2`, a
+regression estimate of sigma2 from the variance proxy ``2 log(m_j / m^g_j)``,
+is not called by the fit.
 
 Residual components of the shape system carry scale factors ``t^l`` and can
 differ by many orders of magnitude; convergence is therefore declared on
@@ -59,7 +58,6 @@ class InitSolution:
 
     eta0: float
     beta0: PolyCoeffs
-    sigma2_0: float
     r_squared: float
 
 
@@ -102,7 +100,7 @@ def usable_saturation_pairs(panel: PathPanel):
     a large structural bias, so they are dropped too.  On noiseless panels the
     noise estimate is zero and the rule reduces to plain feasibility.
 
-    Returns ``(t_shifted, ratio, keep_mask)`` over ``j = 1..N-1``.
+    Returns the kept pairs ``(t_shifted, ratio)`` among ``j = 1..N-1``.
     """
     grid = panel.common_grid()
     if grid is None:
@@ -117,7 +115,7 @@ def usable_saturation_pairs(panel: PathPanel):
     else:
         noise = np.zeros_like(ratio)
     keep = ratio > NOISE_SIGMAS * noise
-    return t[:-1], ratio, keep
+    return t[:-1][keep], ratio[keep]
 
 
 def initial_theta(panel: PathPanel, p: int) -> tuple[float, PolyCoeffs, float, np.ndarray]:
@@ -126,9 +124,8 @@ def initial_theta(panel: PathPanel, p: int) -> tuple[float, PolyCoeffs, float, n
     Returns ``(eta0, beta0, r_squared, residuals)``.  Infeasible and
     noise-dominated pairs are dropped per :func:`usable_saturation_pairs`.
     """
-    t_all, ratio, keep = usable_saturation_pairs(panel)
-    t_keep = t_all[keep]
-    y = -np.log(ratio[keep])
+    t_keep, ratio = usable_saturation_pairs(panel)
+    y = -np.log(ratio)
     if t_keep.size < p + 2:
         raise FitError(
             f"only {t_keep.size} usable regression points for degree {p} "
@@ -283,11 +280,7 @@ def fit(
     init_solution = None
     if init is None:
         eta0, beta0, r2, _ = initial_theta(panel, p)
-        try:
-            s2_0 = initial_sigma2(panel)
-        except FitError:
-            s2_0 = 1e-4
-        init_solution = InitSolution(eta0=eta0, beta0=beta0, sigma2_0=s2_0, r_squared=r2)
+        init_solution = InitSolution(eta0=eta0, beta0=beta0, r_squared=r2)
         theta0 = np.array([eta0, *beta0.beta])
     else:
         theta0 = np.asarray(init, dtype=float)

@@ -144,9 +144,8 @@ def build_box(panel: PathPanel, p: int) -> ParamBox:
 
     m = sample_mean(panel)
     eta_hat = 1.0 / (m[-1] / m[0] - 1.0)
-    t_all, ratio, keep = usable_saturation_pairs(panel)
-    t_keep = t_all[keep]
-    y = -np.log(ratio[keep] * eta_hat)
+    t_keep, ratio = usable_saturation_pairs(panel)
+    y = -np.log(ratio * eta_hat)
     if t_keep.size < p + 1:
         raise FitError(f"only {t_keep.size} usable points for a degree-{p} box")
 

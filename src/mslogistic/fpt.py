@@ -104,8 +104,6 @@ class FptlCurve:
     times: np.ndarray
     values: np.ndarray
     growth_intervals: tuple[tuple[float, float], ...]
-    t0: float
-    t_max: float
 
 
 def fptl_curve(problem: FptProblem) -> FptlCurve:
@@ -120,19 +118,10 @@ def fptl_curve(problem: FptProblem) -> FptlCurve:
     vals[0] = 0.0
     vals[1:] = fptl(problem, grid[1:])
 
-    rising = np.diff(vals) > GROWTH_THRESHOLD
-    intervals = []
-    start = None
-    for k, flag in enumerate(rising):
-        if flag and start is None:
-            start = grid[k]
-        elif not flag and start is not None:
-            intervals.append((start, grid[k]))
-            start = None
-    if start is not None:
-        intervals.append((start, grid[-1]))
-    return FptlCurve(times=grid, values=vals, growth_intervals=tuple(intervals),
-                     t0=problem.t0, t_max=problem.t_max)
+    # a run of rising steps k..e-1 spans grid[k]..grid[e]; the padding closes runs at both ends
+    rising = np.concatenate(([False], np.diff(vals) > GROWTH_THRESHOLD, [False]))
+    edges = grid[np.flatnonzero(rising[1:] != rising[:-1])].tolist()
+    return FptlCurve(grid, vals, growth_intervals=tuple(zip(edges[0::2], edges[1::2])))
 
 
 def adaptive_steps(curve: FptlCurve, base_step: float | None = None) -> np.ndarray:
@@ -143,27 +132,26 @@ def adaptive_steps(curve: FptlCurve, base_step: float | None = None) -> np.ndarr
     growth windows the schedule is uniform with 400 steps.  Returns the full
     node vector covering ``[t0, t_max]`` exactly.
     """
-    span = curve.t_max - curve.t0
+    t0, t_max = curve.times[0], curve.times[-1]
     if not curve.growth_intervals:
-        n = max(2, int(math.ceil(span / base_step)) if base_step else 400)
-        return np.linspace(curve.t0, curve.t_max, n + 1)
+        n = max(2, int(math.ceil((t_max - t0) / base_step)) if base_step else 400)
+        return np.linspace(t0, t_max, n + 1)
 
     growth_width = sum(b - a for a, b in curve.growth_intervals)
     fine = base_step if base_step is not None else growth_width / 400.0
     coarse = COARSE_FACTOR * fine
 
-    edges = [curve.t0]
     marks: list[tuple[float, float, float]] = []
-    cursor = curve.t0
+    cursor = t0
     for a, b in curve.growth_intervals:
         if a > cursor:
             marks.append((cursor, a, coarse))
         marks.append((a, b, fine))
         cursor = b
-    if cursor < curve.t_max:
-        marks.append((cursor, curve.t_max, coarse))
+    if cursor < t_max:
+        marks.append((cursor, t_max, coarse))
 
-    nodes = [curve.t0]
+    nodes = [t0]
     for a, b, step in marks:
         count = max(1, int(math.ceil((b - a) / step)))
         seg = np.linspace(a, b, count + 1)[1:]
@@ -197,10 +185,10 @@ def _kernel(sigma2: float, dt, diff, slope):
 def solve_density(problem: FptProblem, steps: np.ndarray | None = None) -> FptDensity:
     """Solve the Volterra equation for the up-crossing density on ``[t0, t_max]``.
 
-    ``steps`` overrides the FPTL-driven adaptive grid (full node vector,
-    finite, starting at ``t0``).  Mean and standard deviation are moments of
-    the computed density over the solved horizon (no renormalization: passage
-    densities through near-saturation boundaries carry long right tails, and
+    ``steps`` overrides the FPTL-driven adaptive grid (2+ finite nodes from
+    ``t0``).  Mean and standard deviation are moments of the computed density
+    over the solved horizon (no renormalization: passage densities through
+    near-saturation boundaries carry long right tails, and
     truncated-but-renormalized variances are dominated by the renormalization
     itself); check ``captured_mass`` before trusting them.  Deciles invert the
     cumulative renormalized to the captured mass.  ``mass_warning`` flags
@@ -216,8 +204,9 @@ def solve_density(problem: FptProblem, steps: np.ndarray | None = None) -> FptDe
     if steps is None:
         steps = adaptive_steps(fptl_curve(problem))
     t = np.asarray(steps, dtype=float)
-    if not (np.all(np.isfinite(t)) and t[0] == problem.t0 and np.all(np.diff(t) > 0)):
-        raise ValueError("steps must be finite, start at t0 and increase strictly")
+    if not (t.ndim == 1 and t.size >= 2 and np.all(np.isfinite(t)) and t[0] == problem.t0
+            and np.all(np.diff(t) > 0)):
+        raise ValueError("steps must be a finite 1-D grid of 2+ nodes from t0, increasing strictly")
 
     n = t.size
     b = np.asarray(problem.log_boundary_gap(t))

@@ -353,15 +353,14 @@ def loglik(vdata: VData, alpha, xi: ModelParams) -> float:
     if isinstance(alpha, tuple):
         alpha = InitialFit(*alpha)
 
-    stats = compute_stats(vdata, xi)
-    value = core_loglik(stats, xi.sigma2)
+    value = -float(neg_core_loglik(vdata, [xi.as_vector()])[0])
 
     degenerate = vdata.d == 1 or alpha.sigma1sq_hat == 0.0
     if degenerate:
-        return value - 0.5 * stats.n * LOG_2PI
+        return value - 0.5 * vdata.n * LOG_2PI
 
     logs = np.log(vdata.v0)
-    value -= 0.5 * (stats.n + vdata.d) * LOG_2PI
+    value -= 0.5 * (vdata.n + vdata.d) * LOG_2PI
     value -= 0.5 * vdata.d * math.log(alpha.sigma1sq_hat)
     value -= float(np.sum(logs))
     value -= float(np.sum((logs - alpha.mu1_hat) ** 2)) / (2.0 * alpha.sigma1sq_hat)

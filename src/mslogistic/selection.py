@@ -198,7 +198,7 @@ def select_degree(
                 dra_mean=float(np.mean(dra)),
                 dra_times=times,
                 dra_values=dra,
-                converged=bool(getattr(res, "converged", True)),
+                converged=bool(res.converged),
             )
         )
         if not entries[-1].converged:

@@ -12,7 +12,6 @@ exits 1 if they differ.
 """
 
 import csv
-import difflib
 import io
 import sys
 from pathlib import Path
@@ -20,6 +19,9 @@ from pathlib import Path
 import numpy as np
 
 from mslogistic import Degenerate, ModelParams, PathPanel, PolyCoeffs, SimSpec, simulate_panel
+
+sys.path.insert(0, str(Path(__file__).parent))  # finds golden_io when loaded by path too
+from golden_io import emit  # noqa: E402
 
 FIXTURE = Path(__file__).parent / "epidemic_shaped.csv"
 PARAMS = ModelParams(
@@ -52,14 +54,7 @@ def render() -> str:
 
 def main() -> int:
     text = render()
-    if "--check" not in sys.argv[1:]:
-        sys.stdout.write(text)
-        return 0
-    diff = list(difflib.unified_diff(FIXTURE.read_bytes().decode().splitlines(keepends=True),
-                                     text.splitlines(keepends=True),
-                                     str(FIXTURE), "generated"))
-    sys.stdout.writelines(diff)
-    return 1 if diff else 0
+    return emit(text, FIXTURE)
 
 
 if __name__ == "__main__":

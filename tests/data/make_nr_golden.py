@@ -26,8 +26,6 @@ on the path to pin or audit its ``fit``:
 exits 1 if they differ.
 """
 
-import difflib
-import json
 import math
 import sys
 from functools import lru_cache
@@ -39,6 +37,9 @@ from mslogistic import Degenerate, ModelParams, PathPanel, PolyCoeffs, SimSpec, 
 from mslogistic.cli import ingest_csv
 from mslogistic.fit_nr import fit
 from mslogistic.selection import select_degree
+
+sys.path.insert(0, str(Path(__file__).parent))  # finds golden_io when loaded by path too
+from golden_io import dumps, emit  # noqa: E402
 
 HERE = Path(__file__).parent
 GOLDEN = HERE / "nr_golden.json"
@@ -72,7 +73,7 @@ def fit_record(name: str) -> dict:
     else:
         res = fit(panel(source), p)
     init = res.init and {"eta0": res.init.eta0, "beta0": list(res.init.beta0.beta),
-                         "sigma2_0": res.init.sigma2_0, "r_squared": res.init.r_squared}
+                         "r_squared": res.init.r_squared}
     return {
         "xi_hat": list(res.xi_hat.as_vector()),
         "iterations": res.iterations,
@@ -104,27 +105,9 @@ def record(name: str) -> dict:
     return select_record() if name == "select_fixture" else fit_record(name)
 
 
-def dumps(obj, level: int = 0) -> str:
-    """JSON with one-space indents and every list of scalars on one line."""
-    pad, inner = " " * level, " " * (level + 1)
-    if isinstance(obj, dict):
-        items = [f"{inner}{json.dumps(k)}: {dumps(v, level + 1)}" for k, v in obj.items()]
-        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
-    if isinstance(obj, list) and any(isinstance(v, (list, dict)) for v in obj):
-        return "[\n" + ",\n".join(inner + dumps(v, level + 1) for v in obj) + f"\n{pad}]"
-    return json.dumps(obj)
-
-
 def main() -> int:
     text = dumps({name: record(name) for name in NAMES}) + "\n"
-    if "--check" not in sys.argv[1:]:
-        sys.stdout.write(text)
-        return 0
-    diff = list(difflib.unified_diff(GOLDEN.read_text().splitlines(keepends=True),
-                                     text.splitlines(keepends=True),
-                                     str(GOLDEN), "generated"))
-    sys.stdout.writelines(diff)
-    return 1 if diff else 0
+    return emit(text, GOLDEN)
 
 
 if __name__ == "__main__":

@@ -23,8 +23,6 @@ checkout; put that checkout's ``src`` first on the path to pin or audit its
 exits 1 if they differ.
 """
 
-import difflib
-import json
 import math
 import sys
 from pathlib import Path
@@ -34,6 +32,9 @@ import numpy as np
 from mslogistic import Degenerate, ModelParams, PolyCoeffs, SimSpec, simulate_panel
 from mslogistic.cli import ingest_csv
 from mslogistic.fit_sa import SaSchedule, anneal, build_box
+
+sys.path.insert(0, str(Path(__file__).parent))  # finds golden_io when loaded by path too
+from golden_io import dumps, emit  # noqa: E402
 
 HERE = Path(__file__).parent
 GOLDEN = HERE / "sa_golden.json"
@@ -73,27 +74,9 @@ def record(name: str) -> dict:
     }
 
 
-def dumps(obj, level: int = 0) -> str:
-    """JSON with one-space indents and every list of scalars on one line."""
-    pad, inner = " " * level, " " * (level + 1)
-    if isinstance(obj, dict):
-        items = [f"{inner}{json.dumps(k)}: {dumps(v, level + 1)}" for k, v in obj.items()]
-        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
-    if isinstance(obj, list) and any(isinstance(v, (list, dict)) for v in obj):
-        return "[\n" + ",\n".join(inner + dumps(v, level + 1) for v in obj) + f"\n{pad}]"
-    return json.dumps(obj)
-
-
 def main() -> int:
     text = dumps({name: record(name) for name in SCHEDULES}) + "\n"
-    if "--check" not in sys.argv[1:]:
-        sys.stdout.write(text)
-        return 0
-    diff = list(difflib.unified_diff(GOLDEN.read_text().splitlines(keepends=True),
-                                     text.splitlines(keepends=True),
-                                     str(GOLDEN), "generated"))
-    sys.stdout.writelines(diff)
-    return 1 if diff else 0
+    return emit(text, GOLDEN)
 
 
 if __name__ == "__main__":

@@ -13,7 +13,6 @@ public package API, so it runs against any checkout; put that checkout's
 exits 1 if they differ.
 """
 
-import difflib
 import hashlib
 import json
 import math
@@ -23,6 +22,9 @@ from pathlib import Path
 import numpy as np
 
 from mslogistic import Degenerate, LognormalStart, ModelParams, PolyCoeffs, SimSpec, simulate_panel
+
+sys.path.insert(0, str(Path(__file__).parent))  # finds golden_io when loaded by path too
+from golden_io import emit  # noqa: E402
 
 GOLDEN = Path(__file__).parent / "sim_golden.json"
 PARAMS = {"eta": math.exp(-1.0), "beta": [0.1, -0.009, 0.0002], "sigma2": 1e-4}
@@ -56,14 +58,7 @@ def main() -> int:
             records.append({**record, **digest(record)})
     text = json.dumps({"params": PARAMS, "inits": INITS, "t_max": T_MAX, "records": records},
                       indent=1) + "\n"
-    if "--check" not in sys.argv[1:]:
-        sys.stdout.write(text)
-        return 0
-    diff = list(difflib.unified_diff(GOLDEN.read_text().splitlines(keepends=True),
-                                     text.splitlines(keepends=True),
-                                     str(GOLDEN), "generated"))
-    sys.stdout.writelines(diff)
-    return 1 if diff else 0
+    return emit(text, GOLDEN)
 
 
 if __name__ == "__main__":

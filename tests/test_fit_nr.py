@@ -97,6 +97,13 @@ class TestTransformCount:
         assert res.converged
         assert transform_calls == [panel]
 
+    def test_fit_reads_no_geometric_mean(self, case1_params, moment_calls):
+        # the regression start reads the mean and its noise; sigma2 needs no start
+        panel = make_case1_panel(case1_params, seed=76, d=30, n_points=61)
+        assert fit(panel, 3).converged
+        assert moment_calls == {"pointwise_mean": 1, "pointwise_geometric_mean": 0,
+                                "pointwise_sd": 1}
+
 
 class TestInitialSigma2:
     def test_identical_paths_floor(self):

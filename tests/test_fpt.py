@@ -169,7 +169,10 @@ class TestSolveDensity:
         [0.0, 50.0, math.nan, 210.0],
         [0.0, 50.0, 100.0, math.inf],
         np.append(np.linspace(0.0, 210.0, 400), math.nan),
-    ], ids=["nan", "inf", "nan_appended"])
+        [],
+        [[0.0, 50.0, 210.0]],
+        [0.0],
+    ], ids=["nan", "inf", "nan_appended", "empty", "2d", "one_node"])
     def test_non_finite_steps_rejected(self, steps):
         with pytest.raises(ValueError, match="steps"):
             solve_density(ex41_problem(t_max=210.0), np.array(steps))
