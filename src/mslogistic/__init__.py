@@ -4,65 +4,40 @@ Simulation, maximum-likelihood inference (Newton-Raphson on the critical-point
 system and simulated annealing on a bounded box), asymptotic confidence
 intervals, goodness-of-fit / polynomial-degree selection, and first-passage
 time densities through constant boundaries.
+
+The submodules and re-exported names load on first access (PEP 562), so
+``import mslogistic`` loads no numpy and the ``msl`` entry point can set up
+the BLAS thread pool before numpy starts it.
 """
 
-from . import asymptotics, fit_nr, fit_sa, fpt, likelihood, model, selection, simulate
-from .model import (
-    Degenerate,
-    InflectionSet,
-    InitialDistribution,
-    LognormalStart,
-    ModelParams,
-    PolyCoeffs,
-    carrying_capacity,
-    curve,
-    drift_rate,
-    inflection_points,
-    integrated_drift,
-    percentile,
-    process_mean,
-)
-from .simulate import PathPanel, SamplePath, SimSpec, geometric_mean, sample_mean, simulate_panel
-from .likelihood import (
-    InitialFit,
-    LikelihoodStats,
-    VData,
-    compute_stats,
-    fit_initial,
-    grad_loglik,
-    loglik,
-    transform,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Degenerate",
-    "InflectionSet",
-    "InitialDistribution",
-    "InitialFit",
-    "LikelihoodStats",
-    "LognormalStart",
-    "ModelParams",
-    "PathPanel",
-    "PolyCoeffs",
-    "SamplePath",
-    "SimSpec",
-    "VData",
-    "carrying_capacity",
-    "compute_stats",
-    "curve",
-    "drift_rate",
-    "fit_initial",
-    "geometric_mean",
-    "grad_loglik",
-    "inflection_points",
-    "integrated_drift",
-    "loglik",
-    "percentile",
-    "process_mean",
-    "sample_mean",
-    "simulate_panel",
-    "transform",
-    "__version__",
-]
+_SUBMODULES = ("asymptotics", "fit_nr", "fit_sa", "fpt", "likelihood", "model", "selection",
+               "simulate")
+# re-exported name -> the submodule that defines it
+_EXPORTS = {
+    **dict.fromkeys(("Degenerate", "InflectionSet", "InitialDistribution", "LognormalStart",
+                     "ModelParams", "PolyCoeffs", "carrying_capacity", "curve", "drift_rate",
+                     "inflection_points", "integrated_drift", "percentile", "process_mean"),
+                    "model"),
+    **dict.fromkeys(("PathPanel", "SamplePath", "SimSpec", "geometric_mean", "sample_mean",
+                     "simulate_panel"), "simulate"),
+    **dict.fromkeys(("InitialFit", "LikelihoodStats", "VData", "compute_stats", "fit_initial",
+                     "grad_loglik", "loglik", "transform"), "likelihood"),
+}
+
+__all__ = [*sorted(_EXPORTS), "__version__"]
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        return importlib.import_module(f".{name}", __name__)
+    if name in _EXPORTS:
+        return getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *_SUBMODULES, *_EXPORTS})

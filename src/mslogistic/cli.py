@@ -15,10 +15,10 @@ Identical config and seed produce bit-identical reports up to the timestamp,
 which lives only in the metadata block.
 
 Exit codes: 0 success, 2 config/data validation error (unreadable and
-non-UTF-8 files included), 3 numerical failure: a Newton-Raphson fit that does
-not converge, a ``select`` sweep with no converged degree, a non-finite result
-(nothing is written) or an allocation that runs out of memory.  A failing run
-prints one line on stderr.
+non-UTF-8 files and a degree with too few usable data points included),
+3 numerical failure: a Newton-Raphson fit that does not converge, a ``select``
+sweep with no converged degree, a non-finite result (nothing is written) or an
+allocation that runs out of memory.  A failing run prints one line on stderr.
 
 The flags ``--seed``, ``--method`` and ``--scale-max`` are config keys: :func:`main`
 writes each one given into the config, so :func:`run` checks it like the key,
@@ -37,6 +37,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import sys
 import warnings
 from dataclasses import dataclass, field
@@ -45,11 +46,17 @@ from functools import partial
 from pathlib import Path
 from typing import Callable
 
+# Before numpy loads: the estimators work on sufficient aggregates, so no BLAS
+# operand exceeds (p+2) x (N-1) entries, whatever the number of paths.  Each
+# idle OpenBLAS worker still spins for about 0.1 s of CPU, and scipy.special
+# (simulate_panel, build_box) starts a second pool.  A value the user set wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import numpy as np
 
 from . import __version__
 from .asymptotics import SingularInformationError, confidence_intervals, fisher_info
-from .fit_nr import FitError, fit
+from .fit_nr import DegreeError, FitError, fit
 from .fit_sa import SaSchedule, anneal, build_box
 from .fpt import FptProblem, VolterraError, solve_density
 from .likelihood import fit_initial, transform
@@ -362,6 +369,9 @@ def _cmd_simulate(cfg: dict, bundle: _Bundle) -> None:
 
 def _cmd_fit(cfg: dict, bundle: _Bundle) -> None:
     method = cfg.get("method", "nr")
+    unread = "sa" if method == "nr" else "nr"
+    if unread in cfg:
+        raise ConfigError(f"{unread}: method {method!r} does not read the {unread!r} table")
     levels = cfg.get("confidence_levels", (0.95, 0.90, 0.75))
     panel = ingest_csv(cfg["data"], cfg.get("scale_max", False))
     degree = cfg["degree"]
@@ -570,7 +580,7 @@ def main(argv=None) -> int:
             if isinstance(config, dict):
                 config.update((k, v) for k, v in flags.items() if v is not None)
             report = run(args.command, config, out_dir=args.out)
-        except ConfigError as exc:
+        except (ConfigError, DegreeError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         except (FitError, VolterraError, SingularInformationError, np.linalg.LinAlgError,

@@ -34,6 +34,7 @@ from .simulate import PathPanel, geometric_mean, sample_mean
 
 __all__ = [
     "FitError",
+    "DegreeError",
     "InitSolution",
     "NrResult",
     "initial_theta",
@@ -50,6 +51,10 @@ NOISE_SIGMAS = 5.0    # saturation ratios below this many noise SDs are dropped
 
 class FitError(RuntimeError):
     """Raised when an estimation step cannot produce a usable result."""
+
+
+class DegreeError(FitError):
+    """The panel has too few usable points for the requested degree: a data error."""
 
 
 @dataclass(frozen=True)
@@ -127,7 +132,7 @@ def initial_theta(panel: PathPanel, p: int) -> tuple[float, PolyCoeffs, float, n
     t_keep, ratio = usable_saturation_pairs(panel)
     y = -np.log(ratio)
     if t_keep.size < p + 2:
-        raise FitError(
+        raise DegreeError(
             f"only {t_keep.size} usable regression points for degree {p} "
             f"(need {p + 2}); the sample mean may not be increasing"
         )

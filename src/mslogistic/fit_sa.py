@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fit_nr import FitError, _scaled_vandermonde, usable_saturation_pairs
+from .fit_nr import DegreeError, FitError, _scaled_vandermonde, usable_saturation_pairs
 from .likelihood import _check_rows, _neg_core_loglik, _Workspace, neg_core_loglik, transform
 from .model import ModelParams
 from .simulate import PathPanel, check_seed, sample_mean
@@ -147,7 +147,7 @@ def build_box(panel: PathPanel, p: int) -> ParamBox:
     t_keep, ratio = usable_saturation_pairs(panel)
     y = -np.log(ratio * eta_hat)
     if t_keep.size < p + 1:
-        raise FitError(f"only {t_keep.size} usable points for a degree-{p} box")
+        raise DegreeError(f"only {t_keep.size} usable points for a degree-{p} box")
 
     scaled, norms, design = _scaled_vandermonde(t_keep, p, intercept=False)
     coef_s, *_ = np.linalg.lstsq(scaled, y, rcond=None)

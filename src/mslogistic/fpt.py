@@ -233,8 +233,12 @@ def solve_density(problem: FptProblem, steps: np.ndarray | None = None) -> FptDe
     )
     captured = float(cumulative[-1])
     mass_warning = captured < 0.95
+    if not math.isfinite(captured):
+        raise VolterraError(f"the passage density is not finite up to t_max {t[-1]:g}: "
+                            "the drift overflows on this horizon")
     if not captured > 0:
-        raise VolterraError("no probability mass captured; check the horizon")
+        raise VolterraError(f"no probability mass captured on the {n}-node grid up to "
+                            f"t_max {t[-1]:g}; refine the grid or extend the horizon")
 
     mean = float(np.trapezoid(t * g_clip, t))
     second = float(np.trapezoid(t * t * g_clip, t))

@@ -290,14 +290,20 @@ class TestMainEntry:
         code = main(["fit", "--config", str(missing)])
         assert code == 2
 
-    def test_numerical_failure_exit_code(self, tmp_path):
-        # a panel too small for the requested degree fails with code 3?
-        # initial_theta raises FitError -> numerical failure channel
-        f = tmp_path / "tiny.csv"
-        f.write_text("t,a,b\n0,1.0,1.1\n1,2.0,2.1\n2,2.5,2.6\n", encoding="utf-8")
-        cfg = write_config(tmp_path, {"data": str(f), "degree": 4})
-        code = main(["fit", "--config", str(cfg), "--out", str(tmp_path / "o")])
-        assert code == 3
+    @pytest.mark.parametrize("data, degree, method, fragment", [
+        (None, 4, "nr", "only 2 usable regression points for degree 4 (need 6)"),
+        (FIXTURE, 1000, "nr", "only 247 usable regression points for degree 1000 (need 1002)"),
+        (FIXTURE, 1000, "sa", "only 247 usable points for a degree-1000 box"),
+    ], ids=["tiny-nr", "fixture-nr", "fixture-sa"])
+    def test_degree_beyond_data_exit_code(self, tmp_path, capsys, data, degree, method,
+                                          fragment):
+        if data is None:
+            data = tmp_path / "tiny.csv"
+            data.write_text("t,a,b\n0,1.0,1.1\n1,2.0,2.1\n2,2.5,2.6\n", encoding="utf-8")
+        self.assert_config_error(tmp_path, capsys, "fit",
+                                 {"data": str(data), "degree": degree, "method": method},
+                                 fragment)
+        assert not (tmp_path / "o").exists()
 
     def test_invalid_json_exit_code(self, tmp_path):
         bad = tmp_path / "broken.json"
@@ -436,12 +442,13 @@ class TestMainEntry:
         cfg = write_config(tmp_path, {"data": str(FIXTURE), "degree": 3,
                                       "sa": {"replications": 2, "max_iter": 20}})
         hashes = []
-        for method in ("nr", "sa"):
-            out = tmp_path / method
-            assert main(["fit", "--config", str(cfg), "--method", method,
+        for seed in ("1", "2"):
+            out = tmp_path / seed
+            assert main(["fit", "--config", str(cfg), "--method", "sa", "--seed", seed,
                          "--out", str(out)]) == 0
             report = load_report(out)
-            assert report["results"]["method"] == method
+            assert report["results"]["method"] == "sa"
+            assert report["meta"]["seed"] == int(seed)
             hashes.append(report["meta"]["config_sha256"])
         assert hashes[0] != hashes[1]
 
@@ -484,6 +491,13 @@ class TestMainEntry:
         ("simulate", sim_config(paths=2**64), "exceed numpy's largest array"),
         ("simulate", sim_config(num=2**63),
          "grid.num: expected an integer in [2, 1152921504606846975], got 9223372036854775808"),
+        # a method table that the chosen method does not read
+        ("fit", {"data": str(FIXTURE), "degree": 3, "method": "nr", "sa": {"replications": 2}},
+         "error: sa: method 'nr' does not read the 'sa' table"),
+        ("fit", {"data": str(FIXTURE), "degree": 3, "sa": {}},
+         "error: sa: method 'nr' does not read the 'sa' table"),
+        ("fit", {"data": str(FIXTURE), "degree": 3, "method": "sa", "nr": {"tol": 1e-9}},
+         "error: nr: method 'sa' does not read the 'nr' table"),
     ])
     def test_schema_violation_exit_code(self, tmp_path, capsys, command, payload, fragment):
         self.assert_config_error(tmp_path, capsys, command, payload, fragment)
@@ -521,8 +535,9 @@ class TestMainEntry:
     def test_fpt_overflowing_horizon_exit_code(self, tmp_path, capsys):
         cfg = {"params": {"eta": math.exp(-1), "beta": [0.1, -0.009, 0.0002], "sigma2": 1e-4},
                "x0": 5.0, "t0": 0.0, "boundary": 15.0, "t_max": 1e300}
-        # the density is NaN, so the solver refuses its captured mass
-        self.assert_numerical_failure(tmp_path, capsys, "fpt", cfg, "no probability mass")
+        # the drift overflows, so the density is NaN
+        self.assert_numerical_failure(tmp_path, capsys, "fpt", cfg,
+                                      "the passage density is not finite up to t_max 1e+300")
 
     def test_simulate_underflowing_paths_exit_code(self, tmp_path, capsys):
         cfg = {**sim_config(), "params": {"eta": 0.3679, "beta": [0.1], "sigma2": 1e300}}
@@ -608,6 +623,16 @@ class TestConvergencePolicy:
         assert results["chosen_p"] == 3
         assert sorted(results["failures"]) == ["5", "6"]
         assert [p for p, e in results["per_degree"].items() if not e["converged"]] == ["5", "6"]
+
+    def test_select_lists_unsupported_degree_as_failure(self, tmp_path):
+        assert main(["select", "--config", str(write_config(tmp_path, {
+            "data": str(FIXTURE), "degrees": [3, 1000]})), "--out", str(tmp_path / "o")]) == 0
+        results = load_report(tmp_path / "o")["results"]
+        assert results["chosen_p"] == 3
+        assert list(results["per_degree"]) == ["3"]
+        assert results["failures"] == {"1000": "only 247 usable regression points for degree "
+                                               "1000 (need 1002); the sample mean may not be "
+                                               "increasing"}
 
     def test_forecast_degrees_choose_a_converged_degree(self, tmp_path):
         run("forecast", {"data": str(FIXTURE), "degrees": [5, 6, 3], "fit_until": 246.0},

@@ -185,7 +185,8 @@ class TestSolveDensity:
             if nodes is None:
                 solve_density(prob)
             else:  # too coarse to capture any mass
-                with pytest.raises(VolterraError):
+                with pytest.raises(VolterraError, match=f"no probability mass captured on the "
+                                                        f"{nodes}-node grid up to t_max 210;"):
                     solve_density(prob, np.linspace(0.0, 210.0, nodes))
 
     def test_invalid_problems_rejected(self):
