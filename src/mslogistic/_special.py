@@ -1,14 +1,16 @@
-"""Pure-Python normal quantile, normal cdf and logistic sigmoid.
+"""Normal quantile, normal cdf and logistic sigmoid without scipy.
 
 Ports of the Cephes routines behind ``scipy.special.ndtri``,
 ``scipy.special.ndtr`` and ``scipy.special.expit`` that keep their arithmetic
 step for step, so they return the same doubles as scipy (the tests check this
 bitwise against the installed scipy).
-They exist so that the commands needing only a few such values do not pay
-for importing ``scipy.special``.
+They exist so that the library and the commands do not pay for importing
+``scipy.special``.
 
 Each function takes a scalar or an array: a scalar gives a Python float, an
-array gives a float64 array of the same shape, evaluated element by element.
+array gives a float64 array of the same shape.  ``ndtri`` runs each Cephes
+branch as numpy arithmetic over the elements that take it, with libm's
+``log`` per element; ``ndtr`` and ``expit`` are pure Python, element by element.
 """
 
 from __future__ import annotations
@@ -85,14 +87,14 @@ _SQRT1_2 = 0.7071067811865476
 _MAXLOG = 7.09782712893383996843e2  # log(DBL_MAX)
 
 
-def _polevl(x: float, coef: tuple) -> float:
+def _polevl(x, coef: tuple):
     ans = coef[0]
     for c in coef[1:]:
         ans = ans * x + c
     return ans
 
 
-def _p1evl(x: float, coef: tuple) -> float:
+def _p1evl(x, coef: tuple):
     """Like :func:`_polevl` with an implied leading coefficient of 1."""
     ans = x + coef[0]
     for c in coef[1:]:
@@ -100,32 +102,38 @@ def _p1evl(x: float, coef: tuple) -> float:
     return ans
 
 
-def _ndtri(y0: float) -> float:
-    if y0 == 0.0:
-        return -math.inf
-    if y0 == 1.0:
-        return math.inf
-    if not 0.0 < y0 < 1.0:
-        return math.nan
-    negate = True
-    y = y0
-    if y > 1.0 - _EXP_M2:
-        y = 1.0 - y
-        negate = False
-    if y > _EXP_M2:
-        y = y - 0.5
-        y2 = y * y
-        x = y + y * (y2 * _polevl(y2, _P0) / _p1evl(y2, _Q0))
-        return x * _S2PI
-    x = math.sqrt(-2.0 * math.log(y))
-    x0 = x - math.log(x) / x
+def _log(v: np.ndarray) -> np.ndarray:
+    """libm's ``log`` per element, as Cephes calls it (numpy's SIMD ``np.log`` can differ)."""
+    return np.fromiter(map(math.log, v.tolist()), dtype=float, count=v.size)
+
+
+def ndtri(y, out=None):
+    """Bitwise port of ``scipy.special.ndtri``, vectorised over the Cephes branches.
+
+    A scalar gives a float; an array gives an array of its shape, or is written
+    into ``out`` (which may be ``y`` itself or a strided view) and ``out`` returned.
+    """
+    a = np.asarray(y, dtype=float)
+    flip = a > 1.0 - _EXP_M2  # Cephes works on 1 - y there and keeps the sign
+    y = np.where(flip, 1.0 - a, a)
+    central = y > _EXP_M2
+    tail = (y > 0.0) & ~central  # NaN, 0, 1 and anything outside (0, 1) are in neither
+    r = np.full(a.shape, np.nan)
+    r[a == 0.0] = -np.inf
+    r[a == 1.0] = np.inf
+    c = y[central] - 0.5
+    c2 = c * c
+    r[central] = (c + c * (c2 * _polevl(c2, _P0) / _p1evl(c2, _Q0))) * _S2PI
+    x = np.sqrt(-2.0 * _log(y[tail]))
     z = 1.0 / x
-    if x < 8.0:
-        x1 = z * _polevl(z, _P1) / _p1evl(z, _Q1)
-    else:
-        x1 = z * _polevl(z, _P2) / _p1evl(z, _Q2)
-    x = x0 - x1
-    return -x if negate else x
+    x1 = np.where(x < 8.0, z * _polevl(z, _P1) / _p1evl(z, _Q1),
+                  z * _polevl(z, _P2) / _p1evl(z, _Q2))
+    x = x - _log(x) / x - x1
+    r[tail] = np.where(flip[tail], x, -x)
+    if out is None:
+        return float(r) if r.ndim == 0 else r
+    out[...] = r
+    return out
 
 
 # erf and erfc only as ndtr reaches them: erf for |x| < 1, erfc for
@@ -180,6 +188,5 @@ def _elementwise(scalar_fn):
     return fn
 
 
-ndtri = _elementwise(_ndtri)
 ndtr = _elementwise(_ndtr)
 expit = _elementwise(_expit)

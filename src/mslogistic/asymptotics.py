@@ -134,11 +134,8 @@ class CiReport:
         raise KeyError(name)
 
 
-def _wald(name: str, est: float, se: float, levels) -> ParameterInterval:
-    ivs = {}
-    for lv in levels:
-        z = ndtri(0.5 + lv / 2.0)
-        ivs[lv] = (est - z * se, est + z * se)
+def _wald(name: str, est: float, se: float, z_by_level: dict) -> ParameterInterval:
+    ivs = {lv: (est - z * se, est + z * se) for lv, z in z_by_level.items()}
     return ParameterInterval(name=name, estimate=est, std_error=se, intervals=ivs)
 
 
@@ -158,11 +155,12 @@ def confidence_intervals(
     est = xi_hat.as_vector()
     p = xi_hat.degree
     names = ["eta", *(f"beta{l}" for l in range(1, p + 1)), "sigma2"]
-    entries = [_wald(nm, float(e), float(s), levels) for nm, e, s in zip(names, est, se)]
+    z = dict(zip(levels, ndtri(0.5 + np.asarray(levels, dtype=float) / 2.0).tolist()))
+    entries = [_wald(nm, float(e), float(s), z) for nm, e, s in zip(names, est, se)]
     for nm, (value, grad) in (functions or {}).items():
         grad = np.asarray(grad, dtype=float)
         var = float(grad @ cov @ grad)
-        entries.append(_wald(nm, float(value), math.sqrt(max(var, 0.0)), levels))
+        entries.append(_wald(nm, float(value), math.sqrt(max(var, 0.0)), z))
     return CiReport(parameters=tuple(entries))
 
 

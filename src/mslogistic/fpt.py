@@ -192,7 +192,10 @@ def solve_density(problem: FptProblem, steps: np.ndarray | None = None) -> FptDe
     truncated-but-renormalized variances are dominated by the renormalization
     itself); check ``captured_mass`` before trusting them.  Deciles invert the
     cumulative renormalized to the captured mass.  ``mass_warning`` flags
-    horizons that truncate more than 5% of the mass.
+    horizons that truncate more than 5% of the mass.  A negative variance
+    raises VolterraError where the density also went negative (a grid too
+    coarse for the spread); where it did not, the spread is below what the
+    unnormalised moments resolve, and ``std`` reads 0.
 
     The kernel is evaluated in array passes: the free terms at once, then
     blocks of about :data:`KERNEL_BLOCK` entries (nodes ``t_k`` against
@@ -242,7 +245,10 @@ def solve_density(problem: FptProblem, steps: np.ndarray | None = None) -> FptDe
 
     mean = float(np.trapezoid(t * g_clip, t))
     second = float(np.trapezoid(t * t * g_clip, t))
-    var = max(second - mean * mean, 0.0)
+    var = second - mean * mean
+    if var < 0 and negative_warning:  # an oscillating solution: the grid cannot hold the spread
+        raise VolterraError(f"negative variance {var:.3g} of the passage density on the {n}-node "
+                            "grid: the grid is too coarse for its spread; refine the grid")
 
     k_max = int(np.argmax(g_clip))
     mode = t[k_max]
@@ -264,7 +270,7 @@ def solve_density(problem: FptProblem, steps: np.ndarray | None = None) -> FptDe
         cumulative=cumulative,
         captured_mass=captured,
         mean=mean,
-        std=math.sqrt(var),
+        std=math.sqrt(max(var, 0.0)),
         mode=float(mode),
         deciles=deciles,  # type: ignore[arg-type]
         mass_warning=mass_warning,

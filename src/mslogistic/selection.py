@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .fit_nr import FitError, fit
+from .fit_nr import DegreeError, FitError, fit
 from .likelihood import fit_initial, loglik, transform
 from .model import ModelParams, curve, integrated_drift
 from .simulate import PathPanel, geometric_mean, sample_mean
@@ -155,7 +155,8 @@ def select_degree(
     ``converged``.  Degrees whose fit raises are recorded in ``failures`` and
     skipped.  A degree whose fit did not converge keeps its entry
     (``converged=False``) and is also listed in ``failures``; only converged
-    degrees can be chosen.  If no degree converges, FitError is raised.
+    degrees can be chosen.  If no degree converges, FitError is raised; if
+    every degree raised DegreeError, the first degree's DegreeError is.
     """
     p_list = list(p_range)
     if not p_list:
@@ -170,13 +171,13 @@ def select_degree(
 
     entries = []
     failures = []
-    last_error: Exception | None = None
+    errors: list[Exception] = []
     for p in p_list:
         try:
             res = fitter(panel, p)
         except (FitError, ValueError) as exc:
             failures.append((p, str(exc)))
-            last_error = exc
+            errors.append(exc)
             continue
         xi = res.xi_hat
         l_value = loglik(vdata, alpha, xi)
@@ -205,7 +206,10 @@ def select_degree(
             failures.append((p, f"the degree-{p} fit did not converge"))
     converged = [e for e in entries if e.converged]
     if not converged:
-        raise FitError(f"no degree in {p_list} gave a converged fit") from last_error
+        if len(errors) == len(p_list) and all(isinstance(e, DegreeError) for e in errors):
+            raise errors[0]  # the data support no degree in the sweep: a data error, as in fit
+        raise FitError(f"no degree in {p_list} gave a converged fit") from (
+            errors[-1] if errors else None)
 
     best_bic = min(e.bic for e in converged)
     chosen = min(e.p for e in converged if e.bic <= best_bic + BIC_TIE_WINDOW)

@@ -23,6 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import _special
 from .model import Degenerate, InitialDistribution, ModelParams
 
 __all__ = ["SamplePath", "PathPanel", "SimSpec", "simulate_panel", "sample_mean", "geometric_mean",
@@ -30,6 +31,10 @@ __all__ = ["SamplePath", "PathPanel", "SimSpec", "simulate_panel", "sample_mean"
 
 
 MAX_FLOATS = np.iinfo(np.intp).max // 8  # float64 values one numpy array can address
+# Draws up to which simulate_panel uses the numpy ndtri port.  Its tails call
+# libm's log per element, so above this scipy's compiled ndtri wins even
+# counting the 0.2-0.3 s its import costs.
+NDTRI_PORT_MAX = 2**20
 
 
 def check_seed(seed, name: str = "seed"):
@@ -233,8 +238,6 @@ class SimSpec:
 
 def simulate_panel(spec: SimSpec) -> PathPanel:
     """Draw ``spec.d`` paths on ``spec.grid``; FloatingPointError if a value under/overflows."""
-    from scipy.special import ndtri  # costly import, paid only by simulation
-
     grid, params = spec.grid, spec.params
     log_gap = np.logaddexp(np.log(params.eta), -params.poly.value(grid))
     step_mean = (log_gap[:-1] - log_gap[1:]) - 0.5 * params.sigma2 * np.diff(grid)
@@ -255,6 +258,9 @@ def simulate_panel(spec: SimSpec) -> PathPanel:
         gen.random(out=z[i])
     # draws are multiples of 2**-53, so this lifts only exact zeros (ndtri(0) = -inf)
     np.maximum(z, 0.5 / 2**53, out=z)
+    ndtri = _special.ndtri
+    if z.size > NDTRI_PORT_MAX:
+        from scipy.special import ndtri  # same doubles; costly import, paid only here
     ndtri(z, out=z)
 
     incr = rows[:, 1:]

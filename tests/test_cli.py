@@ -305,6 +305,14 @@ class TestMainEntry:
                                  fragment)
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command, extra", [("select", {}), ("forecast", {"fit_until": 246.0})])
+    def test_sweep_of_unsupported_degrees_exit_code(self, tmp_path, capsys, command, extra):
+        # every degree exceeds the data: the first degree's own message, as fit gives it
+        self.assert_config_error(tmp_path, capsys, command,
+                                 {"data": str(FIXTURE), "degrees": [1000, 2000], **extra},
+                                 "regression points for degree 1000 (need 1002)")
+        assert not (tmp_path / "o").exists()
+
     def test_invalid_json_exit_code(self, tmp_path):
         bad = tmp_path / "broken.json"
         bad.write_text("{not json", encoding="utf-8")

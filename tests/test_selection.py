@@ -187,6 +187,24 @@ class TestSelectDegree:
         with pytest.raises(FitError):
             select_degree(panel, [2, 3], fitter=bad_fitter)
 
+    def test_only_degree_errors_raise_the_first_one(self, case1_params):
+        from mslogistic.fit_nr import DegreeError, FitError
+
+        panel = make_case1_panel(case1_params, seed=76, d=10, n_points=21)
+
+        def raising(errors):
+            def fitter(pnl, p):
+                raise errors[p]
+            return fitter
+
+        with pytest.raises(DegreeError, match="^degree 2 is too high$"):
+            select_degree(panel, [2, 3], fitter=raising(
+                {2: DegreeError("degree 2 is too high"), 3: DegreeError("degree 3 is too high")}))
+        with pytest.raises(FitError, match="no degree in") as info:
+            select_degree(panel, [2, 3], fitter=raising(
+                {2: DegreeError("degree 2 is too high"), 3: ValueError("nope")}))
+        assert not isinstance(info.value, DegreeError)
+
     def test_partial_failures_recorded(self, case1_params):
         panel = make_case1_panel(case1_params, seed=77, d=30, n_points=61)
         from mslogistic.fit_nr import fit as nr_fit

@@ -25,6 +25,7 @@ from mslogistic import (
     transform,
 )
 
+from mslogistic import _special, simulate
 from conftest import make_case1_panel
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -135,6 +136,17 @@ class TestGolden:
     def test_matches_recorded_panel(self, record):
         assert make_sim_golden.digest(record) == {"shape": record["shape"],
                                                   "sha256": record["sha256"]}
+
+    @pytest.mark.parametrize("port_max", [0, math.inf], ids=["scipy", "port"])
+    @pytest.mark.parametrize("init", ["degenerate", "lognormal"])
+    def test_both_ndtri_routes_give_the_recorded_panel(self, monkeypatch, port_max, init):
+        port, calls = _special.ndtri, []
+        monkeypatch.setattr(_special, "ndtri", lambda *a, **k: calls.append(a) or port(*a, **k))
+        monkeypatch.setattr(simulate, "NDTRI_PORT_MAX", port_max)
+        record = next(r for r in SIM_GOLDEN["records"] if r["init"] == init and r["d"] == 200)
+        assert make_sim_golden.digest(record) == {"shape": record["shape"],
+                                                  "sha256": record["sha256"]}
+        assert len(calls) == (port_max > 0)
 
     def test_records_cover_both_starts_and_a_wide_seed(self):
         records = SIM_GOLDEN["records"]

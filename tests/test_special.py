@@ -1,4 +1,4 @@
-"""The pure-Python special functions against scipy, and where scipy gets loaded.
+"""The special-function ports against scipy, and where scipy gets loaded.
 
 ``scipy.special`` is the oracle: every port must return the same doubles,
 bit for bit, on a fixed seeded sample.
@@ -47,6 +47,23 @@ class TestNdtri:
         assert type(z) is float and z == sc.ndtri(0.975)
         assert type(ndtri(np.float64(0.5))) is float
         assert ndtri(np.full((2, 3), 0.25)).shape == (2, 3)
+        grid = np.array([[0.01, 0.25, 0.5], [0.9, 1.0 - 1e-12, 0.0]])
+        assert_bitwise(ndtri(grid), sc.ndtri(grid))
+        assert ndtri(np.empty((0, 3))).shape == (0, 3)
+
+    def test_out_writes_into_a_strided_view(self):
+        rows = np.random.default_rng(20240814).random((6, 9))
+        rows[0, 1], rows[1, 3] = 1e-20, 1.0 - 1e-15
+        before = rows.copy()
+        view = rows[:, 1::2]
+        assert ndtri(view, out=view) is view
+        assert_bitwise(view, sc.ndtri(before[:, 1::2]))
+        assert_bitwise(rows[:, ::2], before[:, ::2])
+        other = np.empty((6, 4))
+        assert ndtri(before[:, 1::2], out=other) is other
+        assert_bitwise(other, view)
+        empty = np.empty((0, 3))
+        assert ndtri(empty, out=empty) is empty
 
 
 class TestNdtr:
@@ -118,6 +135,10 @@ class TestScipyStaysUnloaded:
             "select": {"data": str(FIXTURE), "degrees": [2, 3, 4]},
             "forecast": {"data": str(FIXTURE), "degree": 3, "fit_until": 246.0},
             "fpt": {"data": str(FIXTURE), "degree": 3, "boundary": 0.7, "t_max": 350.0},
+            # the README example: 200 x 500 draws, under simulate.NDTRI_PORT_MAX
+            "simulate": {"params": {"eta": 0.3679, "beta": [0.1, -0.009, 0.0002], "sigma2": 1e-4},
+                         "init": {"x0": 5.0}, "grid": {"start": 0, "stop": 50, "num": 501},
+                         "paths": 200, "seed": 1},
         }
         for command, cfg in configs.items():
             (tmp_path / f"{command}.json").write_text(json.dumps(cfg), encoding="utf-8")
