@@ -4,8 +4,10 @@ The score equations reduce to p+2 equations: one for sigma2, whose only
 admissible root has a closed form given the growth shape, and p+1 shape
 equations ``y_l + sigma2/2 w_l + x_l = 0``.  The fitter eliminates sigma2
 through the closed-form root and runs a damped Newton iteration on the p+1
-shape equations alone, falling back to the full (p+2)-dimensional system if
-the reduced iteration stalls.
+shape equations alone.  Its Jacobian is exact: one
+:func:`~mslogistic.likelihood.compute_stats` call gives the residual and the
+shape derivatives of ``w``, ``x`` and ``y``, and the chain rule through the
+root gives sigma2's part.  A stopped iteration is reported with its message.
 
 The starting shape comes from ordinary least squares of ``-log(m_N/m_j - 1)``
 on ``(1, t, ..., t^p)`` over the sample mean curve (the response approximates
@@ -28,7 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .likelihood import LikelihoodStats, VData, compute_stats, fit_initial, transform
+from .likelihood import (LikelihoodStats, VData, compute_stats, direction_signs, fit_initial,
+                         transform)
 from .model import ModelParams, PolyCoeffs
 from .simulate import PathPanel, geometric_mean, sample_mean
 
@@ -76,7 +79,6 @@ class NrResult:
     converged: bool
     trace: tuple[float, ...]
     init: InitSolution | None = None
-    used_fallback: bool = False
     message: str = ""
 
 
@@ -194,40 +196,40 @@ def system_residual(vdata: VData, xi: ModelParams) -> np.ndarray:
     return np.concatenate(([sig_eq], _theta_residual(stats, s2)))
 
 
-def _shape_point(vdata: VData, theta: np.ndarray) -> tuple[LikelihoodStats, float]:
-    """Stats at the shape ``theta`` and the floored closed-form sigma2 root there."""
+def _shape_point(vdata: VData, theta: np.ndarray):
+    """Shape residual at ``theta``, its exact Jacobian and the floored sigma2 root there.
+
+    sigma2 is eliminated through its closed-form root, so the residual
+    ``y + sigma2/2 w + x`` reads theta through sigma2 too:
+    ``d sigma2/d theta_k = -2 s_k (y_k + x_k) / (n + sigma2 z3/2)``, which is 0
+    where the root sits on the floor.
+    """
     stats = compute_stats(vdata, ModelParams.from_vector(np.append(theta, 0.0)))
-    return stats, max(sigma2_root(stats, stats.n), SIGMA2_FLOOR)
+    root = sigma2_root(stats, stats.n)
+    sigma2 = max(root, SIGMA2_FLOOR)
+    d_sigma2 = (root > SIGMA2_FLOOR) * -2.0 * direction_signs(stats.p) * (stats.y + stats.x) / (
+        stats.n + 0.5 * root * stats.z3)
+    jac = stats.dy + 0.5 * sigma2 * stats.dw + 0.5 * np.outer(stats.w, d_sigma2) + stats.dx
+    return _theta_residual(stats, sigma2), jac, sigma2, stats
 
 
-def _fd_jacobian(f, x: np.ndarray, fx: np.ndarray, typ: np.ndarray) -> np.ndarray:
-    jac = np.empty((fx.size, x.size))
-    for k in range(x.size):
-        h = 1e-6 * max(abs(x[k]), typ[k], 1e-9)
-        xp, xm = x.copy(), x.copy()
-        xp[k] += h
-        xm[k] -= h
-        jac[:, k] = (f(xp) - f(xm)) / (2.0 * h)
-    return jac
-
-
-def _newton_loop(f, x0: np.ndarray, scale: np.ndarray, typ: np.ndarray,
+def _newton_loop(f, x0: np.ndarray, point, scale: np.ndarray, typ: np.ndarray,
                  tol: float, max_iter: int):
     """Damped Newton iteration on ``f`` with backtracking on the scaled norm.
 
-    Returns ``(x, norm, trace, converged, message)``; accepted steps never
-    increase the scaled residual norm.  A non-finite Jacobian or step ends the
-    iteration as a singular Jacobian.
+    ``f(x)`` returns a tuple that starts with the residual and its Jacobian,
+    or None outside the domain; ``point`` is ``f(x0)``.  Returns ``(x, point,
+    norm, trace, converged, message)`` with ``point = f(x)``; accepted steps
+    never increase the scaled residual norm.  A non-finite Jacobian or step
+    ends the iteration as a singular Jacobian.
     """
-    x = x0.copy()
-    fx = f(x)
-    norm = float(np.max(np.abs(fx / scale)))
+    x = x0
+    norm = float(np.max(np.abs(point[0] / scale)))
     trace = [norm]
-    message = ""
-    for it in range(1, max_iter + 1):
+    for _ in range(max_iter):
         if norm < tol:
-            return x, norm, trace, True, ""
-        jac = _fd_jacobian(f, x, fx, typ)
+            return x, point, norm, trace, True, ""
+        fx, jac = point[:2]
         if not np.all(np.isfinite(jac)):
             message = "singular Jacobian"
             break
@@ -249,10 +251,12 @@ def _newton_loop(f, x0: np.ndarray, scale: np.ndarray, typ: np.ndarray,
         lam = 1.0
         for _ in range(MAX_BACKTRACKS + 1):
             cand = x + lam * step
-            fc = f(cand)
-            cand_norm = float(np.max(np.abs(fc / scale))) if np.all(np.isfinite(fc)) else np.inf
+            cand_point = f(cand)
+            cand_norm = np.inf
+            if cand_point is not None and np.all(np.isfinite(cand_point[0])):
+                cand_norm = float(np.max(np.abs(cand_point[0] / scale)))
             if cand_norm < norm:
-                x, fx, norm = cand, fc, cand_norm
+                x, point, norm = cand, cand_point, cand_norm
                 trace.append(norm)
                 accepted = True
                 break
@@ -261,10 +265,10 @@ def _newton_loop(f, x0: np.ndarray, scale: np.ndarray, typ: np.ndarray,
             message = "line search stalled"
             break
         if np.max(np.abs(lam * step) / np.maximum(np.abs(x), typ)) < 1e-12:
-            return x, norm, trace, norm < tol * 10, "step below resolution"
+            return x, point, norm, trace, norm < tol * 10, "step below resolution"
     else:
         message = f"no convergence in {max_iter} iterations"
-    return x, norm, trace, norm < tol, message
+    return x, point, norm, trace, norm < tol, message
 
 
 def fit(
@@ -292,49 +296,23 @@ def fit(
 
     typ = np.maximum(np.abs(theta0), 1e-6)
 
-    def reduced(theta):
-        if theta[0] <= 0:
-            return np.full(theta.size, np.inf)
-        return _theta_residual(*_shape_point(vdata, theta))
-
     # per-equation characteristic scales, frozen at the starting point
-    stats0, s2_for_scale = _shape_point(vdata, theta0)
-    scale = np.maximum.reduce([
-        np.abs(stats0.y),
-        np.abs(stats0.x),
-        0.5 * s2_for_scale * np.abs(stats0.w),
-    ])
+    point = _shape_point(vdata, theta0)
+    _, _, s2_for_scale, stats0 = point
+    scale = np.maximum.reduce([np.abs(stats0.y), np.abs(stats0.x),
+                               0.5 * s2_for_scale * np.abs(stats0.w)])
     scale = np.maximum(scale, 1e-12 * np.max(scale) + 1e-300)
 
-    theta, norm, trace, converged, message = _newton_loop(
-        reduced, theta0, scale, typ, tol, max_iter)
-    # accepted steps keep eta > 0, so the root at theta is finite
-    stats, sigma2 = _shape_point(vdata, theta)
-    used_fallback = False
-
-    if not converged:
-        # full (p+2)-dimensional system on (theta, sigma2)
-        def full_system(z):
-            if z[0] <= 0 or z[-1] <= 0:
-                return np.full(z.size, np.inf)
-            return system_residual(vdata, ModelParams.from_vector(z))
-
-        sig_scale = max(abs(stats.z1 + stats.a - 2 * stats.b), sigma2 * stats.n, 1e-300)
-        full_scale = np.concatenate(([sig_scale], scale))
-        full_typ = np.append(typ, max(sigma2, 1e-8))
-        z, full_norm, trace2, converged, message2 = _newton_loop(
-            full_system, np.append(theta, sigma2), full_scale, full_typ, tol, max_iter)
-        if full_norm <= norm or converged:
-            theta, sigma2, used_fallback = z[:-1], z[-1], True
-            trace, norm, message = list(trace) + list(trace2), full_norm, message2
+    theta, point, norm, trace, converged, message = _newton_loop(
+        lambda th: _shape_point(vdata, th) if th[0] > 0 else None,
+        theta0, point, scale, typ, tol, max_iter)
 
     return NrResult(
-        xi_hat=ModelParams.from_vector(np.append(theta, max(sigma2, SIGMA2_FLOOR))),
+        xi_hat=ModelParams.from_vector(np.append(theta, point[2])),
         iterations=len(trace) - 1,
         residual_norm=norm,
         converged=converged,
         trace=tuple(trace),
         init=init_solution,
-        used_fallback=used_fallback,
         message=message,
     )

@@ -14,7 +14,8 @@ reduces to a handful of aggregates over transitions, collected in
 * the log-gap differences ``lam`` (one per time pair) and their aggregates
   ``a = sum lam^2/dt``, ``b = sum v lam/sqrt(dt)``, ``c = sum lam``;
 * per-derivative-direction aggregates ``w[l], x[l], y[l]`` built from the
-  telescoping differences ``d_l`` (see :func:`_derivative_table`).
+  telescoping differences ``d_l`` (see :func:`_derivative_table`), and their
+  exact derivatives in the shape ``theta = (eta, beta_1..beta_p)``.
 
 Transitions that share the same (start, end) time pair contribute identical
 parameter-dependent factors, so :func:`transform` reduces the panel to groups
@@ -192,7 +193,8 @@ class LikelihoodStats:
     ``w``, ``x``, ``y`` have one entry per derivative direction
     ``l = 0 (eta), 1..p (beta_l)``; ``d_g`` holds the telescoping derivative
     differences per group, which :func:`~mslogistic.asymptotics.fisher_info`
-    reads.
+    reads.  ``dw[l, k]`` is ``d w_l / d theta_k`` in the shape
+    ``theta = (eta, beta_1..beta_p)``, and likewise ``dx`` and ``dy``.
     """
 
     z1: float
@@ -205,6 +207,9 @@ class LikelihoodStats:
     x: np.ndarray            # (p+1,)
     y: np.ndarray            # (p+1,)
     d_g: np.ndarray = field(repr=False)     # (p+1, G)
+    dw: np.ndarray = field(repr=False)      # (p+1, p+1)
+    dx: np.ndarray = field(repr=False)      # (p+1, p+1)
+    dy: np.ndarray = field(repr=False)      # (p+1, p+1)
     n: int = 0
     p: int = 0
 
@@ -261,20 +266,21 @@ def _gap_aggregates(ws: _Workspace, log_u: np.ndarray):
     return lam, terms.sum(axis=2).T.tolist()
 
 
-def _derivative_table(inv_u: np.ndarray, w_frac: np.ndarray, times: np.ndarray, p: int) -> np.ndarray:
-    """Table ``f_l(t)``, the building block of the telescoping differences.
+def _derivative_table(inv_u: np.ndarray, w_frac: np.ndarray, times: np.ndarray, p: int):
+    """Tables ``f_l(t)`` and ``E_j(t)``, the first and second derivatives of ``log u``.
 
-    ``f_0 = -1/(eta+e^{-Q})`` and ``f_l = -t^l e^{-Q}/(eta+e^{-Q})`` for
+    With ``u = eta + e^{-Q}``, ``f_0 = -1/u`` and ``f_l = -t^l e^{-Q}/u`` for
     ``l >= 1``; the difference ``f_l(t_hi) - f_l(t_lo)`` over a transition is
     ``+d(lam)/d(eta)`` for ``l = 0`` and ``-d(lam)/d(beta_l)`` otherwise.
+    ``E_j = t^j e^{-Q}/u^2`` (``j = 0..2p``) gives the derivatives of ``f``:
+    ``df_0/deta = 1/u^2``, ``df_0/dbeta_k = -E_k`` but ``df_l/deta = +E_l``
+    (the two signs differ), and ``df_l/dbeta_k = eta E_{l+k}``.
     """
-    f = np.empty((p + 1, times.size))
-    f[0] = -inv_u
-    tl = np.ones_like(times)
-    for l in range(1, p + 1):
-        tl = tl * times
-        f[l] = -tl * w_frac
-    return f
+    tl = np.empty((2 * p + 1, times.size))
+    tl[0] = 1.0
+    for j in range(1, 2 * p + 1):
+        np.multiply(tl[j - 1], times, out=tl[j])
+    return np.vstack((-inv_u, -tl[1:p + 1] * w_frac)), tl * (w_frac * inv_u)
 
 
 def compute_stats(vdata: VData, params: ModelParams) -> LikelihoodStats:
@@ -286,16 +292,29 @@ def compute_stats(vdata: VData, params: ModelParams) -> LikelihoodStats:
     q, log_u, lam = q[0], log_u[0], lam[0]
 
     cnt, sv, dt = vdata.g_count, vdata.g_sum_v, vdata.g_delta
-    f = _derivative_table(np.exp(-log_u), np.exp(-q - log_u), vdata.times, p)
-    d_g = f[:, vdata.g_hi] - f[:, vdata.g_lo]           # (p+1, G)
+    lo, hi, m = vdata.g_lo, vdata.g_hi, vdata.times.size
+    inv_u = np.exp(-log_u)
+    f, e = _derivative_table(inv_u, np.exp(-q - log_u), vdata.times, p)
+    d_g = f[:, hi] - f[:, lo]           # (p+1, G)
 
-    w = d_g @ cnt
-    x = d_g @ (sv / ws.sqrt_dt)
-    y = d_g @ (cnt * (-lam) / dt)
+    weights = (cnt, sv / ws.sqrt_dt, cnt * (-lam) / dt)
+    w, x, y = (d_g @ wt for wt in weights)
+
+    # theta-derivatives of w, x, y: each group's weight goes to the time table,
+    # + at its end and - at its start, so only (2p+1, m) E sums are formed
+    on_times = np.stack([np.bincount(hi, wt, m) - np.bincount(lo, wt, m) for wt in weights])
+    e_sums = e @ on_times.T                                         # (2p+1, 3)
+    jac = params.eta * e_sums[np.add.outer(np.arange(p + 1), np.arange(p + 1))]
+    jac[0, 0] = (inv_u * inv_u) @ on_times.T
+    jac[0, 1:] = -e_sums[1:p + 1]
+    jac[1:, 0] = e_sums[1:p + 1]
+    dw, dx, dy = np.moveaxis(jac, 2, 0)
+    # y also reads lam, whose derivative in theta_k is s_k d_g[k]
+    dy -= (d_g * (cnt / dt)) @ d_g.T * direction_signs(p)
 
     return LikelihoodStats(
         z1=vdata.z1, z2=vdata.z2, z3=vdata.z3, a=a, b=b, c=c,
-        w=w, x=x, y=y, d_g=d_g, n=vdata.n, p=p,
+        w=w, x=x, y=y, d_g=d_g, dw=dw, dx=dx, dy=dy, n=vdata.n, p=p,
     )
 
 

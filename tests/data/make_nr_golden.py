@@ -1,12 +1,14 @@
 """Records the Newton-Raphson golden file: the full outcome of named fits.
 
 Each record names one ``fit`` call and keeps its estimate, residual trace,
-iteration count, convergence flag, fallback flag, stop message, final
-residual norm and regression starting point:
+iteration count, convergence flag, stop message, final residual norm and
+regression starting point:
 
 * ``fixture_p1`` .. ``fixture_p6``: the bundled epidemic fixture at degrees
-  1-6; degrees 5 and 6 stall the reduced line search and finish on the full
-  (p+2)-dimensional system, so they pin the fallback path;
+  1-6, which converge;
+* ``fixture_t210_p4``: the fixture's times up to 210 (the training window of
+  ``msl forecast`` with ``fit_until`` 210) at degree 4, where the line search
+  stalls;
 * ``case1_s<seed>_p<p>``: case-1 panels (``Degenerate(5)``, 201 points over
   0..50, 40 paths, seeds 0-5) at degrees 2-5, which converge on the reduced
   system;
@@ -50,6 +52,7 @@ RANK_DEFICIENT_THETA0 = np.array([0.5, 0.3, -0.01, 0.001])
 SELECT_DEGREES = [2, 3, 4, 5, 6]
 
 FITS = {f"fixture_p{p}": ("fixture", p) for p in range(1, 7)}
+FITS["fixture_t210_p4"] = ("fixture_t210", 4)
 FITS.update({f"case1_s{seed}_p{p}": (seed, p) for seed in range(6) for p in range(2, 6)})
 FITS["rank_deficient"] = ("rank_deficient", 3)
 NAMES = [*FITS, "select_fixture"]
@@ -57,9 +60,16 @@ NAMES = [*FITS, "select_fixture"]
 
 @lru_cache(maxsize=None)
 def panel(source) -> PathPanel:
-    """The fixture, the rank-deficient panel, or the case-1 panel of seed ``source``."""
+    """The fixture, its times up to 210, the rank-deficient panel, or a case-1 panel.
+
+    An integer ``source`` is the seed of the case-1 panel.
+    """
     if source == "fixture":
         return ingest_csv(FIXTURE)
+    if source == "fixture_t210":
+        fixture = panel("fixture")
+        keep = fixture.common_grid() <= 210.0
+        return PathPanel.from_matrix(fixture.common_grid()[keep], fixture.values_matrix()[:, keep])
     if source == "rank_deficient":
         return PathPanel.from_matrix([0.0, 1.0, 2.0], [[1.0, 1.5, 2.0], [1.0, 1.4, 2.1]])
     return simulate_panel(SimSpec(params=CASE1, init=Degenerate(5.0),
@@ -78,7 +88,6 @@ def fit_record(name: str) -> dict:
         "xi_hat": list(res.xi_hat.as_vector()),
         "iterations": res.iterations,
         "converged": res.converged,
-        "used_fallback": res.used_fallback,
         "message": res.message,
         "residual_norm": res.residual_norm,
         "init": init,

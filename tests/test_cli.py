@@ -524,20 +524,21 @@ class TestMainEntry:
                                       {"data": str(FIXTURE), "degrees": [30]},
                                       "no degree in [30] gave a converged fit")
 
+    # the fixture at degree 11 ends "no convergence in 200 iterations"; up to
+    # t = 210 at degree 4 the line search stalls
     def test_fpt_unconverged_fit_exit_code(self, tmp_path, capsys):
         self.assert_numerical_failure(
             tmp_path, capsys, "fpt",
-            {"data": str(FIXTURE), "degree": 6, "boundary": 0.7, "t_max": 350.0},
+            {"data": str(FIXTURE), "degree": 11, "boundary": 0.7, "t_max": 350.0},
             "did not converge")
 
-    def test_fit_non_finite_newton_step_exit_code(self, tmp_path, capsys):
-        # at degree 7 a Jacobian difference point leaves the domain
+    def test_fit_unconverged_fit_exit_code(self, tmp_path, capsys):
         self.assert_numerical_failure(tmp_path, capsys, "fit",
-                                      {"data": str(FIXTURE), "degree": 7}, "did not converge")
+                                      {"data": str(FIXTURE), "degree": 11}, "did not converge")
 
     def test_forecast_unconverged_fit_exit_code(self, tmp_path, capsys):
         self.assert_numerical_failure(tmp_path, capsys, "forecast",
-                                      {"data": str(FIXTURE), "degree": 6, "fit_until": 246.0},
+                                      {"data": str(FIXTURE), "degree": 4, "fit_until": 210.0},
                                       "did not converge")
 
     def test_fpt_overflowing_horizon_exit_code(self, tmp_path, capsys):
@@ -626,11 +627,11 @@ class TestMainEntry:
 
 class TestConvergencePolicy:
     def test_select_lists_unconverged_degrees_as_failures(self, tmp_path):
-        run("select", {"data": str(FIXTURE), "degrees": [2, 3, 4, 5, 6]}, out_dir=tmp_path)
+        run("select", {"data": str(FIXTURE), "degrees": [2, 3, 4, 11]}, out_dir=tmp_path)
         results = load_report(tmp_path)["results"]
         assert results["chosen_p"] == 3
-        assert sorted(results["failures"]) == ["5", "6"]
-        assert [p for p, e in results["per_degree"].items() if not e["converged"]] == ["5", "6"]
+        assert sorted(results["failures"]) == ["11"]
+        assert [p for p, e in results["per_degree"].items() if not e["converged"]] == ["11"]
 
     def test_select_lists_unsupported_degree_as_failure(self, tmp_path):
         assert main(["select", "--config", str(write_config(tmp_path, {
@@ -643,7 +644,8 @@ class TestConvergencePolicy:
                                                "increasing"}
 
     def test_forecast_degrees_choose_a_converged_degree(self, tmp_path):
-        run("forecast", {"data": str(FIXTURE), "degrees": [5, 6, 3], "fit_until": 246.0},
+        # up to t = 210 the degree-4 fit stalls
+        run("forecast", {"data": str(FIXTURE), "degrees": [4, 3], "fit_until": 210.0},
             out_dir=tmp_path)
         assert load_report(tmp_path)["results"]["degree"] == 3
 

@@ -20,6 +20,7 @@ from mslogistic import (
 from mslogistic.cli import ingest_csv
 from mslogistic.fit_nr import (
     FitError,
+    _shape_point,
     fit,
     initial_sigma2,
     initial_theta,
@@ -31,9 +32,9 @@ from conftest import make_case1_panel
 
 DATA_DIR = Path(__file__).parent / "data"
 # Outcomes of named Newton-Raphson fits and one degree sweep, written by
-# make_nr_golden.py: the fixture at degrees 1-6 (5 and 6 end on the full
-# system), case-1 panels at degrees 2-5, a rank-deficient panel, and
-# select_degree on the fixture.
+# make_nr_golden.py: the fixture at degrees 1-6, its first 211 times at degree 4
+# (a stalled line search), case-1 panels at degrees 2-5, a rank-deficient
+# panel, and select_degree on the fixture.
 NR_GOLDEN_TEXT = (DATA_DIR / "nr_golden.json").read_text()
 _maker = importlib.util.spec_from_file_location("make_nr_golden", DATA_DIR / "make_nr_golden.py")
 make_nr_golden = importlib.util.module_from_spec(_maker)
@@ -291,13 +292,23 @@ class TestFit:
         assert res.converged
         assert res.init is None
 
-    def test_non_finite_jacobian_stops_without_warnings(self):
-        # at degree 7 on the fixture a finite-difference point leaves the
-        # domain; the iteration must stop instead of stepping to NaN
+    def test_singular_jacobian_stops_without_warnings(self):
+        # at eta = 1e300 every Jacobian entry underflows to 0; the iteration
+        # must stop instead of stepping to NaN
         panel = ingest_csv(DATA_DIR / "epidemic_shaped.csv")
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            res = fit(panel, 7)
+            res = fit(panel, 3, init=np.array([1e300, 0.05, -5e-4, 1e-6]))
+        assert not res.converged
+        assert res.message == "singular Jacobian"
+        assert np.all(np.isfinite(res.xi_hat.as_vector()))
+
+    def test_non_finite_jacobian_stops(self):
+        # at eta = 1e-200 on a saturated curve 1/u^2 overflows in the Jacobian
+        # while the residual stays finite
+        panel = ingest_csv(DATA_DIR / "epidemic_shaped.csv")
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = fit(panel, 3, init=np.array([1e-200, 5.0, 0.0, 0.0]))
         assert not res.converged
         assert res.message == "singular Jacobian"
         assert np.all(np.isfinite(res.xi_hat.as_vector()))
@@ -310,8 +321,46 @@ class TestGolden:
             {name: make_nr_golden.record(name) for name in make_nr_golden.NAMES}
         ) + "\n" == NR_GOLDEN_TEXT
 
-    def test_fallback_and_reduced_paths_both_pinned(self):
+    def test_converged_and_stopped_fits_both_pinned(self):
         golden = json.loads(NR_GOLDEN_TEXT)
         fits = [rec for name, rec in golden.items() if name != "select_fixture"]
-        assert {rec["used_fallback"] for rec in fits} == {True, False}
-        assert golden["fixture_p5"]["message"] == "line search stalled"
+        assert {rec["converged"] for rec in fits} == {True, False}
+        assert golden["fixture_t210_p4"]["message"] == "line search stalled"
+        assert golden["rank_deficient"]["message"] == "no convergence in 20 iterations"
+
+
+class TestJacobian:
+    """The exact Jacobian of the shape system against central differences."""
+
+    @staticmethod
+    def central_differences(vdata, theta):
+        # central differences at a step of 1e-7 |theta_k|
+        jac = np.empty((theta.size, theta.size))
+        for k in range(theta.size):
+            up, down = theta.copy(), theta.copy()
+            up[k] += 1e-7 * abs(theta[k])
+            down[k] -= 1e-7 * abs(theta[k])
+            diff = _shape_point(vdata, up)[0] - _shape_point(vdata, down)[0]
+            jac[:, k] = diff / (up[k] - down[k])
+        return jac
+
+    @pytest.mark.parametrize("source", ["fixture", pytest.param(0, id="case1")])
+    @pytest.mark.parametrize("p", range(1, 7))
+    def test_matches_central_differences_near_the_fit(self, source, p):
+        panel = make_nr_golden.panel(source)
+        vdata = transform(panel)
+        theta_hat = fit(panel, p).xi_hat.as_vector()[:-1]
+        rng = np.random.default_rng(p)
+        for _ in range(3):
+            theta = theta_hat * (1.0 + 1e-3 * rng.standard_normal(p + 1))
+            jac = _shape_point(vdata, theta)[1]
+            fd = self.central_differences(vdata, theta)
+            col_scale = np.max(np.abs(fd), axis=0)
+            assert np.all(np.max(np.abs(jac - fd), axis=0) <= 1e-3 * col_scale)
+            if source == "fixture" and p == 2:
+                # eta near 1e5 puts the eta row 1e-12 below the others, under
+                # what central differences resolve
+                continue
+            # the eta-beta entries on their own: d r_0/d beta_k and d r_k/d eta
+            eta_beta = np.concatenate((jac[0, 1:], jac[1:, 0]))
+            np.testing.assert_allclose(eta_beta, np.concatenate((fd[0, 1:], fd[1:, 0])), rtol=1e-4)

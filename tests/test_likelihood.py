@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import hashlib
 import math
 import weakref
 from pathlib import Path
@@ -24,6 +25,7 @@ from mslogistic import (
     simulate_panel,
     transform,
 )
+from mslogistic.asymptotics import fisher_info
 from mslogistic.cli import ingest_csv
 from mslogistic.likelihood import (_neg_core_loglik, _transform_paths, _Workspace, core_loglik,
                                    neg_core_loglik)
@@ -298,8 +300,74 @@ class TestComputeStats:
         np.testing.assert_allclose(s1.x, s2.x, rtol=1e-14)
         np.testing.assert_allclose(s1.y, s2.y, rtol=1e-14)
 
+    # first 16 hex digits of the SHA-256 of each value's float64 bytes, recorded
+    # before compute_stats gained the shape derivatives dw, dx and dy
+    RECORDED_BITS = {
+        "fixture": {
+            "z1": "2abaec6f70fb2875", "z2": "d0db495b2d431e59", "z3": "139107fd63d004e9",
+            "a": "0c48ee0aaf12e1e4", "b": "c79ff540269a5478", "c": "455fa925a861cb34",
+            "w": "0d5c4450680e6f9c", "x": "15e60892abfd2991", "y": "f25725da50cf45d4",
+            "d_g": "3fb218f9c9a573ca", "n": "139107fd63d004e9", "p": "161f4c0b1a18a050",
+            "fisher_info": "cfde987b09fb7139", "grad_loglik": "fdb423ce98a0f4e5",
+            "core_loglik": "35448c95a74075de"},
+        "case1": {
+            "z1": "0de25a3380838f6d", "z2": "ed0e3de8ed48d5e4", "z3": "64fa92a0745fda69",
+            "a": "dbe8b70223a67928", "b": "12a8cdfa9b02d41f", "c": "900c5188496bf59f",
+            "w": "760e518eda65785b", "x": "b9a62b21deda9d73", "y": "f27b4d3b6e7c2b66",
+            "d_g": "02a96e41dd2d60c0", "n": "c5336095765c5bcb", "p": "161f4c0b1a18a050",
+            "fisher_info": "50b22ec129190788", "grad_loglik": "9ec32742f6887274",
+            "core_loglik": "88f4418adab959a7"},
+    }
+
+    @pytest.mark.parametrize("source", ["fixture", "case1"])
+    def test_fields_keep_their_recorded_bits(self, source):
+        if source == "fixture":
+            panel = ingest_csv(Path(__file__).parent / "data" / "epidemic_shaped.csv")
+            xi = ModelParams(0.0321, PolyCoeffs((0.0486, -0.000474, 1.3e-6)), 2.5e-3)
+        else:
+            panel = simulate_panel(SimSpec(params=CASE1, init=Degenerate(5.0),
+                                           grid=np.linspace(0.0, 50.0, 201), d=40, seed=0))
+            xi = ModelParams(0.37, PolyCoeffs((0.1, -0.009, 0.0002)), 1e-4)
+        vdata = transform(panel)
+        stats = compute_stats(vdata, xi)
+        values = {name: getattr(stats, name) for name in self.RECORDED_BITS[source]
+                  if hasattr(stats, name)}
+        values.update(fisher_info=fisher_info(vdata, xi).matrix, grad_loglik=grad_loglik(vdata, xi),
+                      core_loglik=core_loglik(stats, xi.sigma2))
+        bits = {name: hashlib.sha256(np.asarray(v, dtype=float).tobytes()).hexdigest()[:16]
+                for name, v in values.items()}
+        assert bits == self.RECORDED_BITS[source]
+
 
 class TestDerivativeAggregates:
+    def test_shape_derivatives_match_central_differences(self):
+        """``dw``, ``dx`` and ``dy`` against central differences of ``w``, ``x`` and ``y``."""
+        rng = np.random.default_rng(12)
+        for _ in range(8):
+            vdata = transform(random_panel(rng, d=3))
+            # beta_l of order 5^-l keeps Q(t) of order 1 up to t = 5: a saturated
+            # curve leaves w, x, y at rounding level, below what differences resolve
+            p = int(rng.integers(1, 5))
+            theta = np.concatenate(([rng.uniform(0.1, 2.0)],
+                                    rng.normal(0.0, 1.0, p) / 5.0 ** np.arange(1, p + 1)))
+            stats = compute_stats(vdata, ModelParams.from_vector(np.append(theta, 0.0)))
+            for k in range(theta.size):
+                up, down = theta.copy(), theta.copy()
+                up[k] += 1e-7 * abs(theta[k])
+                down[k] -= 1e-7 * abs(theta[k])
+                s_up, s_down = (compute_stats(vdata, ModelParams.from_vector(np.append(th, 0.0)))
+                                for th in (up, down))
+                for name in ("w", "x", "y"):
+                    fd = (getattr(s_up, name) - getattr(s_down, name)) / (up[k] - down[k])
+                    got = getattr(stats, "d" + name)[:, k]
+                    # column-relative, and entry-wise for the eta-beta entries,
+                    # whose two signs differ
+                    scale = np.max(np.abs(fd))
+                    assert np.max(np.abs(got - fd)) <= 1e-5 * scale
+                    rows = range(1, theta.size) if k == 0 else [0]
+                    for l in rows:
+                        assert got[l] == pytest.approx(fd[l], rel=1e-4, abs=1e-8 * scale)
+
     def test_signs_against_symbolic_differentiation(self):
         """The telescoping difference equals +dm/deta for l=0 and -dm/dbeta_l else."""
         eta_s, b1_s, b2_s, s2_s = sp.symbols("eta b1 b2 s2", positive=True)

@@ -258,8 +258,14 @@ class TestConvergencePolicy:
             select_degree(panel, [2, 3], fitter=self.fitter({2, 3}))
 
     def test_degree_with_non_finite_newton_step_is_listed(self):
-        # the degree-7 fit of the fixture stops on a non-finite Jacobian
+        # the degree-7 fit starts where the Jacobian overflows and stops there
         panel = ingest_csv(Path(__file__).parent / "data" / "epidemic_shaped.csv")
-        report = select_degree(panel, [3, 7])
+        steep = np.array([1e-200, 5.0] + [0.0] * 6)
+
+        def fitter(pnl, p):
+            return fit(pnl, p, init=steep) if p == 7 else fit(pnl, p)
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = select_degree(panel, [3, 7], fitter=fitter)
         assert report.chosen_p == 3
         assert report.failures == ((7, "the degree-7 fit did not converge"),)
