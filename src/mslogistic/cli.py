@@ -348,8 +348,8 @@ class _Bundle:
 def _nr_fit(panel: PathPanel, degree: int, **opts):
     res = fit(panel, degree, **opts)
     if not res.converged:
-        raise FitError(f"Newton iteration did not converge (residual {res.residual_norm:.3e}); "
-                       f"trace length {len(res.trace)}")
+        raise FitError(f"Newton iteration did not converge: {res.message} (scaled residual "
+                       f"{res.residual_norm:.3e} after {res.iterations} iterations)")
     return res
 
 

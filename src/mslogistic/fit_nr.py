@@ -3,24 +3,25 @@
 The score equations reduce to p+2 equations: one for sigma2, whose only
 admissible root has a closed form given the growth shape, and p+1 shape
 equations ``y_l + sigma2/2 w_l + x_l = 0``.  The fitter eliminates sigma2
-through the closed-form root and runs a damped Newton iteration on the p+1
-shape equations alone.  Its Jacobian is exact: one
-:func:`~mslogistic.likelihood.compute_stats` call gives the residual and the
-shape derivatives of ``w``, ``x`` and ``y``, and the chain rule through the
-root gives sigma2's part.  A stopped iteration is reported with its message.
+through that root and runs a damped Newton iteration on the shape equations;
+one :func:`~mslogistic.likelihood.compute_stats` call gives each point's
+residual and exact Jacobian (sigma2's part by the chain rule through the
+root).  A solve that fails or gives a non-finite step is retried once with a
+Levenberg-style diagonal shift, and each step is halved until it lowers the
+residual norm.  The components carry factors ``t^l``, so the norm is taken
+over residuals divided by per-equation scales frozen at the start.  A norm
+below ``tol`` converges with an empty ``NrResult.message``; otherwise the
+message names the stop rule:
 
-The starting shape comes from ordinary least squares of ``-log(m_N/m_j - 1)``
-on ``(1, t, ..., t^p)`` over the sample mean curve (the response approximates
-the exponent polynomial plus ``log eta`` when the sample mean has effectively
-saturated by the last observation).  sigma2 needs no start, as the solver
-eliminates it through its closed-form root; :func:`initial_sigma2`, a
-regression estimate of sigma2 from the variance proxy ``2 log(m_j / m^g_j)``,
-is not called by the fit.
+* "singular Jacobian": neither solve gives a finite step;
+* "line search stalled": :data:`MAX_BACKTRACKS` halvings do not lower the norm;
+* "no convergence in N iterations": ``max_iter`` steps were taken.
 
-Residual components of the shape system carry scale factors ``t^l`` and can
-differ by many orders of magnitude; convergence is therefore declared on
-residuals normalized by per-equation characteristic scales frozen at the
-starting point.
+A start whose residual or sigma2 root is not finite raises :class:`FitError`.
+The regression start is least squares of ``-log(m_N/m_j - 1)`` on
+``(1, t, ..., t^p)`` over the sample mean curve, which approximates the
+exponent polynomial plus ``log eta`` once the mean has saturated; sigma2
+needs no start, so the fit does not call :func:`initial_sigma2`.
 """
 
 from __future__ import annotations
@@ -35,17 +36,8 @@ from .likelihood import (LikelihoodStats, VData, compute_stats, direction_signs,
 from .model import ModelParams, PolyCoeffs
 from .simulate import PathPanel, geometric_mean, sample_mean
 
-__all__ = [
-    "FitError",
-    "DegreeError",
-    "InitSolution",
-    "NrResult",
-    "initial_theta",
-    "initial_sigma2",
-    "sigma2_root",
-    "system_residual",
-    "fit",
-]
+__all__ = ["FitError", "DegreeError", "InitSolution", "NrResult", "initial_theta", "initial_sigma2",
+           "sigma2_root", "system_residual", "fit"]
 
 SIGMA2_FLOOR = 1e-12
 MAX_BACKTRACKS = 30   # step halvings per Newton iteration before the line search stalls
@@ -213,62 +205,13 @@ def _shape_point(vdata: VData, theta: np.ndarray):
     return _theta_residual(stats, sigma2), jac, sigma2, stats
 
 
-def _newton_loop(f, x0: np.ndarray, point, scale: np.ndarray, typ: np.ndarray,
-                 tol: float, max_iter: int):
-    """Damped Newton iteration on ``f`` with backtracking on the scaled norm.
-
-    ``f(x)`` returns a tuple that starts with the residual and its Jacobian,
-    or None outside the domain; ``point`` is ``f(x0)``.  Returns ``(x, point,
-    norm, trace, converged, message)`` with ``point = f(x)``; accepted steps
-    never increase the scaled residual norm.  A non-finite Jacobian or step
-    ends the iteration as a singular Jacobian.
-    """
-    x = x0
-    norm = float(np.max(np.abs(point[0] / scale)))
-    trace = [norm]
-    for _ in range(max_iter):
-        if norm < tol:
-            return x, point, norm, trace, True, ""
-        fx, jac = point[:2]
-        if not np.all(np.isfinite(jac)):
-            message = "singular Jacobian"
-            break
-        try:
-            step = np.linalg.solve(jac, -fx)
-        except np.linalg.LinAlgError:
-            step = None
-        if step is None or not np.all(np.isfinite(step)):
-            # Levenberg-style shift on the scaled system
-            shift = 1e-8 * np.linalg.norm(jac, ord="fro") / max(jac.shape[0], 1)
-            try:
-                step = np.linalg.solve(jac + shift * np.eye(x.size), -fx)
-            except np.linalg.LinAlgError:
-                step = None
-            if step is None or not np.all(np.isfinite(step)):
-                message = "singular Jacobian"
-                break
-        accepted = False
-        lam = 1.0
-        for _ in range(MAX_BACKTRACKS + 1):
-            cand = x + lam * step
-            cand_point = f(cand)
-            cand_norm = np.inf
-            if cand_point is not None and np.all(np.isfinite(cand_point[0])):
-                cand_norm = float(np.max(np.abs(cand_point[0] / scale)))
-            if cand_norm < norm:
-                x, point, norm = cand, cand_point, cand_norm
-                trace.append(norm)
-                accepted = True
-                break
-            lam *= 0.5
-        if not accepted:
-            message = "line search stalled"
-            break
-        if np.max(np.abs(lam * step) / np.maximum(np.abs(x), typ)) < 1e-12:
-            return x, point, norm, trace, norm < tol * 10, "step below resolution"
-    else:
-        message = f"no convergence in {max_iter} iterations"
-    return x, point, norm, trace, norm < tol, message
+def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
+    """``a^-1 b``, or None where ``a`` is singular or the solution is not finite."""
+    try:
+        x = np.linalg.solve(a, b)
+    except np.linalg.LinAlgError:
+        return None
+    return x if np.all(np.isfinite(x)) else None
 
 
 def fit(
@@ -290,28 +233,54 @@ def fit(
     if init is None:
         eta0, beta0, r2, _ = initial_theta(panel, p)
         init_solution = InitSolution(eta0=eta0, beta0=beta0, r_squared=r2)
-        theta0 = np.array([eta0, *beta0.beta])
-    else:
-        theta0 = np.asarray(init, dtype=float)
-
-    typ = np.maximum(np.abs(theta0), 1e-6)
+        init = (eta0, *beta0.beta)
+    theta0 = np.asarray(init, dtype=float)
 
     # per-equation characteristic scales, frozen at the starting point
-    point = _shape_point(vdata, theta0)
-    _, _, s2_for_scale, stats0 = point
-    scale = np.maximum.reduce([np.abs(stats0.y), np.abs(stats0.x),
-                               0.5 * s2_for_scale * np.abs(stats0.w)])
+    resid, jac, sigma2, stats0 = _shape_point(vdata, theta0)
+    if not (math.isfinite(sigma2) and np.all(np.isfinite(resid))):
+        raise FitError(f"the degree-{p} start {theta0.tolist()} gives a non-finite residual "
+                       "or sigma2 root")
+    scale = np.maximum.reduce([np.abs(stats0.y), np.abs(stats0.x), 0.5 * sigma2 * np.abs(stats0.w)])
     scale = np.maximum(scale, 1e-12 * np.max(scale) + 1e-300)
 
-    theta, point, norm, trace, converged, message = _newton_loop(
-        lambda th: _shape_point(vdata, th) if th[0] > 0 else None,
-        theta0, point, scale, typ, tol, max_iter)
+    theta = theta0
+    norm = float(np.max(np.abs(resid / scale)))
+    trace = [norm]
+    message = ""
+    while norm >= tol:
+        if len(trace) > max_iter:
+            message = f"no convergence in {max_iter} iterations"
+            break
+        finite = np.all(np.isfinite(jac))
+        step = _solve(jac, -resid) if finite else None
+        if step is None and finite:  # Levenberg-style shift on the scaled system
+            shift = 1e-8 * np.linalg.norm(jac, ord="fro") / theta.size
+            step = _solve(jac + shift * np.eye(theta.size), -resid)
+        if step is None:
+            message = "singular Jacobian"
+            break
+        lam = 1.0
+        for _ in range(MAX_BACKTRACKS + 1):
+            cand = theta + lam * step
+            if cand[0] > 0:
+                point = _shape_point(vdata, cand)
+                cand_norm = float(np.max(np.abs(point[0] / scale)))
+                if cand_norm < norm:  # False for a NaN norm
+                    break
+            lam *= 0.5
+        else:
+            message = "line search stalled"
+            break
+        theta, norm = cand, cand_norm
+        resid, jac, sigma2 = point[:3]
+        trace.append(norm)
 
     return NrResult(
-        xi_hat=ModelParams.from_vector(np.append(theta, point[2])),
+        xi_hat=ModelParams.from_vector(np.append(theta, sigma2)),
         iterations=len(trace) - 1,
         residual_norm=norm,
-        converged=converged,
+        converged=norm < tol,
         trace=tuple(trace),
         init=init_solution,
         message=message,

@@ -124,21 +124,19 @@ def fptl_curve(problem: FptProblem) -> FptlCurve:
     return FptlCurve(grid, vals, growth_intervals=tuple(zip(edges[0::2], edges[1::2])))
 
 
-def adaptive_steps(curve: FptlCurve, base_step: float | None = None) -> np.ndarray:
+def adaptive_steps(curve: FptlCurve) -> np.ndarray:
     """Integration grid: fine inside growth windows, coarse elsewhere.
 
-    The fine step is 1/400 of the total growth-window width (or ``base_step``
-    when given); the coarse step is :data:`COARSE_FACTOR` times that.  Without
-    growth windows the schedule is uniform with 400 steps.  Returns the full
-    node vector covering ``[t0, t_max]`` exactly.
+    The fine step is 1/400 of the total growth-window width; the coarse step
+    is :data:`COARSE_FACTOR` times that.  Without growth windows the schedule
+    is uniform with 400 steps.  Returns the full node vector covering
+    ``[t0, t_max]`` exactly.
     """
     t0, t_max = curve.times[0], curve.times[-1]
     if not curve.growth_intervals:
-        n = max(2, int(math.ceil((t_max - t0) / base_step)) if base_step else 400)
-        return np.linspace(t0, t_max, n + 1)
+        return np.linspace(t0, t_max, 401)
 
-    growth_width = sum(b - a for a, b in curve.growth_intervals)
-    fine = base_step if base_step is not None else growth_width / 400.0
+    fine = sum(b - a for a, b in curve.growth_intervals) / 400.0
     coarse = COARSE_FACTOR * fine
 
     marks: list[tuple[float, float, float]] = []

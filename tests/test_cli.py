@@ -533,13 +533,13 @@ class TestMainEntry:
             "did not converge")
 
     def test_fit_unconverged_fit_exit_code(self, tmp_path, capsys):
-        self.assert_numerical_failure(tmp_path, capsys, "fit",
-                                      {"data": str(FIXTURE), "degree": 11}, "did not converge")
+        self.assert_numerical_failure(tmp_path, capsys, "fit", {"data": str(FIXTURE), "degree": 11},
+                                      "did not converge: no convergence in 200 iterations")
 
     def test_forecast_unconverged_fit_exit_code(self, tmp_path, capsys):
         self.assert_numerical_failure(tmp_path, capsys, "forecast",
                                       {"data": str(FIXTURE), "degree": 4, "fit_until": 210.0},
-                                      "did not converge")
+                                      "did not converge: line search stalled")
 
     def test_fpt_overflowing_horizon_exit_code(self, tmp_path, capsys):
         cfg = {"params": {"eta": math.exp(-1), "beta": [0.1, -0.009, 0.0002], "sigma2": 1e-4},

@@ -27,6 +27,7 @@ from mslogistic.fit_nr import (
     sigma2_root,
     system_residual,
 )
+from mslogistic.selection import select_degree
 
 from conftest import make_case1_panel
 
@@ -313,6 +314,34 @@ class TestFit:
         assert res.message == "singular Jacobian"
         assert np.all(np.isfinite(res.xi_hat.as_vector()))
 
+    def test_converged_on_the_last_allowed_step_has_no_message(self):
+        # the fixture at degree 3 reaches the tolerance on its fourth step
+        res = fit(ingest_csv(DATA_DIR / "epidemic_shaped.csv"), 3, max_iter=4)
+        assert res.iterations == 4
+        assert res.converged
+        assert res.message == ""
+
+    def test_non_finite_start_raises_fit_error(self):
+        # beta_1 = -1e300 overflows the shape aggregates, so the sigma2 root is infinite
+        panel = ingest_csv(DATA_DIR / "epidemic_shaped.csv")
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(FitError, match=r"degree-3 start \[0\.03, -1e\+300, 0\.0, 0\.0\]"):
+                fit(panel, 3, init=[0.03, -1e300, 0, 0])
+
+    def test_non_finite_start_is_a_select_failure(self):
+        panel = ingest_csv(DATA_DIR / "epidemic_shaped.csv")
+
+        def fitter(panel, p):
+            # the regression start at degrees 2 and 4, the non-finite one at degree 3
+            return fit(panel, p, init=[0.03, -1e300, 0, 0] if p == 3 else None)
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = select_degree(panel, [2, 3, 4], fitter=fitter)
+        assert [e.p for e in report.per_degree] == [2, 4]
+        assert len(report.failures) == 1
+        assert report.failures[0][0] == 3
+        assert "degree-3 start" in report.failures[0][1]
+
 
 class TestGolden:
     def test_matches_recorded_fits_bit_for_bit(self):
@@ -327,6 +356,7 @@ class TestGolden:
         assert {rec["converged"] for rec in fits} == {True, False}
         assert golden["fixture_t210_p4"]["message"] == "line search stalled"
         assert golden["rank_deficient"]["message"] == "no convergence in 20 iterations"
+        assert all(rec["converged"] == (rec["message"] == "") for rec in fits)
 
 
 class TestJacobian:

@@ -153,11 +153,14 @@ class TestSolveDensity:
         assert abs(dens.mode - t_star) < max(steps, 0.05)
 
     def test_self_convergence_under_step_halving(self):
+        # the midpoint refinement halves every interval of the default grid
         prob = ex41_problem(t_max=60.0)
-        curve = fptl_curve(prob)
-        coarse = solve_density(prob, steps=adaptive_steps(curve))
-        width = sum(b - a for a, b in curve.growth_intervals)
-        fine = solve_density(prob, steps=adaptive_steps(curve, base_step=width / 800.0))
+        steps = adaptive_steps(fptl_curve(prob))
+        halved = np.empty(2 * steps.size - 1)
+        halved[0::2] = steps
+        halved[1::2] = 0.5 * (steps[:-1] + steps[1:])
+        coarse = solve_density(prob, steps=steps)
+        fine = solve_density(prob, steps=halved)
         assert abs(fine.mean - coarse.mean) / coarse.mean < 1e-3
         assert abs(fine.mode - coarse.mode) / coarse.mode < 1e-3
 
