@@ -13,9 +13,9 @@ from pathlib import Path
 
 
 def dumps(obj, level: int = 0) -> str:
-    """JSON with one-space indents and every list of scalars on one line."""
+    """JSON with one-space indents and every list of scalars (and empty dict) on one line."""
     pad, inner = " " * level, " " * (level + 1)
-    if isinstance(obj, dict):
+    if isinstance(obj, dict) and obj:
         items = [f"{inner}{json.dumps(k)}: {dumps(v, level + 1)}" for k, v in obj.items()]
         return "{\n" + ",\n".join(items) + f"\n{pad}}}"
     if isinstance(obj, list) and any(isinstance(v, (list, dict)) for v in obj):

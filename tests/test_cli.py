@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import importlib.util
 import json
 import math
 import re
@@ -13,6 +14,12 @@ from mslogistic.cli import SCHEMAS, ConfigError, ingest_csv, main, run
 
 DATA_DIR = Path(__file__).parent / "data"
 FIXTURE = DATA_DIR / "epidemic_shaped.csv"
+# Outcomes of named msl runs on the fixture (exit 0, 2 and 3), written by make_cli_golden.py
+CLI_GOLDEN_TEXT = (DATA_DIR / "cli_golden.json").read_text()
+CLI_GOLDEN = json.loads(CLI_GOLDEN_TEXT)
+_maker = importlib.util.spec_from_file_location("make_cli_golden", DATA_DIR / "make_cli_golden.py")
+make_cli_golden = importlib.util.module_from_spec(_maker)
+_maker.loader.exec_module(make_cli_golden)
 
 
 def write_config(tmp_path, payload, name="cfg.json"):
@@ -669,3 +676,26 @@ class TestSchemas:
         assert cfg["params"].poly.beta == (0.1, -0.009, 0.0002)
         assert cfg["init"].x0 == 5.0
         np.testing.assert_array_equal(cfg["grid"], [0.0, 25.0, 50.0])
+
+
+class TestGolden:
+    @pytest.mark.parametrize("name", sorted(CLI_GOLDEN))
+    def test_matches_recorded_run(self, name):
+        assert make_cli_golden.record(name) == CLI_GOLDEN[name]
+
+    def test_file_is_the_generators_output_format(self):
+        assert make_cli_golden.dumps(CLI_GOLDEN) + "\n" == CLI_GOLDEN_TEXT
+        assert list(CLI_GOLDEN) == list(make_cli_golden.RUNS)
+        assert {r["exit"] for r in CLI_GOLDEN.values()} == {0, 2, 3}
+
+    def test_check_mode_diffs_and_writes_nothing(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr("sys.argv", ["make_cli_golden.py", "--check"])
+        runs = {"missing_keys": make_cli_golden.RUNS["missing_keys"]}
+        monkeypatch.setattr(make_cli_golden, "RUNS", runs)
+        stale = tmp_path / "cli_golden.json"
+        stale.write_text(make_cli_golden.dumps({"missing_keys": {"exit": 3}}) + "\n")
+        monkeypatch.setattr(make_cli_golden, "GOLDEN", stale)
+        before = stale.read_text()
+        assert make_cli_golden.main() == 1
+        assert '-  "exit": 3\n+  "exit": 2,' in capsys.readouterr().out
+        assert stale.read_text() == before
