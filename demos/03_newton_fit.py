@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from mslogistic import Degenerate, ModelParams, PolyCoeffs, SimSpec, curve, sample_mean, simulate_panel
+from mslogistic import Degenerate, ModelParams, PolyCoeffs, SimSpec, curve, simulate_panel
 from mslogistic.fit_nr import fit, initial_sigma2
 
 truth = ModelParams(eta=math.exp(-1), poly=PolyCoeffs((0.1, -0.009, 0.0002)), sigma2=1e-4)
@@ -37,5 +37,5 @@ for name, got, want in zip(names, x.as_vector(), truth.as_vector()):
 
 grid = panel.common_grid()
 fitted = np.asarray(curve(x, float(panel.first_values().mean()), 0.0, grid))
-m = sample_mean(panel)
+m = panel.pointwise_mean
 print(f"\nRAE of the fitted mean vs the sample mean: {np.mean(np.abs(m - fitted) / m):.4f}")

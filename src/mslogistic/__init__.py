@@ -22,10 +22,9 @@ _EXPORTS = {
                      "ModelParams", "PolyCoeffs", "carrying_capacity", "curve", "drift_rate",
                      "inflection_points", "integrated_drift", "percentile", "process_mean"),
                     "model"),
-    **dict.fromkeys(("PathPanel", "SamplePath", "SimSpec", "geometric_mean", "sample_mean",
-                     "simulate_panel"), "simulate"),
-    **dict.fromkeys(("InitialFit", "LikelihoodStats", "VData", "compute_stats", "fit_initial",
-                     "grad_loglik", "loglik", "transform"), "likelihood"),
+    **dict.fromkeys(("PathPanel", "SamplePath", "SimSpec", "simulate_panel"), "simulate"),
+    **dict.fromkeys(("LikelihoodStats", "VData", "compute_stats", "fit_initial", "grad_loglik",
+                     "loglik", "transform"), "likelihood"),
 }
 
 __all__ = [*sorted(_EXPORTS), "__version__"]

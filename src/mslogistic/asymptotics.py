@@ -50,12 +50,9 @@ class SingularInformationError(RuntimeError):
 
 @dataclass(frozen=True)
 class FisherInfo:
-    """Expected information of ``(eta, beta_1..p, sigma2)`` and its blocks."""
+    """Expected information matrix of ``(eta, beta_1..p, sigma2)``, shape ``(p+2, p+2)``."""
 
-    matrix: np.ndarray            # (p+2, p+2), includes the 1/sigma2 factor
-    theta_block: np.ndarray       # (p+1, p+1) before the 1/sigma2 factor
-    cross: np.ndarray             # (p+1,) before the 1/sigma2 factor
-    corner: float                 # scalar before the 1/sigma2 factor
+    matrix: np.ndarray
 
     def scaling_vector(self) -> np.ndarray:
         """diag(D) with D I D of unit diagonal (equilibration scaling).
@@ -98,17 +95,12 @@ def fisher_info(vdata: VData, xi: ModelParams) -> FisherInfo:
     dm = direction_signs(p)[:, None] * stats.d_g     # (p+1, G): true dm/dtheta
     cnt, dt = vdata.g_count, vdata.g_delta
 
-    theta_block = (dm * (cnt / dt)) @ dm.T
-    cross = -0.5 * (dm @ cnt)
-    corner = 0.5 * stats.n / xi.sigma2 + 0.25 * stats.z3
-
     matrix = np.empty((p + 2, p + 2))
-    matrix[: p + 1, : p + 1] = theta_block
-    matrix[: p + 1, p + 1] = cross
-    matrix[p + 1, : p + 1] = cross
-    matrix[p + 1, p + 1] = corner
+    matrix[: p + 1, : p + 1] = (dm * (cnt / dt)) @ dm.T
+    matrix[: p + 1, p + 1] = matrix[p + 1, : p + 1] = -0.5 * (dm @ cnt)
+    matrix[p + 1, p + 1] = 0.5 * stats.n / xi.sigma2 + 0.25 * stats.z3
     matrix /= xi.sigma2
-    return FisherInfo(matrix=matrix, theta_block=theta_block, cross=cross, corner=corner)
+    return FisherInfo(matrix)
 
 
 @dataclass(frozen=True)
@@ -148,8 +140,11 @@ def confidence_intervals(
     """Wald intervals at ``levels`` for every parameter of ``xi_hat``.
 
     ``functions`` optionally maps a name to ``(value, gradient)`` of a smooth
-    parameter function; its variance comes from the delta method.
+    parameter function; its variance comes from the delta method.  Every level
+    must lie in (0, 1) (ValueError otherwise).
     """
+    if not all(0.0 < lv < 1.0 for lv in levels):
+        raise ValueError(f"confidence levels must lie in (0, 1), got {list(levels)}")
     cov = fi.inverse()
     se = np.sqrt(np.diag(cov))
     est = xi_hat.as_vector()

@@ -400,7 +400,7 @@ def _cmd_fit(cfg: dict, bundle: _Bundle) -> None:
         "method": method,
         "degree": degree,
         "estimates": _params_dict(xi_hat),
-        "initial_law": {"mu1": alpha.mu1_hat, "sigma1sq": alpha.sigma1sq_hat},
+        "initial_law": {"mu1": alpha.mu1, "sigma1sq": alpha.sigma1sq},
         "details": details,
         "t0": vdata.t0,
     }
@@ -500,10 +500,8 @@ def _cmd_forecast(cfg: dict, bundle: _Bundle) -> None:
         xi = _nr_fit(restricted, degree).xi_hat
 
     vdata = transform(restricted)
-    alpha = fit_initial(vdata)
-    t0 = vdata.t0
-    init = LognormalStart(mu1=alpha.mu1_hat, sigma1sq=alpha.sigma1sq_hat)
-    shifted = grid - t0
+    init = fit_initial(vdata)
+    shifted = grid - vdata.t0
     mean_curve = np.asarray(process_mean(xi, init, 0.0, shifted))
 
     bands = {}

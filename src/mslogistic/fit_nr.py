@@ -34,7 +34,7 @@ import numpy as np
 from .likelihood import (LikelihoodStats, VData, compute_stats, direction_signs, fit_initial,
                          transform)
 from .model import ModelParams, PolyCoeffs
-from .simulate import PathPanel, geometric_mean, sample_mean
+from .simulate import PathPanel
 
 __all__ = ["FitError", "DegreeError", "InitSolution", "NrResult", "initial_theta", "initial_sigma2",
            "sigma2_root", "system_residual", "fit"]
@@ -105,7 +105,7 @@ def usable_saturation_pairs(panel: PathPanel):
     if grid is None:
         raise FitError("saturation regression needs a common observation grid")
     t = grid - grid[0]
-    m = sample_mean(panel)
+    m = panel.pointwise_mean
     ratio = m[-1] / m[:-1] - 1.0
     if panel.d > 1:
         sd_m = panel.pointwise_sd / math.sqrt(panel.d)
@@ -117,11 +117,11 @@ def usable_saturation_pairs(panel: PathPanel):
     return t[:-1][keep], ratio[keep]
 
 
-def initial_theta(panel: PathPanel, p: int) -> tuple[float, PolyCoeffs, float, np.ndarray]:
-    """Polynomial-regression starting values for ``(eta, beta)``.
+def initial_theta(panel: PathPanel, p: int) -> InitSolution:
+    """Polynomial-regression starting values for ``(eta, beta)`` and the regression's R^2.
 
-    Returns ``(eta0, beta0, r_squared, residuals)``.  Infeasible and
-    noise-dominated pairs are dropped per :func:`usable_saturation_pairs`.
+    Infeasible and noise-dominated pairs are dropped per
+    :func:`usable_saturation_pairs`.
     """
     t_keep, ratio = usable_saturation_pairs(panel)
     y = -np.log(ratio)
@@ -133,12 +133,11 @@ def initial_theta(panel: PathPanel, p: int) -> tuple[float, PolyCoeffs, float, n
     design, norms, _ = _scaled_vandermonde(t_keep, p, intercept=True)
     coef, *_ = np.linalg.lstsq(design, y, rcond=None)
     coef = coef / norms
-    fitted = design @ (coef * norms)
-    resid = y - fitted
+    resid = y - design @ (coef * norms)
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r2 = 1.0 - float(np.sum(resid**2)) / ss_tot if ss_tot > 0 else 1.0
-    eta0 = float(np.exp(coef[0]))
-    return eta0, PolyCoeffs(tuple(coef[1:])), r2, resid
+    return InitSolution(eta0=float(np.exp(coef[0])), beta0=PolyCoeffs(tuple(coef[1:])),
+                        r_squared=r2)
 
 
 def initial_sigma2(panel: PathPanel) -> float:
@@ -153,8 +152,8 @@ def initial_sigma2(panel: PathPanel) -> float:
     grid = panel.common_grid()
     if grid is None:
         raise FitError("sigma2 starting value needs a common observation grid")
-    sigma1sq_hat = fit_initial(transform(panel)).sigma1sq_hat
-    proxy = 2.0 * np.log(sample_mean(panel) / geometric_mean(panel))
+    sigma1sq_hat = fit_initial(transform(panel)).sigma1sq
+    proxy = 2.0 * np.log(panel.pointwise_mean / panel.pointwise_geometric_mean)
     x = grid - grid[0]
     slope = float(np.dot(x, proxy - sigma1sq_hat) / np.dot(x, x))
     return max(slope, SIGMA2_FLOOR)
@@ -223,18 +222,21 @@ def fit(
 ) -> NrResult:
     """Maximum-likelihood fit of degree ``p`` by damped Newton-Raphson.
 
-    ``init`` optionally overrides the regression start ``theta0 = (eta, beta_1..beta_p)``;
-    sigma2 needs no start, as its closed-form root eliminates it.
+    ``init`` optionally overrides the regression start ``theta0 = (eta, beta_1..beta_p)``
+    and must hold those p + 1 values (ValueError otherwise); sigma2 needs no
+    start, as its closed-form root eliminates it.
     Non-convergence is reported, not raised: the best iterate reached is
     returned with ``converged=False`` and the residual trace attached.
     """
     vdata = transform(panel)
     init_solution = None
     if init is None:
-        eta0, beta0, r2, _ = initial_theta(panel, p)
-        init_solution = InitSolution(eta0=eta0, beta0=beta0, r_squared=r2)
-        init = (eta0, *beta0.beta)
+        init_solution = initial_theta(panel, p)
+        init = (init_solution.eta0, *init_solution.beta0.beta)
     theta0 = np.asarray(init, dtype=float)
+    if theta0.shape != (p + 1,):
+        raise ValueError(f"init needs the p + 1 = {p + 1} values (eta, beta_1..beta_{p}), "
+                         f"got shape {theta0.shape}")
 
     # per-equation characteristic scales, frozen at the starting point
     resid, jac, sigma2, stats0 = _shape_point(vdata, theta0)

@@ -41,7 +41,7 @@ import numpy as np
 from .fit_nr import DegreeError, FitError, _scaled_vandermonde, usable_saturation_pairs
 from .likelihood import _check_rows, _neg_core_loglik, _Workspace, neg_core_loglik, transform
 from .model import ModelParams
-from .simulate import PathPanel, check_seed, sample_mean
+from .simulate import PathPanel, check_seed
 
 FLAT_TOL = 1e-12  # equality tolerance of the flat-chain stop
 CONTAINS_RTOL = 1e-12  # ParamBox.contains slack, relative to each interval's width
@@ -142,7 +142,7 @@ def build_box(panel: PathPanel, p: int) -> ParamBox:
     if a == b:
         a, b = a * 0.9, b * 1.1
 
-    m = sample_mean(panel)
+    m = panel.pointwise_mean
     eta_hat = 1.0 / (m[-1] / m[0] - 1.0)
     t_keep, ratio = usable_saturation_pairs(panel)
     y = -np.log(ratio * eta_hat)

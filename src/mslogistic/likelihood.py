@@ -45,13 +45,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import ModelParams
+from .model import LognormalStart, ModelParams
 from .simulate import PathPanel
 
 __all__ = [
     "VData",
     "LikelihoodStats",
-    "InitialFit",
     "transform",
     "fit_initial",
     "compute_stats",
@@ -170,20 +169,14 @@ def _vdata(panel, times, n, g_lo, g_hi, g_count, g_sum_v, g_sum_v2) -> VData:
     return vdata
 
 
-@dataclass(frozen=True)
-class InitialFit:
-    """Exact MLEs of the initial lognormal law (zero variance when d = 1)."""
+def fit_initial(vdata: VData) -> LognormalStart:
+    """Closed-form MLEs of the initial law's ``(mu1, sigma1sq)`` from the first observations.
 
-    mu1_hat: float
-    sigma1sq_hat: float
-
-
-def fit_initial(vdata: VData) -> InitialFit:
-    """Closed-form MLEs of ``(mu1, sigma1sq)`` from the first observations."""
+    With one path, or identical first observations, ``sigma1sq`` is 0.0.
+    """
     logs = np.log(vdata.v0)
     mu1 = float(logs.mean())
-    sigma1sq = float(np.mean((logs - mu1) ** 2)) if vdata.d > 1 else 0.0
-    return InitialFit(mu1_hat=mu1, sigma1sq_hat=sigma1sq)
+    return LognormalStart(mu1=mu1, sigma1sq=float(np.mean((logs - mu1) ** 2)))
 
 
 @dataclass(frozen=True)
@@ -359,30 +352,28 @@ def core_loglik(stats: LikelihoodStats, sigma2: float) -> float:
     return -0.5 * stats.n * math.log(sigma2) - q / (2.0 * sigma2)
 
 
-def loglik(vdata: VData, alpha, xi: ModelParams) -> float:
+def loglik(vdata: VData, alpha: LognormalStart | None, xi: ModelParams) -> float:
     """Full log-likelihood of the panel under initial law ``alpha`` and process ``xi``.
 
-    ``alpha`` is an :class:`InitialFit`, a ``(mu1, sigma1sq)`` pair, or None to
-    plug in the exact MLEs.  When the initial law is degenerate (``d == 1``,
+    ``alpha`` is the lognormal initial law, or None to plug in its exact MLEs
+    (:func:`fit_initial`).  When the initial law is degenerate (``d == 1``,
     identical first observations, or ``sigma1sq == 0``) the initial-state
     factor is dropped and only the ``n`` transition densities contribute.
     """
     if alpha is None:
         alpha = fit_initial(vdata)
-    if isinstance(alpha, tuple):
-        alpha = InitialFit(*alpha)
 
     value = -float(neg_core_loglik(vdata, [xi.as_vector()])[0])
 
-    degenerate = vdata.d == 1 or alpha.sigma1sq_hat == 0.0
+    degenerate = vdata.d == 1 or alpha.sigma1sq == 0.0
     if degenerate:
         return value - 0.5 * vdata.n * LOG_2PI
 
     logs = np.log(vdata.v0)
     value -= 0.5 * (vdata.n + vdata.d) * LOG_2PI
-    value -= 0.5 * vdata.d * math.log(alpha.sigma1sq_hat)
+    value -= 0.5 * vdata.d * math.log(alpha.sigma1sq)
     value -= float(np.sum(logs))
-    value -= float(np.sum((logs - alpha.mu1_hat) ** 2)) / (2.0 * alpha.sigma1sq_hat)
+    value -= float(np.sum((logs - alpha.mu1) ** 2)) / (2.0 * alpha.sigma1sq)
     return value
 
 

@@ -216,11 +216,11 @@ def drift_rate(params: ModelParams, t):
     return params.poly.deriv(t) * expit(-(q + math.log(params.eta)))
 
 
-def integrated_drift(params: ModelParams, t0: float, t):
+def integrated_drift(params: ModelParams, t0, t):
     """Closed form of ``int_t0^t h(s) ds - sigma2/2 (t - t0)``.
 
     This is the mean of ``log(X(t)/X(t0))`` conditional on the past; no
-    quadrature is involved.
+    quadrature is involved.  ``t0`` may be an array of steps' starts, one per ``t``.
     """
     t = np.asarray(t, dtype=float) if np.ndim(t) else t
     return (

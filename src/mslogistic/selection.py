@@ -27,8 +27,8 @@ import numpy as np
 
 from .fit_nr import DegreeError, FitError, fit
 from .likelihood import fit_initial, loglik, transform
-from .model import ModelParams, curve, integrated_drift
-from .simulate import PathPanel, geometric_mean, sample_mean
+from .model import ModelParams, integrated_drift, process_mean
+from .simulate import PathPanel
 
 __all__ = [
     "DegreeGoodness",
@@ -125,8 +125,8 @@ def dra_curve(panel: PathPanel, xi: ModelParams, mu0: float, var0: float):
     grid = panel.common_grid()
     if grid is None:
         raise ValueError("distance curve needs a common observation grid")
-    m = sample_mean(panel)
-    g = geometric_mean(panel)
+    m = panel.pointwise_mean
+    g = panel.pointwise_geometric_mean
     t0 = grid[0]
     times = grid[1:]
     mu_c = np.log(g[1:])
@@ -156,18 +156,20 @@ def select_degree(
     skipped.  A degree whose fit did not converge keeps its entry
     (``converged=False``) and is also listed in ``failures``; only converged
     degrees can be chosen.  If no degree converges, FitError is raised; if
-    every degree raised DegreeError, the first degree's DegreeError is.
+    every degree raised DegreeError, the first degree's DegreeError is.  An
+    empty ``p_range`` or one that repeats a degree raises ValueError.
     """
     p_list = list(p_range)
     if not p_list:
         raise ValueError("empty degree range")
+    if len(set(p_list)) != len(p_list):
+        raise ValueError(f"repeated degree in {p_list}")
 
     vdata = transform(panel)
     fitter = fitter or fit
     alpha = fit_initial(vdata)
     grid = panel.common_grid()
-    m = sample_mean(panel)
-    init_mean = float(np.exp(alpha.mu1_hat + alpha.sigma1sq_hat / 2.0))
+    m = panel.pointwise_mean
 
     entries = []
     failures = []
@@ -185,8 +187,8 @@ def select_degree(
             failures.append((p, f"non-finite log-likelihood at the degree-{p} fit"))
             continue
         aic, bic = aic_bic(p, l_value, vdata.n)
-        fitted = curve(xi, init_mean, 0.0, grid - grid[0])
-        times, dra = dra_curve(panel, xi, alpha.mu1_hat, alpha.sigma1sq_hat)
+        fitted = process_mean(xi, alpha, 0.0, grid - grid[0])
+        times, dra = dra_curve(panel, xi, alpha.mu1, alpha.sigma1sq)
         entries.append(
             DegreeGoodness(
                 p=p,

@@ -24,10 +24,9 @@ from functools import cached_property
 import numpy as np
 
 from . import _special
-from .model import Degenerate, InitialDistribution, ModelParams
+from .model import Degenerate, InitialDistribution, ModelParams, integrated_drift
 
-__all__ = ["SamplePath", "PathPanel", "SimSpec", "simulate_panel", "sample_mean", "geometric_mean",
-           "check_seed"]
+__all__ = ["SamplePath", "PathPanel", "SimSpec", "simulate_panel", "check_seed"]
 
 
 MAX_FLOATS = np.iinfo(np.intp).max // 8  # float64 values one numpy array can address
@@ -239,8 +238,7 @@ class SimSpec:
 def simulate_panel(spec: SimSpec) -> PathPanel:
     """Draw ``spec.d`` paths on ``spec.grid``; FloatingPointError if a value under/overflows."""
     grid, params = spec.grid, spec.params
-    log_gap = np.logaddexp(np.log(params.eta), -params.poly.value(grid))
-    step_mean = (log_gap[:-1] - log_gap[1:]) - 0.5 * params.sigma2 * np.diff(grid)
+    step_mean = integrated_drift(params, grid[:-1], grid[1:])
     step_sd = params.sigma * np.sqrt(np.diff(grid))
 
     # Row i holds path i's uniforms: the lognormal start draws one more, into
@@ -281,13 +279,3 @@ def simulate_panel(spec: SimSpec) -> PathPanel:
     except (FloatingPointError, ValueError):
         raise FloatingPointError("simulated values leave the floating-point range; "
                                  "check sigma2, the initial law and the grid") from None
-
-
-def sample_mean(panel: PathPanel) -> np.ndarray:
-    """Pointwise arithmetic mean across paths, kept by the panel; requires a common grid."""
-    return panel.pointwise_mean
-
-
-def geometric_mean(panel: PathPanel) -> np.ndarray:
-    """Pointwise geometric mean across paths, kept by the panel; requires a common grid."""
-    return panel.pointwise_geometric_mean

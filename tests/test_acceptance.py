@@ -25,7 +25,6 @@ from mslogistic import (
     fit_initial,
     grad_loglik,
     integrated_drift,
-    sample_mean,
     simulate_panel,
     transform,
 )
@@ -103,7 +102,7 @@ def test_criterion_3_simulation_study_recovery():
         sigma_rel = abs(math.sqrt(x[-1]) - 0.01) / 0.01
         grid = panel.common_grid()
         fitted = curve(res.xi_hat, float(panel.first_values().mean()), 0.0, grid)
-        m = sample_mean(panel)
+        m = panel.pointwise_mean
         rae = float(np.mean(np.abs(m - fitted) / m))
         worst_time = max(worst_time, time.time() - start)
         if res.converged and np.all(rel[:4] < 0.10) and sigma_rel < 0.20 and rae < 0.015:
@@ -395,8 +394,8 @@ def test_criterion_11_exact_initial_laws():
             [0.0, 1.0], np.column_stack([first_values[k], first_values[k] * 1.1])
         )
         fit_k = fit_initial(transform(panel))
-        mu_hats[k] = fit_k.mu1_hat
-        s1_hats[k] = fit_k.sigma1sq_hat
+        mu_hats[k] = fit_k.mu1
+        s1_hats[k] = fit_k.sigma1sq
 
     ks = sps.kstest(mu_hats, "norm", args=(mu1, math.sqrt(sigma1sq / d)))
     stat = d * s1_hats / sigma1sq

@@ -82,7 +82,7 @@ class TestFisherInfo:
             for k in range(dt.size):
                 want += np.outer(dm[:, k], dm[:, k]) / dt[k]
         fi = fisher_info(transform(panel), case1_params)
-        np.testing.assert_allclose(fi.theta_block, want, rtol=1e-12)
+        np.testing.assert_allclose(fi.matrix[:-1, :-1], want / case1_params.sigma2, rtol=1e-12)
 
     def test_matches_monte_carlo_hessian(self):
         # design chosen so the Monte-Carlo oracle's own noise resolves every
@@ -115,7 +115,7 @@ class TestFisherInfo:
         corner_true = 0.5 * stats_n / params.sigma2 + 0.25 * z3
         corner_flipped = 0.5 * stats_n / params.sigma2 - 0.25 * z3
         fi = fisher_info(vdata, params)
-        assert fi.corner == pytest.approx(corner_true, rel=1e-12)
+        assert fi.matrix[-1, -1] == pytest.approx(corner_true / params.sigma2, rel=1e-12)
         acc = 0.0
         for seed in range(400):
             p = simulate_panel(SimSpec(params=params, init=Degenerate(2.0), grid=grid, d=8, seed=seed))
@@ -140,7 +140,7 @@ class TestConfidenceIntervals:
     @staticmethod
     def diag_fi(variances):
         m = np.diag(1.0 / np.asarray(variances))
-        return FisherInfo(matrix=m, theta_block=m[:-1, :-1], cross=m[:-1, -1], corner=m[-1, -1])
+        return FisherInfo(m)
 
     def test_diagonal_half_width(self):
         fi = self.diag_fi([0.04, 0.01, 0.0025])
@@ -164,14 +164,12 @@ class TestConfidenceIntervals:
         # (pure scale disparity, by contrast, is benign and must not raise)
         v = np.array([1.0, 1.0, 0.5])
         m = np.outer(v, v) + 1e-15 * np.eye(3)
-        fi = FisherInfo(matrix=m, theta_block=m[:-1, :-1], cross=m[:-1, -1], corner=m[-1, -1])
+        fi = FisherInfo(m)
         xi = ModelParams(eta=1.0, poly=PolyCoeffs((0.5,)), sigma2=0.01)
         with pytest.raises(SingularInformationError):
             confidence_intervals(fi, xi)
         ok = np.diag([1.0, 1.0, 1e-15])
-        fi_ok = FisherInfo(matrix=ok, theta_block=ok[:-1, :-1], cross=ok[:-1, -1],
-                           corner=ok[-1, -1])
-        cov = fi_ok.inverse()
+        cov = FisherInfo(ok).inverse()
         assert cov[2, 2] == pytest.approx(1e15, rel=1e-6)
 
     def test_delta_method_function(self):
@@ -195,6 +193,12 @@ class TestConfidenceIntervals:
         assert lo < math.exp(-1) < hi
         half = (hi - lo) / 2
         assert 0.002 < half < 0.02
+
+    @pytest.mark.parametrize("level", [1.5, 1.0, 0.0, -0.5, math.nan])
+    def test_level_outside_unit_interval_rejected(self, level):
+        xi = ModelParams(eta=1.0, poly=PolyCoeffs((0.5,)), sigma2=0.01)
+        with pytest.raises(ValueError, match="confidence levels must lie in"):
+            confidence_intervals(self.diag_fi([0.04, 0.01, 0.0025]), xi, levels=(0.95, level))
 
 
 class TestInitialParamLaws:

@@ -14,7 +14,6 @@ from mslogistic import (
     compute_stats,
     curve,
     grad_loglik,
-    sample_mean,
     transform,
 )
 from mslogistic.cli import ingest_csv
@@ -26,6 +25,7 @@ from mslogistic.fit_nr import (
     initial_theta,
     sigma2_root,
     system_residual,
+    usable_saturation_pairs,
 )
 from mslogistic.selection import select_degree
 
@@ -54,26 +54,26 @@ class TestInitialTheta:
         # used ratios stay above ~1e-9, clear of double-precision cancellation
         params = ModelParams(eta=1.0, poly=PolyCoeffs((1.0,)))
         panel = noiseless_panel(params, np.array([0.0, 7.0, 14.0, 31.0]), l0=1.0)
-        eta0, beta0, r2, _ = initial_theta(panel, 1)
-        assert eta0 == pytest.approx(1.0, rel=1e-6)
-        assert beta0.beta[0] == pytest.approx(1.0, rel=1e-6)
-        assert r2 > 1 - 1e-12
+        start = initial_theta(panel, 1)
+        assert start.eta0 == pytest.approx(1.0, rel=1e-6)
+        assert start.beta0.beta[0] == pytest.approx(1.0, rel=1e-6)
+        assert start.r_squared > 1 - 1e-12
 
     def test_recovers_saturated_noiseless_curve_p2(self):
         params = ModelParams(eta=0.7, poly=PolyCoeffs((0.5, 0.02)))
         panel = noiseless_panel(params, np.array([0.0, 5.0, 10.0, 14.0, 30.0]), l0=2.0)
-        eta0, beta0, r2, _ = initial_theta(panel, 2)
-        assert eta0 == pytest.approx(0.7, rel=1e-6)
-        np.testing.assert_allclose(beta0.beta, (0.5, 0.02), rtol=1e-6)
+        start = initial_theta(panel, 2)
+        assert start.eta0 == pytest.approx(0.7, rel=1e-6)
+        np.testing.assert_allclose(start.beta0.beta, (0.5, 0.02), rtol=1e-6)
 
     def test_case1_initial_values_in_newton_basin(self, case1_params):
         panel = make_case1_panel(case1_params, seed=31)
-        eta0, beta0, r2, resid = initial_theta(panel, 3)
+        start = initial_theta(panel, 3)
         # the late-time response blow-up makes these rough (the published
         # values for this design are rough in the same way); they only need
         # to seed a convergent Newton run
-        assert 0.1 < eta0 < 0.8
-        assert r2 > 0.8
+        assert 0.1 < start.eta0 < 0.8
+        assert start.r_squared > 0.8
         res = fit(panel, 3)
         assert res.converged
 
@@ -87,9 +87,10 @@ class TestInitialTheta:
         t = np.array([0.0, 1.0, 2.0, 3.0, 4.0, 5.0])
         x = np.array([1.0, 2.0, 6.0, 6.5, 5.8, 5.9])
         panel = PathPanel.from_matrix(t, x[None, :])
-        eta0, beta0, _, resid = initial_theta(panel, 1)
+        t_keep, _ = usable_saturation_pairs(panel)
         # the overshooting values at t=2,3 and the final time drop out
-        assert resid.size == 3
+        np.testing.assert_array_equal(t_keep, [0.0, 1.0, 4.0])
+        assert initial_theta(panel, 1).eta0 > 0
 
 
 class TestTransformCount:
@@ -231,7 +232,7 @@ class TestFit:
         res = fit(panel, 3)
         grid = panel.common_grid()
         fitted = curve(res.xi_hat, float(panel.first_values().mean()), 0.0, grid)
-        m = sample_mean(panel)
+        m = panel.pointwise_mean
         rae = float(np.mean(np.abs(m - fitted) / m))
         assert rae < 0.015
 
@@ -292,6 +293,14 @@ class TestFit:
         res = fit(panel, 3, init=theta0)
         assert res.converged
         assert res.init is None
+
+    @pytest.mark.parametrize("init", [[0.03, 0.05, -5e-4, 1e-6, 0.0], [0.03, 0.05],
+                                      [[0.03, 0.05, -5e-4, 1e-6]]], ids=["5", "2", "1x4"])
+    def test_init_of_another_degree_rejected(self, init):
+        # a start of p + 2 values would otherwise fit degree p + 1
+        panel = ingest_csv(DATA_DIR / "epidemic_shaped.csv")
+        with pytest.raises(ValueError, match=r"init needs the p \+ 1 = 4 values"):
+            fit(panel, 3, init=init)
 
     def test_singular_jacobian_stops_without_warnings(self):
         # at eta = 1e300 every Jacobian entry underflows to 0; the iteration

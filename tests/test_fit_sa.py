@@ -179,11 +179,11 @@ class TestAnneal:
         assert np.all(rel[:4] < 0.15)
         # annealed fit is typically a touch rougher than the Newton fit but
         # the mean tracks the sample mean at the same order (RAE ~ 1e-2)
-        from mslogistic import curve, sample_mean
+        from mslogistic import curve
 
         grid = panel.common_grid()
         fitted = np.asarray(curve(res.xi_hat, float(panel.first_values().mean()), 0.0, grid))
-        m = sample_mean(panel)
+        m = panel.pointwise_mean
         rae = float(np.mean(np.abs(m - fitted) / m))
         assert rae < 0.05
 

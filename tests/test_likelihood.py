@@ -202,20 +202,20 @@ class TestFitInitial:
     def test_unit_first_values(self):
         panel = PathPanel.from_matrix([0.0, 1.0], [[1.0, 2.0], [1.0, 3.0], [1.0, 1.5]])
         fit = fit_initial(transform(panel))
-        assert fit.mu1_hat == 0.0
-        assert fit.sigma1sq_hat == 0.0
+        assert fit.mu1 == 0.0
+        assert fit.sigma1sq == 0.0
 
     def test_hand_value(self):
         panel = PathPanel.from_matrix([0.0, 1.0], [[math.e, 3.0], [math.e**3, 3.0]])
         fit = fit_initial(transform(panel))
-        assert fit.mu1_hat == pytest.approx(2.0, rel=1e-14)
-        assert fit.sigma1sq_hat == pytest.approx(1.0, rel=1e-14)
+        assert fit.mu1 == pytest.approx(2.0, rel=1e-14)
+        assert fit.sigma1sq == pytest.approx(1.0, rel=1e-14)
 
     def test_single_path_zero_variance(self):
         panel = PathPanel.from_matrix([0.0, 1.0], [[5.0, 6.0]])
         fit = fit_initial(transform(panel))
-        assert fit.mu1_hat == pytest.approx(math.log(5.0), rel=1e-15)
-        assert fit.sigma1sq_hat == 0.0
+        assert fit.mu1 == pytest.approx(math.log(5.0), rel=1e-15)
+        assert fit.sigma1sq == 0.0
 
 
 class TestTransitionLogMean:
@@ -419,8 +419,8 @@ class TestLoglik:
         vdata = transform(panel)
         xi1 = random_params(rng, 2)
         xi2 = random_params(rng, 2)
-        a1 = (0.2, 0.5)
-        a2 = (-0.1, 1.5)
+        a1 = LognormalStart(0.2, 0.5)
+        a2 = LognormalStart(-0.1, 1.5)
         d1 = loglik(vdata, a1, xi1) - loglik(vdata, a2, xi1)
         d2 = loglik(vdata, a1, xi2) - loglik(vdata, a2, xi2)
         assert d1 == pytest.approx(d2, rel=1e-12)

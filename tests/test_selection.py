@@ -176,6 +176,13 @@ class TestSelectDegree:
         with pytest.raises(ValueError):
             select_degree(panel, [])
 
+    def test_repeated_degree_rejected(self, case1_params, transform_calls):
+        # as msl's "degrees" list: one degree is fitted once
+        panel = make_case1_panel(case1_params, seed=75, d=10, n_points=21)
+        with pytest.raises(ValueError, match=r"repeated degree in \[3, 3\]"):
+            select_degree(panel, [3, 3])
+        assert transform_calls == []
+
     def test_all_failures_propagate(self, case1_params):
         panel = make_case1_panel(case1_params, seed=76, d=10, n_points=21)
 

@@ -17,10 +17,8 @@ from mslogistic import (
     SamplePath,
     SimSpec,
     curve,
-    geometric_mean,
     integrated_drift,
     process_mean,
-    sample_mean,
     simulate_panel,
     transform,
 )
@@ -126,7 +124,7 @@ class TestSimulatePanel:
         panel = simulate_panel(spec(params=case1_params, d=200, seed=2024))
         grid = panel.common_grid()
         theory = process_mean(case1_params, Degenerate(5.0), 0.0, grid)
-        rae = np.mean(np.abs(sample_mean(panel) - theory) / theory)
+        rae = np.mean(np.abs(panel.pointwise_mean - theory) / theory)
         assert rae < 0.02
 
 
@@ -187,32 +185,32 @@ class TestFixtureScript:
 class TestPanelStatistics:
     def test_sample_mean_single_path(self):
         panel = PathPanel.from_matrix([0.0, 1.0, 2.0], [[1.0, 2.0, 3.0]])
-        np.testing.assert_array_equal(sample_mean(panel), [1.0, 2.0, 3.0])
+        np.testing.assert_array_equal(panel.pointwise_mean, [1.0, 2.0, 3.0])
 
     def test_sample_mean_two_constant_paths(self):
         panel = PathPanel.from_matrix([0.0, 1.0], [[1.0, 1.0], [3.0, 3.0]])
-        np.testing.assert_array_equal(sample_mean(panel), [2.0, 2.0])
+        np.testing.assert_array_equal(panel.pointwise_mean, [2.0, 2.0])
 
     def test_geometric_mean_identical_paths(self):
         panel = PathPanel.from_matrix([0.0, 1.0], [[2.0, 5.0], [2.0, 5.0]])
-        np.testing.assert_allclose(geometric_mean(panel), [2.0, 5.0], rtol=1e-15)
+        np.testing.assert_allclose(panel.pointwise_geometric_mean, [2.0, 5.0], rtol=1e-15)
 
     def test_geometric_mean_hand_value(self):
         panel = PathPanel.from_matrix([0.0, 1.0], [[1.0, 1.0], [4.0, 4.0]])
-        np.testing.assert_allclose(geometric_mean(panel), [2.0, 2.0], rtol=1e-15)
+        np.testing.assert_allclose(panel.pointwise_geometric_mean, [2.0, 2.0], rtol=1e-15)
 
     def test_am_gm_inequality(self):
         rng = np.random.default_rng(1)
         vals = np.exp(rng.normal(size=(5, 20)))
         panel = PathPanel.from_matrix(np.arange(20.0), vals)
-        assert np.all(geometric_mean(panel) <= sample_mean(panel) + 1e-12)
+        assert np.all(panel.pointwise_geometric_mean <= panel.pointwise_mean + 1e-12)
 
     def test_unequal_grids_raise(self):
         p1 = SamplePath([0.0, 1.0, 2.0], [1.0, 2.0, 3.0])
         p2 = SamplePath([0.0, 1.5, 2.0], [1.0, 2.0, 3.0])
         panel = PathPanel((p1, p2))
         with pytest.raises(ValueError):
-            sample_mean(panel)
+            panel.pointwise_mean
 
 
 class TestPanelMoments:
@@ -229,10 +227,9 @@ class TestPanelMoments:
             return ingest_csv(DATA_DIR / "epidemic_shaped.csv")
         return make_case1_panel(case1_params, seed=11, d=50, n_points=101)
 
-    def test_functions_return_the_cached_arrays(self, panel):
-        assert sample_mean(panel) is sample_mean(panel) is panel.pointwise_mean
-        assert geometric_mean(panel) is geometric_mean(panel) is panel.pointwise_geometric_mean
-        assert panel.pointwise_sd is panel.pointwise_sd
+    def test_moments_are_kept(self, panel):
+        for name in self.MOMENTS:
+            assert getattr(panel, name) is getattr(panel, name)
 
     @pytest.mark.parametrize("name", sorted(MOMENTS))
     def test_cached_arrays_equal_direct_formulas(self, panel, name):
