@@ -27,7 +27,7 @@ import numpy as np
 
 from .fit_nr import DegreeError, FitError, fit
 from .likelihood import fit_initial, loglik, transform
-from .model import ModelParams, integrated_drift, process_mean
+from .model import LognormalStart, ModelParams, integrated_drift, process_mean
 from .simulate import PathPanel
 
 __all__ = [
@@ -114,13 +114,13 @@ class GoodnessReport:
         raise KeyError(p)
 
 
-def dra_curve(panel: PathPanel, xi: ModelParams, mu0: float, var0: float):
+def dra_curve(panel: PathPanel, xi: ModelParams, init: LognormalStart):
     """Resistor-average distance between sample and fitted laws along the grid.
 
     The sample law at each time uses the lognormal moment proxies
     ``mu = log(geometric mean)`` and ``var = 2 log(mean / geometric mean)``
-    (floored); the fitted law propagates the initial log-moments with the
-    integrated drift and ``sigma2 (t - t0)``.
+    (floored); the fitted law propagates the log-moments of the initial law
+    ``init`` with the integrated drift and ``sigma2 (t - t0)``.
     """
     grid = panel.common_grid()
     if grid is None:
@@ -132,8 +132,8 @@ def dra_curve(panel: PathPanel, xi: ModelParams, mu0: float, var0: float):
     mu_c = np.log(g[1:])
     var_c = np.maximum(2.0 * np.log(m[1:] / g[1:]), VARIANCE_FLOOR)
     h = np.asarray(integrated_drift(xi, 0.0, times - t0))
-    mu_s = mu0 + h
-    var_s = np.maximum(var0 + xi.sigma2 * (times - t0), VARIANCE_FLOOR)
+    mu_s = init.mu1 + h
+    var_s = np.maximum(init.sigma1sq + xi.sigma2 * (times - t0), VARIANCE_FLOOR)
     values = np.empty(times.size)
     for k in range(times.size):
         d1 = kl_divergence(mu_c[k], var_c[k], mu_s[k], var_s[k])
@@ -188,7 +188,7 @@ def select_degree(
             continue
         aic, bic = aic_bic(p, l_value, vdata.n)
         fitted = process_mean(xi, alpha, 0.0, grid - grid[0])
-        times, dra = dra_curve(panel, xi, alpha.mu1, alpha.sigma1sq)
+        times, dra = dra_curve(panel, xi, alpha)
         entries.append(
             DegreeGoodness(
                 p=p,
