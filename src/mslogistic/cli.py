@@ -143,10 +143,10 @@ class _Table:
         missing = sorted(k for k, (required, _) in self.fields.items()
                          if required and k not in value)
         unknown = sorted(value.keys() - self.fields.keys())
-        if missing:
-            raise ConfigError(f"{name}: missing keys {missing}")
-        if unknown:
-            raise ConfigError(f"{name}: unknown keys {unknown}")
+        if missing or unknown:  # one line that names both lists
+            raise ConfigError(f"{name}: " + " and ".join(
+                f"{kind} keys {keys}" for kind, keys in (("missing", missing), ("unknown", unknown))
+                if keys))
         if self.one_of:
             given = {k for alt in self.one_of for k in alt if k in value}
             if given not in [set(alt) for alt in self.one_of]:

@@ -34,7 +34,7 @@ import numpy as np
 from .likelihood import (LikelihoodStats, VData, compute_stats, direction_signs, fit_initial,
                          transform)
 from .model import ModelParams, PolyCoeffs
-from .simulate import PathPanel
+from .simulate import PathPanel, _check_count
 
 __all__ = ["FitError", "DegreeError", "InitSolution", "NrResult", "initial_theta", "initial_sigma2",
            "sigma2_root", "system_residual", "fit"]
@@ -223,11 +223,15 @@ def fit(
     """Maximum-likelihood fit of degree ``p`` by damped Newton-Raphson.
 
     ``init`` optionally overrides the regression start ``theta0 = (eta, beta_1..beta_p)``
-    and must hold those p + 1 values (ValueError otherwise); sigma2 needs no
-    start, as its closed-form root eliminates it.
+    and must hold those p + 1 values; sigma2 needs no start, as its closed-form
+    root eliminates it.  A bad ``init``, ``tol``, ``max_iter`` or degree raises ValueError.
     Non-convergence is reported, not raised: the best iterate reached is
     returned with ``converged=False`` and the residual trace attached.
     """
+    _check_count(p, "degree")
+    _check_count(max_iter, "max_iter")
+    if not 0 < tol < math.inf:  # False for NaN
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
     vdata = transform(panel)
     init_solution = None
     if init is None:

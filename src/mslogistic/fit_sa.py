@@ -41,7 +41,7 @@ import numpy as np
 from .fit_nr import DegreeError, FitError, _scaled_vandermonde, usable_saturation_pairs
 from .likelihood import _check_rows, _neg_core_loglik, _Workspace, neg_core_loglik, transform
 from .model import ModelParams
-from .simulate import PathPanel, check_seed
+from .simulate import PathPanel, _check_count, check_seed
 
 FLAT_TOL = 1e-12  # equality tolerance of the flat-chain stop
 CONTAINS_RTOL = 1e-12  # ParamBox.contains slack, relative to each interval's width
@@ -99,9 +99,7 @@ class SaSchedule:
         if not 0.0 < self.p0 < 1.0:
             raise ValueError("p0 must lie in (0, 1)")
         for name in ("replications", "chain_length", "max_iter", "pilot_pairs"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < 1:
-                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+            _check_count(getattr(self, name), name)
         if not self.t_final > 0.0:
             raise ValueError(f"t_final must be positive, got {self.t_final!r}")
         check_seed(self.seed)
@@ -124,6 +122,7 @@ def build_box(panel: PathPanel, p: int) -> ParamBox:
     information for eta and are skipped (all skipped is an error).  A
     degenerate eta interval (all ratios equal) is widened by +-10%.
     """
+    _check_count(p, "degree")
     from scipy.special import stdtrit  # costly import, paid only by SA fits
 
     values = panel.values_matrix()
@@ -256,6 +255,7 @@ def anneal(panel: PathPanel, p: int, box: ParamBox | None = None,
     ``uphill_log`` to record ``(df/T, accepted)`` pairs for acceptance-rule
     diagnostics.
     """
+    _check_count(p, "degree")
     if box is None:
         box = build_box(panel, p)
     if sched is None:

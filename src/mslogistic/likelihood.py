@@ -23,10 +23,12 @@ of equal time pairs and keeps only each group's count, ``sum v`` and
 ``sum v^2``: :class:`VData` holds no per-transition array.  On a common grid
 with d paths this cuts the work per likelihood evaluation by a factor of d.
 
-On a common grid, :func:`transform` is one array operation on the panel's
-stored ``(d, N)`` value matrix: ``v = diff(log V, axis=1) / sqrt(diff(grid))``,
+On a common grid, :func:`transform` reads the panel's stored ``(d, N)`` value
+matrix in blocks of rows: ``v = diff(log V, axis=1) / sqrt(diff(grid))``,
 group ``j`` is the column of transitions ``j -> j+1`` and the group sums are
-column sums.  Other panels go through a per-path loop that finds the groups
+column sums, carried from block to block in row order so that they equal the
+whole-matrix sums bit for bit; no temporary is as large as the matrix.
+Other panels go through a per-path loop that finds the groups
 by sorting the (start, end) pairs; both give the same :class:`VData`, field
 for field.  A panel cannot change once built, so each panel's read-only result
 is computed once and kept while the panel lives: every stage that reads a
@@ -46,7 +48,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import LognormalStart, ModelParams
-from .simulate import PathPanel
+from .simulate import PathPanel, _column_sums
 
 __all__ = [
     "VData",
@@ -129,19 +131,22 @@ def _transform_paths(panel: PathPanel) -> VData:
 
 
 def _transform_grid(panel: PathPanel, grid: np.ndarray) -> VData:
-    """:func:`transform` on a common grid: one ``(d, N)`` array operation.
+    """:func:`transform` on a common grid: column sums over row blocks of the value matrix.
 
     Group ``j`` is the column of transitions ``j -> j+1``.  Column sums of a
     C-ordered matrix add the rows in path order, as ``bincount`` does over the
-    path-ordered transitions, so every field equals :func:`_transform_paths`'s.
+    path-ordered transitions, so every field equals :func:`_transform_paths`'s;
+    the exception is a grid of two times, whose one column numpy sums pairwise.
     """
-    # scaled and squared in place: one (d, N-1) buffer besides the log
-    v = np.diff(np.log(panel.values_matrix()), axis=1)
-    v /= np.sqrt(np.diff(grid))
-    g_sum_v = v.sum(axis=0)
-    g_sum_v2 = np.multiply(v, v, out=v).sum(axis=0)
+    sqrt_dt = np.sqrt(np.diff(grid))
+
+    def v_and_v2(rows):
+        v = np.diff(np.log(rows), axis=1) / sqrt_dt
+        return v, v * v
+
+    g_sum_v, g_sum_v2 = _column_sums(panel.values_matrix(), v_and_v2)
     g_lo = np.arange(grid.size - 1)
-    return _vdata(panel, grid - panel.t0, v.size, g_lo, g_lo + 1,
+    return _vdata(panel, grid - panel.t0, panel.d * g_lo.size, g_lo, g_lo + 1,
                   np.full(g_lo.size, float(panel.d)), g_sum_v, g_sum_v2)
 
 

@@ -28,7 +28,7 @@ import numpy as np
 from .fit_nr import DegreeError, FitError, fit
 from .likelihood import fit_initial, loglik, transform
 from .model import LognormalStart, ModelParams, integrated_drift, process_mean
-from .simulate import PathPanel
+from .simulate import PathPanel, _check_count
 
 __all__ = [
     "DegreeGoodness",
@@ -157,9 +157,9 @@ def select_degree(
     (``converged=False``) and is also listed in ``failures``; only converged
     degrees can be chosen.  If no degree converges, FitError is raised; if
     every degree raised DegreeError, the first degree's DegreeError is.  An
-    empty ``p_range`` or one that repeats a degree raises ValueError.
+    empty ``p_range``, a repeat or a degree not an integer >= 1 raises ValueError.
     """
-    p_list = list(p_range)
+    p_list = [_check_count(p, "degree") for p in p_range]
     if not p_list:
         raise ValueError("empty degree range")
     if len(set(p_list)) != len(p_list):

@@ -34,6 +34,7 @@ MAX_FLOATS = np.iinfo(np.intp).max // 8  # float64 values one numpy array can ad
 # libm's log per element, so above this scipy's compiled ndtri wins even
 # counting the 0.2-0.3 s its import costs.
 NDTRI_PORT_MAX = 2**20
+ROW_BLOCK = 2**14  # matrix entries per block of :func:`_column_sums` (128 KB per temporary)
 
 
 def check_seed(seed, name: str = "seed"):
@@ -41,6 +42,13 @@ def check_seed(seed, name: str = "seed"):
     if isinstance(seed, (int, np.integer)) and not isinstance(seed, bool) and 0 <= seed < 2**64:
         return seed
     raise ValueError(f"{name}: expected an integer in [0, 2**64), got {seed!r}")
+
+
+def _check_count(value, name: str):
+    """Return ``value`` if it is an integer >= 1 (not a bool), else raise ValueError."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= 1:
+        return value
+    raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -82,6 +90,8 @@ class PathPanel:
 
     The ``pointwise_*`` cross-sectional moments are computed on first use and
     kept as read-only arrays; on a ragged panel they raise like :meth:`values_matrix`.
+    The geometric mean and the standard deviation reduce the matrix in row
+    blocks (:func:`_column_sums`), so neither makes a matrix-sized temporary.
     A panel cannot change once built, so every panel, ragged or not, is
     prepared for the likelihood once: :func:`~mslogistic.likelihood.transform`
     keeps its result for as long as the panel lives.
@@ -151,17 +161,39 @@ class PathPanel:
     @cached_property
     def pointwise_geometric_mean(self) -> np.ndarray:
         """Read-only geometric mean across paths at each time; requires a common grid."""
-        return _read_only(np.exp(np.log(self.values_matrix()).mean(axis=0)))
+        [log_sum] = _column_sums(self.values_matrix(), lambda rows: (np.log(rows),))
+        return _read_only(np.exp(log_sum / self.d))
 
     @cached_property
     def pointwise_sd(self) -> np.ndarray:
-        """Read-only ``ddof=1`` standard deviation across paths; requires a common grid."""
-        return _read_only(self.values_matrix().std(axis=0, ddof=1))
+        """Read-only ``ddof=1`` standard deviation across paths (NaN if d = 1); common grid only."""
+        mean = self.pointwise_mean  # the steps of numpy's std(axis=0, ddof=1), blocked
+        [ss] = _column_sums(self.values_matrix(), lambda rows: (np.square(rows - mean),))
+        with np.errstate(invalid="ignore"):  # 0/0 when d = 1
+            return _read_only(np.sqrt(ss / (self.d - 1)))
 
     def first_values(self) -> np.ndarray:
         if self._values is not None:
             return self._values[:, 0].copy()
         return np.array([p.values[0] for p in self.paths])
+
+
+def _column_sums(values: np.ndarray, fn) -> list[np.ndarray]:
+    """Column sums of each array in the tuple ``fn`` maps a block of rows of ``values`` to.
+
+    Blocks of the C-ordered ``(d, N)`` ``values`` hold about :data:`ROW_BLOCK`
+    entries, and each is summed with the running sums as its row 0.  numpy sums
+    a C-ordered matrix over axis 0 row by row, so the sums equal the whole-matrix
+    ``fn(values)[k].sum(axis=0)`` bit for bit.  numpy sums one column pairwise,
+    so with N <= 2 (``fn`` may give one column) the matrix is one block.
+    """
+    d, n = values.shape
+    rows = max(1, ROW_BLOCK // n) if n > 2 else d
+    sums = [part.sum(axis=0) for part in fn(values[:rows])]
+    for start in range(rows, d, rows):
+        parts = fn(values[start:start + rows])
+        sums = [np.vstack((s, part)).sum(axis=0) for s, part in zip(sums, parts)]
+    return sums
 
 
 def _check(times: np.ndarray, values: np.ndarray, where: str) -> None:
@@ -227,8 +259,7 @@ class SimSpec:
             raise ValueError("grid must be a 1-d array with at least two times")
         if problem := _times_problem(grid):
             raise ValueError(f"grid times {problem}")
-        if not isinstance(self.d, (int, np.integer)) or isinstance(self.d, bool) or self.d < 1:
-            raise ValueError(f"need at least one path: d must be an integer >= 1, got {self.d!r}")
+        _check_count(self.d, "need at least one path: d")
         if self.d * grid.size > MAX_FLOATS:
             raise ValueError(f"{self.d} paths of {grid.size} points exceed numpy's largest array")
         check_seed(self.seed)

@@ -326,6 +326,12 @@ class TestMainEntry:
         code = main(["simulate", "--config", str(bad)])
         assert code == 2
 
+    def test_misspelt_key_names_missing_and_unknown(self, tmp_path, capsys):
+        cfg = sim_config()
+        cfg["path"] = cfg.pop("paths")
+        self.assert_config_error(tmp_path, capsys, "simulate", cfg,
+                                 "error: config: missing keys ['paths'] and unknown keys ['path']\n")
+
     def assert_config_error(self, tmp_path, capsys, command, payload, fragment, *flags):
         cfg = write_config(tmp_path, payload)
         code = main([command, "--config", str(cfg), "--out", str(tmp_path / "o"), *flags])

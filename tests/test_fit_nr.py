@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import math
+import re
 import warnings
 from pathlib import Path
 
@@ -27,6 +28,7 @@ from mslogistic.fit_nr import (
     system_residual,
     usable_saturation_pairs,
 )
+from mslogistic.fit_sa import SaSchedule, anneal, build_box
 from mslogistic.selection import select_degree
 
 from conftest import make_case1_panel
@@ -302,6 +304,19 @@ class TestFit:
         with pytest.raises(ValueError, match=r"init needs the p \+ 1 = 4 values"):
             fit(panel, 3, init=init)
 
+    @pytest.mark.parametrize("opts, fragment", [
+        ({"tol": math.nan}, "tol must be finite and positive, got nan"),
+        ({"tol": -1.0}, "tol must be finite and positive"),
+        ({"tol": 0.0}, "tol must be finite and positive"),
+        ({"tol": math.inf}, "tol must be finite and positive"),
+        ({"max_iter": 0}, "max_iter must be an integer >= 1, got 0"),
+        ({"max_iter": 2.0}, "max_iter must be an integer >= 1"),
+        ({"max_iter": True}, "max_iter must be an integer >= 1"),
+    ])
+    def test_bad_tolerance_or_budget_rejected(self, opts, fragment):
+        with pytest.raises(ValueError, match=re.escape(fragment)):
+            fit(ingest_csv(DATA_DIR / "epidemic_shaped.csv"), 3, **opts)
+
     def test_singular_jacobian_stops_without_warnings(self):
         # at eta = 1e300 every Jacobian entry underflows to 0; the iteration
         # must stop instead of stepping to NaN
@@ -350,6 +365,27 @@ class TestFit:
         assert len(report.failures) == 1
         assert report.failures[0][0] == 3
         assert "degree-3 start" in report.failures[0][1]
+
+
+class TestDegreeCheck:
+    """Every library entry point that takes a degree rejects one that is not an integer >= 1."""
+
+    ENTRY_POINTS = {
+        "fit": fit,
+        "build_box": build_box,
+        "anneal": lambda panel, p: anneal(panel, p, sched=SaSchedule(replications=1, max_iter=1)),
+        "select_degree": lambda panel, p: select_degree(panel, [2, p]),
+    }
+
+    @pytest.mark.parametrize("p", [True, 0, -1, 2.5, "3", None], ids=repr)
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_bad_degree_rejected(self, entry, p):
+        with pytest.raises(ValueError, match=re.escape(f"degree must be an integer >= 1, got {p!r}")):
+            self.ENTRY_POINTS[entry](ingest_csv(DATA_DIR / "epidemic_shaped.csv"), p)
+
+    def test_numpy_integer_accepted(self):
+        panel = ingest_csv(DATA_DIR / "epidemic_shaped.csv")
+        assert fit(panel, np.int64(3)).xi_hat == fit(panel, 3).xi_hat
 
 
 class TestGolden:

@@ -2,6 +2,8 @@ import gc
 import importlib.util
 import json
 import math
+import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -247,6 +249,64 @@ class TestPanelMoments:
         for _ in range(2):
             with pytest.raises(ValueError, match="common grid"):
                 getattr(panel, name)
+
+
+def _whole_matrix_transform(values, grid):
+    v = np.diff(np.log(values), axis=1) / np.sqrt(np.diff(grid))
+    return v.sum(axis=0), (v * v).sum(axis=0)
+
+
+class TestRowBlocks:
+    """The reductions made over row blocks against numpy's whole-matrix formulas, bit for bit.
+
+    They rely on numpy summing a C-ordered matrix over axis 0 row by row; a
+    numpy that changes that order fails here.
+    """
+
+    N = 97
+    ROWS = simulate.ROW_BLOCK // N   # rows per block at N points
+
+    @pytest.mark.parametrize("d, n", [
+        (1, N), (ROWS // 3, N), (ROWS, N), (4 * ROWS, N), (3 * ROWS + 5, N),
+        (9000, 2), (9000, 1), (3 * ROWS + 5, 3),   # one and two columns are never split
+    ])
+    def test_bitwise_equal_to_whole_matrix(self, d, n):
+        rng = np.random.default_rng(d * 1000 + n)
+        grid = np.cumsum(rng.uniform(0.01, 2.0, size=n))
+        values = np.exp(rng.normal(0.0, 3.0, size=(d, n)))
+        panel = PathPanel.from_matrix(grid, values)
+        vdata = transform(panel)
+        sum_v, sum_v2 = _whole_matrix_transform(values, grid)
+        assert np.array_equal(vdata.g_sum_v, sum_v) and np.array_equal(vdata.g_sum_v2, sum_v2)
+        assert vdata.n == d * (n - 1)
+        assert np.array_equal(panel.pointwise_geometric_mean,
+                              np.exp(np.log(values).mean(axis=0)))
+        with np.errstate(invalid="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # d = 1: no degrees of freedom
+            sd = values.std(axis=0, ddof=1)
+        assert np.array_equal(panel.pointwise_sd, sd, equal_nan=True)
+        assert np.isnan(panel.pointwise_sd).all() == (d == 1)
+
+    @pytest.mark.parametrize("reduction", [
+        transform,
+        lambda panel: panel.pointwise_geometric_mean,
+        lambda panel: panel.pointwise_sd,
+    ], ids=["transform", "pointwise_geometric_mean", "pointwise_sd"])
+    def test_no_matrix_sized_temporary(self, reduction):
+        # numpy reports its array allocations to tracemalloc; whole-matrix formulas
+        # peak at twice the matrix (transform) and at the matrix (each moment)
+        rng = np.random.default_rng(5)
+        values = np.exp(rng.normal(size=(4000, 144)))
+        panel = PathPanel.from_matrix(np.arange(144.0), values)
+        panel.pointwise_mean  # the sd reads it; it sums without a temporary
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            reduction(panel)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < values.nbytes / 4
 
 
 class TestPanelStorage:
