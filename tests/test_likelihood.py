@@ -300,8 +300,10 @@ class TestComputeStats:
         np.testing.assert_allclose(s1.x, s2.x, rtol=1e-14)
         np.testing.assert_allclose(s1.y, s2.y, rtol=1e-14)
 
-    # first 16 hex digits of the SHA-256 of each value's float64 bytes, recorded
-    # before compute_stats gained the shape derivatives dw, dx and dy
+    # first 16 hex digits of the SHA-256 of each value's float64 bytes; the
+    # fixture and case-1 entries were recorded before compute_stats gained the
+    # shape derivatives dw, dx and dy, the ragged and two-time-grid entries
+    # while common-grid and ragged panels had separate transforms
     RECORDED_BITS = {
         "fixture": {
             "z1": "2abaec6f70fb2875", "z2": "d0db495b2d431e59", "z3": "139107fd63d004e9",
@@ -317,17 +319,38 @@ class TestComputeStats:
             "d_g": "02a96e41dd2d60c0", "n": "c5336095765c5bcb", "p": "161f4c0b1a18a050",
             "fisher_info": "50b22ec129190788", "grad_loglik": "9ec32742f6887274",
             "core_loglik": "88f4418adab959a7"},
+        "ragged": {
+            "z1": "24bca50ce123e357", "z2": "203d4d05cc4d84e8", "z3": "9ad3a859d23699cf",
+            "a": "8c6c204ec42d8658", "b": "5f8073fd55b29a22", "c": "5b2d323f940aa14c",
+            "w": "f70318f7140cea04", "x": "fc6d88e81943e9c1", "y": "588a15543229aee6",
+            "d_g": "9c515a12e5fc1c67", "n": "7957aba2f15f5d55", "p": "161f4c0b1a18a050",
+            "fisher_info": "d03039816117bed8", "grad_loglik": "8eebe352bb02a369",
+            "core_loglik": "d2c8371358dd53bb"},
+        "two_time_grid": {
+            "z1": "014112a365e894d1", "z2": "0b36c1bd5ddf4a43", "z3": "139107fd63d004e9",
+            "a": "1f3aba56950d96fa", "b": "c18a934ce089d2e9", "c": "f0b24b9a452fd7ea",
+            "w": "80c1ec7e8f025d65", "x": "d6a1e502bad7de96", "y": "9fd71f8b7d533ef9",
+            "d_g": "94eb7aedf4cf62a4", "n": "139107fd63d004e9", "p": "161f4c0b1a18a050",
+            "fisher_info": "c6c3572e696f8c0a", "grad_loglik": "1750a418e87de79f",
+            "core_loglik": "ec34f0febfd3afeb"},
     }
 
-    @pytest.mark.parametrize("source", ["fixture", "case1"])
+    @pytest.mark.parametrize("source", ["fixture", "case1", "ragged", "two_time_grid"])
     def test_fields_keep_their_recorded_bits(self, source):
+        xi = ModelParams(0.37, PolyCoeffs((0.1, -0.009, 0.0002)), 1e-4)
         if source == "fixture":
             panel = ingest_csv(Path(__file__).parent / "data" / "epidemic_shaped.csv")
             xi = ModelParams(0.0321, PolyCoeffs((0.0486, -0.000474, 1.3e-6)), 2.5e-3)
-        else:
+        elif source == "case1":
             panel = simulate_panel(SimSpec(params=CASE1, init=Degenerate(5.0),
                                            grid=np.linspace(0.0, 50.0, 201), d=40, seed=0))
-            xi = ModelParams(0.37, PolyCoeffs((0.1, -0.009, 0.0002)), 1e-4)
+        elif source == "ragged":
+            panel = random_panel(np.random.default_rng(24), d=5, ragged=True)
+            assert panel.common_grid() is None
+        else:
+            # one column of 1000 transitions, which numpy sums pairwise
+            values = np.exp(np.random.default_rng(1).normal(0.0, 3.0, (1000, 2)))
+            panel = PathPanel.from_matrix([0.0, 1.0], values)
         vdata = transform(panel)
         stats = compute_stats(vdata, xi)
         values = {name: getattr(stats, name) for name in self.RECORDED_BITS[source]
