@@ -69,9 +69,12 @@ class FisherInfo:
     def inverse(self) -> np.ndarray:
         """Covariance matrix ``I^{-1}`` via the equilibrated core.
 
-        Raises :class:`SingularInformationError` when the equilibrated core's
-        condition number exceeds :data:`MAX_CONDITION`.
+        Raises :class:`SingularInformationError` when the matrix is not finite
+        (it overflows as sigma2 nears 0) or the equilibrated core's condition
+        number exceeds :data:`MAX_CONDITION`.
         """
+        if not np.isfinite(self.matrix).all():
+            raise SingularInformationError("information matrix is not finite")
         d = self.scaling_vector()
         core = self.matrix * np.outer(d, d)
         w, v = np.linalg.eigh(core)
@@ -99,7 +102,8 @@ def fisher_info(vdata: VData, xi: ModelParams) -> FisherInfo:
     matrix[: p + 1, : p + 1] = (dm * (cnt / dt)) @ dm.T
     matrix[: p + 1, p + 1] = matrix[p + 1, : p + 1] = -0.5 * (dm @ cnt)
     matrix[p + 1, p + 1] = 0.5 * stats.n / xi.sigma2 + 0.25 * stats.z3
-    matrix /= xi.sigma2
+    with np.errstate(over="ignore"):  # an overflow to inf is refused by inverse()
+        matrix /= xi.sigma2
     return FisherInfo(matrix)
 
 

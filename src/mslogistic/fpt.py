@@ -280,9 +280,14 @@ def crossing_time_deterministic(params: ModelParams, l0: float, t0: float,
                                 boundary: float) -> float | None:
     """Smallest time where the deterministic curve reaches ``boundary``.
 
-    Returns None when the boundary exceeds the attainable level.  The scanned
-    horizon doubles until the curve passes the boundary (at most 60 times).
+    Returns None when the boundary exceeds the attainable level (an infinite
+    one always does).  The scanned horizon doubles until the curve passes the
+    boundary (at most 60 times).  Raises ValueError unless ``l0`` is finite and
+    positive, ``t0`` is finite and ``boundary`` is positive.
     """
+    if not (math.isfinite(l0) and l0 > 0 and math.isfinite(t0) and boundary > 0):
+        raise ValueError(f"need finite l0 > 0, finite t0 and boundary > 0, got l0={l0}, "
+                         f"t0={t0}, boundary={boundary}")
     if boundary <= l0:
         return t0
     if params.poly.beta[-1] > 0 and boundary > carrying_capacity(params, l0, t0):

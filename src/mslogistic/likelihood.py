@@ -23,16 +23,13 @@ of equal time pairs and keeps only each group's count, ``sum v`` and
 ``sum v^2``: :class:`VData` holds no per-transition array.  On a common grid
 with d paths this cuts the work per likelihood evaluation by a factor of d.
 
-On a common grid, :func:`transform` reads the panel's stored ``(d, N)`` value
-matrix in blocks of rows: ``v = diff(log V, axis=1) / sqrt(diff(grid))``,
-group ``j`` is the column of transitions ``j -> j+1`` and the group sums are
-column sums, carried from block to block in row order so that they equal the
-whole-matrix sums bit for bit; no temporary is as large as the matrix.
-Other panels go through a per-path loop that finds the groups
-by sorting the (start, end) pairs; both give the same :class:`VData`, field
-for field.  A panel cannot change once built, so each panel's read-only result
-is computed once and kept while the panel lives: every stage that reads a
-panel (degree selection, the fits, the intervals) shares one preparation.
+One reduction serves every panel: :func:`transform` reads it as blocks of
+paths on one grid (a common-grid panel's value matrix, or each path of a
+ragged panel), sums each block's columns over blocks of rows, so that no
+temporary is as large as the matrix, and adds the sums of equal time pairs in
+block order.  A panel cannot change once built, so each panel's read-only
+result is computed once and kept while the panel lives: every stage that reads
+a panel (degree selection, the fits, the intervals) shares one preparation.
 
 Times are shifted so the panel starts at 0 (the curve family is closed under
 time shifts); fitted parameters therefore live on the clock ``s = t - t0``,
@@ -101,53 +98,42 @@ _PREPARED = weakref.WeakKeyDictionary()  # panel -> its VData, dropped with the 
 
 
 def transform(panel: PathPanel) -> VData:
-    """Grouped standardized log-increments of ``panel``, computed once per panel."""
-    if panel not in _PREPARED:
-        grid = panel.common_grid()
-        _PREPARED[panel] = _transform_paths(panel) if grid is None else _transform_grid(panel, grid)
-    return _PREPARED[panel]
+    """Grouped standardized log-increments of ``panel``, computed once per panel.
 
-
-def _transform_paths(panel: PathPanel) -> VData:
-    """:func:`transform` on any panel: a per-path loop that groups equal time pairs."""
-    t0 = panel.t0
-    all_times = np.unique(np.concatenate([p.times for p in panel.paths])) - t0
-
-    v_parts, lo_parts, hi_parts = [], [], []
-    for p in panel.paths:
-        idx = np.searchsorted(all_times, p.times - t0)
-        v_parts.append(np.diff(np.log(p.values)) / np.sqrt(np.diff(p.times)))
-        lo_parts.append(idx[:-1])
-        hi_parts.append(idx[1:])
-    v = np.concatenate(v_parts)
-
-    pair_key = np.concatenate(lo_parts) * all_times.size + np.concatenate(hi_parts)
-    uniq, group = np.unique(pair_key, return_inverse=True)
-    g_lo, g_hi = np.divmod(uniq, all_times.size)
-    g_count = np.bincount(group, minlength=uniq.size).astype(float)
-    g_sum_v = np.bincount(group, weights=v, minlength=uniq.size)
-    g_sum_v2 = np.bincount(group, weights=v * v, minlength=uniq.size)
-    return _vdata(panel, all_times, v.size, g_lo, g_hi, g_count, g_sum_v, g_sum_v2)
-
-
-def _transform_grid(panel: PathPanel, grid: np.ndarray) -> VData:
-    """:func:`transform` on a common grid: column sums over row blocks of the value matrix.
-
-    Group ``j`` is the column of transitions ``j -> j+1``.  Column sums of a
-    C-ordered matrix add the rows in path order, as ``bincount`` does over the
-    path-ordered transitions, so every field equals :func:`_transform_paths`'s;
-    the exception is a grid of two times, whose one column numpy sums pairwise.
+    The panel is read as blocks of paths on one grid: a common-grid panel is one
+    block, its value matrix, and a ragged panel one single-row block per path.
+    Each block gives column sums of ``v`` and ``v^2`` over its rows (in row
+    order), and ``bincount`` adds the block sums of equal time pairs from 0.0 in
+    block order.  So every group adds its transitions in path order; the one
+    exception is a grid of two times, whose single column numpy sums pairwise.
     """
-    sqrt_dt = np.sqrt(np.diff(grid))
+    if panel in _PREPARED:
+        return _PREPARED[panel]
+    grid, t0 = panel.common_grid(), panel.t0
+    blocks = ([(p.times, p.values[np.newaxis]) for p in panel.paths] if grid is None
+              else [(grid, panel.values_matrix())])
+    times = np.unique(np.concatenate([t for t, _ in blocks])) - t0
 
-    def v_and_v2(rows):
-        v = np.diff(np.log(rows), axis=1) / sqrt_dt
-        return v, v * v
+    keys, sums = [], []
+    for t, values in blocks:
+        sqrt_dt = np.sqrt(np.diff(t))
 
-    g_sum_v, g_sum_v2 = _column_sums(panel.values_matrix(), v_and_v2)
-    g_lo = np.arange(grid.size - 1)
-    return _vdata(panel, grid - panel.t0, panel.d * g_lo.size, g_lo, g_lo + 1,
-                  np.full(g_lo.size, float(panel.d)), g_sum_v, g_sum_v2)
+        def v_and_v2(rows):
+            v = np.diff(np.log(rows), axis=1) / sqrt_dt
+            return v, v * v
+
+        idx = np.searchsorted(times, t - t0)
+        keys.append(idx[:-1] * times.size + idx[1:])
+        sums.append(np.vstack([np.full(t.size - 1, float(values.shape[0])),
+                               *_column_sums(values, v_and_v2)]))
+
+    uniq, group = np.unique(np.concatenate(keys), return_inverse=True)
+    # bincount gives int64 when no path has a transition
+    g_count, g_sum_v, g_sum_v2 = (np.bincount(group, w, uniq.size).astype(float, copy=False)
+                                  for w in np.hstack(sums))
+    g_lo, g_hi = np.divmod(uniq, times.size)
+    _PREPARED[panel] = _vdata(panel, times, g_count.sum(), g_lo, g_hi, g_count, g_sum_v, g_sum_v2)
+    return _PREPARED[panel]
 
 
 def _vdata(panel, times, n, g_lo, g_hi, g_count, g_sum_v, g_sum_v2) -> VData:

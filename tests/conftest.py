@@ -104,6 +104,34 @@ def path_transitions(panel):
     return out
 
 
+def per_path_transform(panel):
+    """Reference :func:`~mslogistic.likelihood.transform`: a per-path loop that groups equal time pairs.
+
+    Each group's sums run over its transitions in path order from 0.0, as
+    ``bincount`` adds them.
+    """
+    from mslogistic.likelihood import _vdata
+
+    t0 = panel.t0
+    all_times = np.unique(np.concatenate([p.times for p in panel.paths])) - t0
+
+    v_parts, lo_parts, hi_parts = [], [], []
+    for p in panel.paths:
+        idx = np.searchsorted(all_times, p.times - t0)
+        v_parts.append(np.diff(np.log(p.values)) / np.sqrt(np.diff(p.times)))
+        lo_parts.append(idx[:-1])
+        hi_parts.append(idx[1:])
+    v = np.concatenate(v_parts)
+
+    pair_key = np.concatenate(lo_parts) * all_times.size + np.concatenate(hi_parts)
+    uniq, group = np.unique(pair_key, return_inverse=True)
+    g_lo, g_hi = np.divmod(uniq, all_times.size)
+    g_count = np.bincount(group, minlength=uniq.size).astype(float)
+    g_sum_v = np.bincount(group, weights=v, minlength=uniq.size)
+    g_sum_v2 = np.bincount(group, weights=v * v, minlength=uniq.size)
+    return _vdata(panel, all_times, v.size, g_lo, g_hi, g_count, g_sum_v, g_sum_v2)
+
+
 def mean_gradient(params: ModelParams, t_a, t_b) -> np.ndarray:
     """``dm/d(eta, beta_1..beta_p)`` of the transition log mean over ``t_a -> t_b``.
 

@@ -1,4 +1,6 @@
 import math
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from mslogistic.asymptotics import (
     fisher_info,
     initial_param_laws,
 )
+from mslogistic.cli import ingest_csv
 from mslogistic.fit_nr import fit
 
 from conftest import fd_hessian_neg_loglik, make_case1_panel, mean_gradient, path_transitions
@@ -134,6 +137,17 @@ class TestFisherInfo:
         core = fi.matrix * np.outer(d, d)
         core_inv = cov / np.outer(d, d)
         assert np.max(np.abs(core @ core_inv - np.eye(fi.matrix.shape[0]))) < 1e-8
+
+    @pytest.mark.parametrize("sigma2", [1e-200, 1e-300, 1e-310])
+    def test_overflowing_information_refused(self, sigma2):
+        # the entries scale as 1/sigma2 and 1/sigma2^2, so they overflow to inf
+        panel = ingest_csv(Path(__file__).parent / "data" / "epidemic_shaped.csv")
+        xi = fit(panel, 3).xi_hat
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fi = fisher_info(transform(panel), ModelParams(xi.eta, xi.poly, sigma2))
+            with pytest.raises(SingularInformationError, match="not finite"):
+                fi.inverse()
 
 
 class TestConfidenceIntervals:

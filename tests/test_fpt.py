@@ -217,6 +217,24 @@ class TestDeterministicCrossing:
         assert crossing_time_deterministic(EX41, 5.0, 0.0, 20.0) is None
         assert carrying_capacity(EX41, 5.0, 0.0) < 20.0
 
+    @pytest.mark.parametrize("l0, t0, boundary", [
+        (5.0, 0.0, math.nan), (5.0, 0.0, 0.0), (5.0, 0.0, -1.0),
+        (math.nan, 0.0, 15.0), (0.0, 0.0, 15.0), (-1.0, 0.0, 15.0), (math.inf, 0.0, 15.0),
+        (5.0, math.nan, 15.0), (5.0, math.inf, 15.0),
+    ])
+    def test_invalid_arguments_rejected(self, l0, t0, boundary):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="need finite l0 > 0"):
+                crossing_time_deterministic(EX41, l0, t0, boundary)
+
+    @pytest.mark.parametrize("beta", [(0.1, -0.009, 0.0002), (0.1, -0.009)])
+    def test_infinite_boundary_never_reached(self, beta):
+        params = ModelParams(eta=math.exp(-1), poly=PolyCoeffs(beta), sigma2=1e-4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert crossing_time_deterministic(params, 5.0, 0.0, math.inf) is None
+
     def test_boundary_at_start(self):
         assert crossing_time_deterministic(EX41, 5.0, 0.0, 5.0) == 0.0
 

@@ -27,29 +27,26 @@ from mslogistic import (
 )
 from mslogistic.asymptotics import fisher_info
 from mslogistic.cli import ingest_csv
-from mslogistic.likelihood import (_neg_core_loglik, _transform_paths, _Workspace, core_loglik,
-                                   neg_core_loglik)
+from mslogistic.likelihood import _neg_core_loglik, _Workspace, core_loglik, neg_core_loglik
 from mslogistic.model import log_saturation_gap
 
-from conftest import make_case1_panel, mean_gradient, path_transitions
+from conftest import make_case1_panel, mean_gradient, path_transitions, per_path_transform
 
 CASE1 = ModelParams(eta=math.exp(-1), poly=PolyCoeffs((0.1, -0.009, 0.0002)), sigma2=1e-4)
 
 
-def random_panel(rng, d=3, n_max=10, t_max=5.0, ragged=False):
-    paths_t, paths_x = [], []
-    for _ in range(d):
-        n = int(rng.integers(3, n_max + 1))
-        t = np.sort(rng.uniform(0.3, t_max, size=n - 1))
-        t = np.concatenate(([0.0], t)) if not ragged else np.concatenate(([0.0], t))
-        while np.any(np.diff(t) < 1e-3):
+def random_panel(rng, d=3, n_max=10, t_max=5.0, ragged=True):
+    """``d`` random paths from t = 0: each on its own times if ``ragged``, else all on path 0's."""
+    paths = []
+    for i in range(d):
+        if ragged or i == 0:
+            n = int(rng.integers(3, n_max + 1))
             t = np.concatenate(([0.0], np.sort(rng.uniform(0.3, t_max, size=n - 1))))
-        x = np.exp(rng.normal(0.5, 0.4, size=n).cumsum() * 0.2 + 1.0)
-        paths_t.append(t)
-        paths_x.append(x)
-    from mslogistic import SamplePath
-
-    return PathPanel(tuple(SamplePath(t, x) for t, x in zip(paths_t, paths_x)))
+            while np.any(np.diff(t) < 1e-3):
+                t = np.concatenate(([0.0], np.sort(rng.uniform(0.3, t_max, size=n - 1))))
+        x = np.exp(rng.normal(0.5, 0.4, size=t.size).cumsum() * 0.2 + 1.0)
+        paths.append(SamplePath(t, x))
+    return PathPanel(tuple(paths))
 
 
 def random_params(rng, p):
@@ -73,11 +70,8 @@ class TestTransform:
 
     @pytest.mark.parametrize("ragged", [False, True])
     def test_groups_match_transitions(self, ragged):
-        rng = np.random.default_rng(0)
-        panel = random_panel(rng, d=4)
-        if not ragged:
-            grid = panel.paths[0].times
-            panel = PathPanel.from_matrix(grid, np.exp(rng.normal(size=(4, grid.size))))
+        panel = random_panel(np.random.default_rng(0), d=4, ragged=ragged)
+        assert (panel.common_grid() is None) == ragged
         vdata = transform(panel)
         groups = {}
         for v, dt, t_a, t_b in path_transitions(panel):
@@ -102,7 +96,7 @@ class TestTransform:
     def test_no_per_transition_arrays(self, case1_params):
         d, n_points = 200, 501
         panel = make_case1_panel(case1_params, seed=3, d=d, n_points=n_points)
-        grid_vdata, path_vdata = transform(panel), _transform_paths(panel)
+        grid_vdata, path_vdata = transform(panel), per_path_transform(panel)
         assert grid_vdata is not path_vdata
         for vdata in (grid_vdata, path_vdata):
             assert type(vdata.n) is int and vdata.n == d * (n_points - 1)
@@ -162,7 +156,7 @@ def assert_same_vdata(a, b):
 
 
 class TestGridTransform:
-    """The common-grid array path against the general per-path path."""
+    """``transform`` against the per-path reference, field for field."""
 
     @pytest.mark.parametrize("seed, d, n, lognormal", [
         (0, 200, 101, False), (1, 50, 501, True), (2, 1, 51, False),
@@ -174,7 +168,7 @@ class TestGridTransform:
         init = LognormalStart(1.5, 0.04) if lognormal else Degenerate(5.0)
         panel = simulate_panel(SimSpec(params=CASE1, init=init, grid=grid, d=d, seed=seed))
         assert panel.common_grid() is not None
-        fast, slow = transform(panel), _transform_paths(panel)
+        fast, slow = transform(panel), per_path_transform(panel)
         assert fast is not slow
         assert_same_vdata(fast, slow)
 
@@ -184,9 +178,21 @@ class TestGridTransform:
         panel = PathPanel(tuple(SamplePath(t.copy(), np.exp(rng.normal(size=4)))
                                 for _ in range(3)))
         np.testing.assert_array_equal(panel.common_grid(), t)
-        fast, slow = transform(panel), _transform_paths(panel)
+        fast, slow = transform(panel), per_path_transform(panel)
         assert fast is not slow
         assert_same_vdata(fast, slow)
+
+    def test_ragged_panels_equal_per_path_transform(self):
+        # integer times, so groups mix transitions of several paths
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            paths = []
+            for _ in range(int(rng.integers(2, 13))):
+                t = np.unique(np.concatenate(([0], rng.integers(1, 8, size=5)))).astype(float)
+                paths.append(SamplePath(t, np.exp(rng.normal(0.0, 2.0, size=t.size))))
+            panel = PathPanel(tuple(paths))
+            assert panel.common_grid() is None
+            assert_same_vdata(transform(panel), per_path_transform(panel))
 
     def test_groups_are_columns(self):
         panel = PathPanel.from_matrix([0.0, 1.0, 3.0], [[1.0, 2.0, 4.0], [1.0, 4.0, 4.0]])
