@@ -23,13 +23,13 @@ of equal time pairs and keeps only each group's count, ``sum v`` and
 ``sum v^2``: :class:`VData` holds no per-transition array.  On a common grid
 with d paths this cuts the work per likelihood evaluation by a factor of d.
 
-One reduction serves every panel: :func:`transform` reads it as blocks of
-paths on one grid (a common-grid panel's value matrix, or each path of a
-ragged panel), sums each block's columns over blocks of rows, so that no
-temporary is as large as the matrix, and adds the sums of equal time pairs in
-block order.  A panel cannot change once built, so each panel's read-only
-result is computed once and kept while the panel lives: every stage that reads
-a panel (degree selection, the fits, the intervals) shares one preparation.
+One reduction serves every panel: :func:`transform` takes the column sums of
+each block of paths on one grid over blocks of rows, then adds the sums of
+equal time pairs in block order, so each group adds its transitions in path
+order (a two-time grid's one column is summed pairwise).
+A panel cannot change once built, so each panel's read-only result is computed
+once and kept while the panel lives: every stage that reads a panel (degree
+selection, the fits, the intervals) shares one preparation.
 
 Times are shifted so the panel starts at 0 (the curve family is closed under
 time shifts); fitted parameters therefore live on the clock ``s = t - t0``,
@@ -112,7 +112,9 @@ def transform(panel: PathPanel) -> VData:
     grid, t0 = panel.common_grid(), panel.t0
     blocks = ([(p.times, p.values[np.newaxis]) for p in panel.paths] if grid is None
               else [(grid, panel.values_matrix())])
-    times = np.unique(np.concatenate([t for t, _ in blocks])) - t0
+    # sorted unique times (np.unique with no index output imports numpy.ma: 15-40 ms)
+    t_all = np.sort(np.concatenate([t for t, _ in blocks]), kind="stable")
+    times = t_all[np.concatenate(([True], t_all[1:] != t_all[:-1]))] - t0
 
     keys, sums = [], []
     for t, values in blocks:
