@@ -76,6 +76,20 @@ class TestLazyPackage:
         assert seen == {"message": "module 'mslogistic' has no attribute 'no_such_name'",
                         "imported": False, "numpy": False}
 
+    def test_transform_loads_no_numpy_ma(self):
+        # numpy imports numpy.ma on first use of np.ma, as np.unique without an
+        # index output does; that costs a fresh msl process 15-40 ms
+        seen = run_fresh(
+            "import json, sys\n"
+            "import numpy as np\n"
+            "from mslogistic import PathPanel, SamplePath, transform\n"
+            "before = 'numpy.ma' in sys.modules\n"
+            "transform(PathPanel.from_matrix([0.0, 1.0, 2.0], [[1.0, 2.0, 3.0], [2.0, 1.0, 4.0]]))\n"
+            "transform(PathPanel([SamplePath([0.0, 1.0], [1.0, 2.0]),\n"
+            "                     SamplePath([0.0, 2.0], [1.0, 3.0])]))\n"
+            "print(json.dumps({'before': before, 'after': 'numpy.ma' in sys.modules}))\n")
+        assert seen["after"] == seen["before"]
+
 
 class TestBlasThreads:
     SCRIPT = (
