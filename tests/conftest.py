@@ -105,7 +105,7 @@ def path_transitions(panel):
 
 
 def per_path_transform(panel):
-    """Reference :func:`~mslogistic.likelihood.transform`: a per-path loop that groups equal time pairs.
+    """Reference ``likelihood.transform``: a per-path loop that groups equal time pairs.
 
     Each group's sums run over its transitions in path order from 0.0, as
     ``bincount`` adds them.

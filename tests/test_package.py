@@ -84,7 +84,8 @@ class TestLazyPackage:
             "import numpy as np\n"
             "from mslogistic import PathPanel, SamplePath, transform\n"
             "before = 'numpy.ma' in sys.modules\n"
-            "transform(PathPanel.from_matrix([0.0, 1.0, 2.0], [[1.0, 2.0, 3.0], [2.0, 1.0, 4.0]]))\n"
+            "transform(PathPanel.from_matrix([0.0, 1.0, 2.0],\n"
+            "                                [[1.0, 2.0, 3.0], [2.0, 1.0, 4.0]]))\n"
             "transform(PathPanel([SamplePath([0.0, 1.0], [1.0, 2.0]),\n"
             "                     SamplePath([0.0, 2.0], [1.0, 3.0])]))\n"
             "print(json.dumps({'before': before, 'after': 'numpy.ma' in sys.modules}))\n")
