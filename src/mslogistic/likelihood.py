@@ -24,9 +24,10 @@ of equal time pairs and keeps only each group's count, ``sum v`` and
 with d paths this cuts the work per likelihood evaluation by a factor of d.
 
 One reduction serves every panel: :func:`transform` takes the column sums of
-each block of paths on one grid over blocks of rows, then adds the sums of
-equal time pairs in block order, so each group adds its transitions in path
-order (a two-time grid's one column is summed pairwise).
+each of the panel's blocks of paths on one grid (``PathPanel.blocks``) over
+blocks of rows, then adds the sums of equal time pairs in block order, so each
+group adds its transitions in path order (a two-time grid's one column is
+summed pairwise).
 A panel cannot change once built, so each panel's read-only result is computed
 once and kept while the panel lives: every stage that reads a panel (degree
 selection, the fits, the intervals) shares one preparation.
@@ -100,8 +101,8 @@ _PREPARED = weakref.WeakKeyDictionary()  # panel -> its VData, dropped with the 
 def transform(panel: PathPanel) -> VData:
     """Grouped standardized log-increments of ``panel``, computed once per panel.
 
-    The panel is read as blocks of paths on one grid: a common-grid panel is one
-    block, its value matrix, and a ragged panel one single-row block per path.
+    It reads the panel's :attr:`~mslogistic.simulate.PathPanel.blocks` of paths on
+    one grid: one block on a common grid, one single-row block per ragged path.
     Each block gives column sums of ``v`` and ``v^2`` over its rows (in row
     order), and ``bincount`` adds the block sums of equal time pairs from 0.0 in
     block order.  So every group adds its transitions in path order; the one
@@ -109,9 +110,7 @@ def transform(panel: PathPanel) -> VData:
     """
     if panel in _PREPARED:
         return _PREPARED[panel]
-    grid, t0 = panel.common_grid(), panel.t0
-    blocks = ([(p.times, p.values[np.newaxis]) for p in panel.paths] if grid is None
-              else [(grid, panel.values_matrix())])
+    blocks, t0 = panel.blocks, panel.t0
     # sorted unique times (np.unique with no index output imports numpy.ma: 15-40 ms)
     t_all = np.sort(np.concatenate([t for t, _ in blocks]), kind="stable")
     times = t_all[np.concatenate(([True], t_all[1:] != t_all[:-1]))] - t0

@@ -12,7 +12,7 @@ drawn or in which order, and paths can be generated concurrently.
 
 :func:`simulate_panel` resets one generator's key per path, draws each path's
 uniforms into a row of one ``(d, N)`` buffer and transforms the buffer in place.
-The returned panel keeps that buffer as its value matrix; no per-path object
+The returned panel keeps that buffer as its one block; no per-path object
 exists until :attr:`PathPanel.paths` is read.
 """
 
@@ -79,14 +79,16 @@ class SamplePath:
 class PathPanel:
     """A bundle of independent sample paths sharing their first observation time.
 
-    The panel works out once whether all paths share one time grid.  If they
-    do, it holds only the grid and a read-only ``(d, N)`` value matrix, which
-    :meth:`common_grid` and :meth:`values_matrix` return without scanning or
-    re-stacking, and :attr:`paths` is built on first read as read-only row
-    views of the matrix.  :meth:`from_matrix` keeps the one copy of the matrix
-    that it validated; a tuple of paths on one grid is copied and stacked once
-    and not kept.  Paths on different grids (a ragged panel) are kept as
-    given, with no grid and no matrix.
+    The panel's one storage is :attr:`blocks`, a tuple of ``(times, values)``
+    pairs: each ``values`` is a read-only C-ordered ``(k, N)`` matrix of k
+    paths observed at the N read-only ``times``, and the blocks hold the paths
+    in order.  Paths that share one grid form one block: :meth:`from_matrix`
+    keeps the one copy of the matrix that it validated, and a tuple of paths
+    on one grid is copied and stacked once.  Paths on different grids (a
+    ragged panel) give one single-row block per path, as given; they are not
+    regrouped by grid.  :meth:`common_grid` and :meth:`values_matrix` return
+    the one block's arrays without scanning or re-stacking, and :attr:`paths`
+    is built on first read as read-only row views of the blocks.
 
     The ``pointwise_*`` cross-sectional moments are computed on first use and
     kept as read-only arrays; on a ragged panel they raise like :meth:`values_matrix`.
@@ -107,10 +109,9 @@ class PathPanel:
                 raise ValueError(f"path {i} starts at t={p.times[0]} but path 0 starts at t={t0}")
         first = paths[0].times
         if all(len(p) == len(first) and np.array_equal(p.times, first) for p in paths[1:]):
-            self._grid, self._values = first, _read_only(np.vstack([p.values for p in paths]))
+            self.blocks = ((first, _read_only(np.vstack([p.values for p in paths]))),)
         else:
-            self._grid = self._values = None
-            self.paths = paths
+            self.blocks = tuple((p.times, p.values[np.newaxis]) for p in paths)
 
     @classmethod
     def from_matrix(cls, times, values) -> "PathPanel":
@@ -127,31 +128,31 @@ class PathPanel:
         """Validate and keep ``times`` and C-ordered ``values`` without copying."""
         _check(times, values, "path {}: ")
         panel = cls.__new__(cls)
-        panel._grid, panel._values = _read_only(times), _read_only(values)
+        panel.blocks = ((_read_only(times), _read_only(values)),)
         return panel
 
     @cached_property
     def paths(self) -> tuple[SamplePath, ...]:
-        """The paths; on a common grid, read-only row views of the matrix, built on first read."""
-        return tuple(SamplePath(self._grid, row) for row in self._values)
+        """The paths as read-only row views of the blocks, built on first read."""
+        return tuple(SamplePath(times, row) for times, values in self.blocks for row in values)
 
     @property
     def d(self) -> int:
-        return len(self.paths) if self._values is None else self._values.shape[0]
+        return sum(values.shape[0] for _, values in self.blocks)
 
     @property
     def t0(self) -> float:
-        return float((self.paths[0].times if self._grid is None else self._grid)[0])
+        return float(self.blocks[0][0][0])
 
     def common_grid(self) -> np.ndarray | None:
         """The shared time grid, or None if paths are observed on different grids."""
-        return self._grid
+        return self.blocks[0][0] if len(self.blocks) == 1 else None
 
     def values_matrix(self) -> np.ndarray:
         """Values as a read-only ``(d, N)`` matrix; requires a common grid."""
-        if self._values is None:
+        if len(self.blocks) != 1:
             raise ValueError("paths are not on a common grid")
-        return self._values
+        return self.blocks[0][1]
 
     @cached_property
     def pointwise_mean(self) -> np.ndarray:
@@ -173,9 +174,7 @@ class PathPanel:
             return _read_only(np.sqrt(ss / (self.d - 1)))
 
     def first_values(self) -> np.ndarray:
-        if self._values is not None:
-            return self._values[:, 0].copy()
-        return np.array([p.values[0] for p in self.paths])
+        return np.concatenate([values[:, 0] for _, values in self.blocks])
 
 
 def _column_sums(values: np.ndarray, fn) -> list[np.ndarray]:

@@ -401,6 +401,52 @@ class TestPanelStorage:
         np.testing.assert_array_equal(panel.first_values(), [1.0, 1.0])
 
 
+class TestBlocks:
+    @staticmethod
+    def assert_read_only_blocks(panel):
+        for times, values in panel.blocks:
+            assert values.ndim == 2 and values.shape[1] == times.size
+            assert values.flags.c_contiguous and values.dtype == np.float64
+            assert not times.flags.writeable and not values.flags.writeable
+
+    def test_panel_on_one_grid_is_one_block(self):
+        t = np.array([0.0, 1.0, 2.0])
+        built = [PathPanel.from_matrix(t, [[1.0, 2.0, 3.0], [2.0, 2.0, 2.0]]),
+                 PathPanel((SamplePath(t, [1.0, 2.0, 3.0]), SamplePath(t, [2.0, 2.0, 2.0]))),
+                 simulate_panel(spec(d=2, n=3))]
+        for panel in built:
+            assert isinstance(panel.blocks, tuple) and len(panel.blocks) == 1
+            self.assert_read_only_blocks(panel)
+            [(times, values)] = panel.blocks
+            assert times is panel.common_grid() and values is panel.values_matrix()
+            assert panel.d == 2 and panel.t0 == times[0]
+
+    def test_ragged_panel_keeps_one_row_per_path_in_path_order(self):
+        # paths 0 and 2 share a grid and are not regrouped
+        paths = (SamplePath([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]),
+                 SamplePath([1.0, 3.0], [4.0, 5.0]),
+                 SamplePath([1.0, 2.0, 3.0], [6.0, 7.0, 8.0]))
+        panel = PathPanel(paths)
+        assert len(panel.blocks) == 3
+        self.assert_read_only_blocks(panel)
+        for (times, values), path in zip(panel.blocks, paths):
+            assert values.shape == (1, len(path))
+            np.testing.assert_array_equal(times, path.times)
+            np.testing.assert_array_equal(values[0], path.values)
+        assert panel.d == 3 and panel.t0 == 1.0
+        np.testing.assert_array_equal(panel.first_values(), [1.0, 4.0, 6.0])
+        for path, (times, values) in zip(panel.paths, panel.blocks):
+            assert path.times is times and np.shares_memory(path.values, values)
+
+    def test_first_values_is_a_writeable_copy(self):
+        for panel in (PathPanel.from_matrix([0.0, 1.0], [[1.0, 2.0], [3.0, 4.0]]),
+                      PathPanel((SamplePath([0.0, 1.0], [1.0, 2.0]),
+                                 SamplePath([0.0, 2.0], [3.0, 4.0])))):
+            first = panel.first_values()
+            first[0] = 9.0
+            np.testing.assert_array_equal(panel.first_values(), [1.0, 3.0])
+
+
 class TestLazyPaths:
     def test_tuple_built_panel_keeps_one_copy(self):
         t = np.array([0.0, 1.0, 2.0])
