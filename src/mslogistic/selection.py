@@ -61,25 +61,43 @@ def aic_bic(p: int, loglik_value: float, n: int) -> tuple[float, float]:
     return 2 * k - 2 * loglik_value, k * math.log(n) - 2 * loglik_value
 
 
-def kl_divergence(mu_c: float, var_c: float, mu_s: float, var_s: float) -> float:
+def kl_divergence(mu_c, var_c, mu_s, var_s):
     """KL divergence between lognormal laws with log-scale moments (mu, var).
 
     Equals the Gaussian divergence of the logs:
-    ``(log(var_s/var_c) + (var_c + (mu_c - mu_s)^2)/var_s - 1) / 2``.
+    ``(log(var_s/var_c) + (var_c + (mu_c - mu_s)^2)/var_s - 1) / 2``.  Arrays
+    broadcast and scalars give a float.  The log and the square are libm's, as
+    in scalar code (numpy's array loops can differ in the last bit).
     """
-    if var_c <= 0 or var_s <= 0:
+    mu_c, var_c, mu_s, var_s = (np.asarray(a, dtype=float) for a in (mu_c, var_c, mu_s, var_s))
+    if (var_c <= 0).any() or (var_s <= 0).any():
         raise ValueError("variances must be positive")
-    return 0.5 * (math.log(var_s / var_c) + (var_c + (mu_c - mu_s) ** 2) / var_s - 1.0)
+    log_ratio, square = _libm(math.log, var_s / var_c), _libm(lambda x: x ** 2, mu_c - mu_s)
+    kl = 0.5 * (log_ratio + (var_c + square) / var_s - 1.0)
+    return float(kl) if kl.ndim == 0 else kl
 
 
-def resistor_average(kl_cs: float, kl_sc: float) -> float:
-    """Harmonic mean of the two directional divergences (0 when both vanish)."""
-    if kl_cs < 0 or kl_sc < 0:
+def _libm(fn, x) -> np.ndarray:
+    """``fn`` on each element of ``x`` as a numpy scalar (``math.log`` and ``** 2`` call libm)."""
+    return np.array([fn(v) for v in np.ravel(x)]).reshape(np.shape(x))
+
+
+def resistor_average(kl_cs, kl_sc):
+    """Harmonic mean of the two directional divergences (0 where both vanish); arrays broadcast."""
+    kl_cs, kl_sc = np.asarray(kl_cs, dtype=float), np.asarray(kl_sc, dtype=float)
+    if (kl_cs < 0).any() or (kl_sc < 0).any():
         raise ValueError("divergences must be nonnegative")
     total = kl_cs + kl_sc
-    if total == 0.0:
-        return 0.0
-    return kl_cs * kl_sc / total
+    ra = np.divide(kl_cs * kl_sc, total, out=np.zeros_like(total), where=total != 0.0)
+    return float(ra) if ra.ndim == 0 else ra
+
+
+def _median(x: np.ndarray) -> float:
+    """``np.median`` of nonempty 1-D ``x`` bit for bit, NaN included, without loading numpy.ma."""
+    lo, hi = (x.size - 1) // 2, x.size // 2
+    part = np.partition(x, [lo, hi])
+    mid = part[hi] if lo == hi else 0.5 * (part[lo] + part[hi])
+    return math.nan if np.isnan(x).any() else float(mid)
 
 
 @dataclass(frozen=True)
@@ -125,21 +143,13 @@ def dra_curve(panel: PathPanel, xi: ModelParams, init: LognormalStart):
     grid = panel.common_grid()
     if grid is None:
         raise ValueError("distance curve needs a common observation grid")
-    m = panel.pointwise_mean
-    g = panel.pointwise_geometric_mean
-    t0 = grid[0]
-    times = grid[1:]
-    mu_c = np.log(g[1:])
-    var_c = np.maximum(2.0 * np.log(m[1:] / g[1:]), VARIANCE_FLOOR)
-    h = np.asarray(integrated_drift(xi, 0.0, times - t0))
-    mu_s = init.mu1 + h
+    m, g = panel.pointwise_mean[1:], panel.pointwise_geometric_mean[1:]
+    t0, times = grid[0], grid[1:]
+    mu_c, var_c = np.log(g), np.maximum(2.0 * np.log(m / g), VARIANCE_FLOOR)
+    mu_s = init.mu1 + np.asarray(integrated_drift(xi, 0.0, times - t0))
     var_s = np.maximum(init.sigma1sq + xi.sigma2 * (times - t0), VARIANCE_FLOOR)
-    values = np.empty(times.size)
-    for k in range(times.size):
-        d1 = kl_divergence(mu_c[k], var_c[k], mu_s[k], var_s[k])
-        d2 = kl_divergence(mu_s[k], var_s[k], mu_c[k], var_c[k])
-        values[k] = resistor_average(d1, d2)
-    return times, values
+    return times, resistor_average(kl_divergence(mu_c, var_c, mu_s, var_s),
+                                   kl_divergence(mu_s, var_s, mu_c, var_c))
 
 
 def select_degree(
@@ -168,12 +178,9 @@ def select_degree(
     vdata = transform(panel)
     fitter = fitter or fit
     alpha = fit_initial(vdata)
-    grid = panel.common_grid()
-    m = panel.pointwise_mean
+    grid, m = panel.common_grid(), panel.pointwise_mean
 
-    entries = []
-    failures = []
-    errors: list[Exception] = []
+    entries, failures, errors = [], [], []
     for p in p_list:
         try:
             res = fitter(panel, p)
@@ -197,7 +204,7 @@ def select_degree(
                 rae=rae(m, fitted),
                 aic=aic,
                 bic=bic,
-                dra_median=float(np.median(dra)),
+                dra_median=_median(dra),
                 dra_mean=float(np.mean(dra)),
                 dra_times=times,
                 dra_values=dra,

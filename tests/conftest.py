@@ -132,6 +132,33 @@ def per_path_transform(panel):
     return _vdata(panel, all_times, v.size, g_lo, g_hi, g_count, g_sum_v, g_sum_v2)
 
 
+def per_time_dra_curve(panel, xi, init):
+    """Reference ``selection.dra_curve``: a loop over the times on numpy scalars.
+
+    Each divergence is the scalar formula with ``math.log`` and a scalar ``** 2``
+    (both libm), and the resistor average is 0.0 where both divergences vanish.
+    """
+    from mslogistic.model import integrated_drift
+    from mslogistic.selection import VARIANCE_FLOOR
+
+    def kl(mu_c, var_c, mu_s, var_s):
+        return 0.5 * (math.log(var_s / var_c) + (var_c + (mu_c - mu_s) ** 2) / var_s - 1.0)
+
+    grid = panel.common_grid()
+    m, g = panel.pointwise_mean, panel.pointwise_geometric_mean
+    t0, times = grid[0], grid[1:]
+    mu_c = np.log(g[1:])
+    var_c = np.maximum(2.0 * np.log(m[1:] / g[1:]), VARIANCE_FLOOR)
+    mu_s = init.mu1 + np.asarray(integrated_drift(xi, 0.0, times - t0))
+    var_s = np.maximum(init.sigma1sq + xi.sigma2 * (times - t0), VARIANCE_FLOOR)
+    values = np.empty(times.size)
+    for k in range(times.size):
+        d1 = kl(mu_c[k], var_c[k], mu_s[k], var_s[k])
+        d2 = kl(mu_s[k], var_s[k], mu_c[k], var_c[k])
+        values[k] = 0.0 if d1 + d2 == 0.0 else d1 * d2 / (d1 + d2)
+    return times, values
+
+
 def mean_gradient(params: ModelParams, t_a, t_b) -> np.ndarray:
     """``dm/d(eta, beta_1..beta_p)`` of the transition log mean over ``t_a -> t_b``.
 

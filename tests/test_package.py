@@ -91,6 +91,18 @@ class TestLazyPackage:
             "print(json.dumps({'before': before, 'after': 'numpy.ma' in sys.modules}))\n")
         assert seen["after"] == seen["before"]
 
+    def test_select_degree_loads_no_numpy_ma(self):
+        # np.median loads numpy.ma; select_degree takes its median from np.partition
+        fixture = PACKAGE_DIR.parents[1] / "tests" / "data" / "epidemic_shaped.csv"
+        seen = run_fresh(
+            "import json, sys\n"
+            "from mslogistic.cli import ingest_csv\n"
+            "from mslogistic.selection import select_degree\n"
+            "before = 'numpy.ma' in sys.modules\n"
+            f"select_degree(ingest_csv({str(fixture)!r}))\n"
+            "print(json.dumps({'before': before, 'after': 'numpy.ma' in sys.modules}))\n")
+        assert seen == {"before": False, "after": False}
+
 
 class TestBlasThreads:
     SCRIPT = (

@@ -6,19 +6,22 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mslogistic import ModelParams, PathPanel, PolyCoeffs, transform
+from mslogistic import LognormalStart, ModelParams, PathPanel, PolyCoeffs, transform
 from mslogistic.asymptotics import fisher_info
 from mslogistic.cli import ingest_csv
 from mslogistic.fit_nr import fit
+from mslogistic.likelihood import fit_initial
 from mslogistic.selection import (
+    _median,
     aic_bic,
+    dra_curve,
     kl_divergence,
     rae,
     resistor_average,
     select_degree,
 )
 
-from conftest import make_case1_panel
+from conftest import make_case1_panel, per_time_dra_curve
 
 
 class TestRae:
@@ -83,6 +86,58 @@ class TestDivergences:
     @settings(max_examples=100, deadline=None)
     def test_harmonic_mean_bound(self, a, b):
         assert resistor_average(a, b) <= min(a, b) + 1e-15
+
+    def test_scalars_give_the_floats_of_the_array_entries(self):
+        rng = np.random.default_rng(3)
+        mu_c, mu_s = rng.normal(0.0, 2.0, (2, 300))
+        var_c, var_s = rng.uniform(1e-6, 3.0, (2, 300))
+        kl = kl_divergence(mu_c, var_c, mu_s, var_s)
+        scalars = [kl_divergence(*args) for args in zip(*(a.tolist() for a in (mu_c, var_c,
+                                                                                mu_s, var_s)))]
+        assert all(type(x) is float for x in scalars) and scalars == kl.tolist()
+        kl[::7] = kl[-1] = 0.0  # entry 0 pairs two zeros, entry 7 one
+        ra = resistor_average(kl, kl[::-1])
+        scalars = [resistor_average(a, b) for a, b in zip(kl.tolist(), kl[::-1].tolist())]
+        assert all(type(x) is float for x in scalars) and scalars == ra.tolist()
+        assert ra[0] == ra[7] == 0.0
+
+    def test_arrays_are_checked(self):
+        with pytest.raises(ValueError, match="variances"):
+            kl_divergence(np.zeros(3), np.array([1.0, 0.0, 1.0]), 0.0, 1.0)
+        with pytest.raises(ValueError, match="nonnegative"):
+            resistor_average(np.array([0.1, -0.1]), 0.2)
+
+
+class TestDraCurve:
+    @pytest.mark.parametrize("seed, d, n_points", [(1, 50, 501), (2, 5, 101), (3, 1, 31)])
+    def test_equals_the_per_time_loop_bit_for_bit(self, case1_params, seed, d, n_points):
+        rng = np.random.default_rng(seed)
+        panel = make_case1_panel(case1_params, seed=seed, d=d, n_points=n_points)
+        inits = [fit_initial(transform(panel)), LognormalStart(1.6, 0.05)]
+        for k in range(10):
+            p = int(rng.integers(1, 5))
+            xi = ModelParams(eta=float(np.exp(rng.normal(-1.0, 1.0))),
+                             poly=PolyCoeffs(tuple(rng.normal(0.0, 0.1, p) / 10.0 ** np.arange(p))),
+                             sigma2=float(10.0 ** rng.uniform(-6, -1)))
+            times, values = dra_curve(panel, xi, inits[k % 2])
+            ref_times, ref_values = per_time_dra_curve(panel, xi, inits[k % 2])
+            assert times is not ref_times and np.array_equal(times, ref_times)
+            assert values.dtype == ref_values.dtype and values.shape == ref_values.shape
+            assert np.array_equal(values, ref_values)
+
+
+class TestMedian:
+    def test_equals_numpy_median_bit_for_bit(self):
+        rng = np.random.default_rng(5)
+        for size in rng.integers(1, 501, size=1200).tolist():
+            x = rng.standard_normal(size) * 10.0 ** rng.uniform(-5.0, 5.0)
+            median = _median(x)
+            assert type(median) is float and median == float(np.median(x))
+
+    @pytest.mark.parametrize("values", [[math.nan], [1.0, math.nan], [math.nan, 2.0, 1.0],
+                                        [3.0, 1.0, 2.0, math.nan], [math.inf, math.nan, 0.0]])
+    def test_nan_gives_nan(self, values):
+        assert math.isnan(_median(np.array(values))) and math.isnan(np.median(values))
 
 
 class TestSelectDegree:
