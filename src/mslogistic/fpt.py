@@ -68,8 +68,10 @@ class FptProblem:
     t_max: float
 
     def __post_init__(self):
-        if self.x0 <= 0 or self.boundary <= 0:
-            raise ValueError("x0 and boundary must be positive")
+        if not (all(map(math.isfinite, (self.x0, self.t0, self.boundary, self.t_max)))
+                and self.x0 > 0 and self.boundary > 0):
+            raise ValueError(f"need finite x0 > 0, t0, boundary > 0 and t_max, got x0={self.x0}, "
+                             f"t0={self.t0}, boundary={self.boundary}, t_max={self.t_max}")
         if not self.boundary > self.x0:
             raise ValueError(f"boundary {self.boundary} must exceed the start {self.x0} "
                              "(down-crossing passages are not solved)")
@@ -209,22 +211,22 @@ def solve_density(problem: FptProblem, steps: np.ndarray | None = None) -> FptDe
             and np.all(np.diff(t) > 0)):
         raise ValueError("steps must be a finite 1-D grid of 2+ nodes from t0, increasing strictly")
 
-    n = t.size
-    b = np.asarray(problem.log_boundary_gap(t))
-    slope = np.asarray(problem.log_boundary_slope(t))
-    g = np.zeros(n)
-    g[1:] = -2.0 * _kernel(problem.params.sigma2, t[1:] - t[0], b[1:], slope[1:])  # free terms
-    # trapezoid weights of tau_1 .. tau_{n-2}: g(t0) = 0, and psi vanishes at tau = t_k
-    w = 0.5 * (t[2:] - t[:-2])
-    rows = max(1, KERNEL_BLOCK // n)
-    for k0 in range(2, n, rows):
-        k1 = min(k0 + rows, n)
-        dt = t[k0:k1, None] - t[1 : k1 - 1]
-        dt[dt <= 0.0] = 1.0  # tau_j >= t_k: never read
-        wk = _kernel(problem.params.sigma2, dt, b[k0:k1, None] - b[1 : k1 - 1], slope[k0:k1, None])
-        wk *= w[: k1 - 2]
-        for k in range(k0, k1):
-            g[k] += 2.0 * float(np.sum(wk[k - k0, : k - 1] * g[1:k]))
+    n, g = t.size, np.zeros(t.size)
+    with np.errstate(over="ignore", invalid="ignore"):  # a drift that overflows: g is refused below
+        b = np.asarray(problem.log_boundary_gap(t))
+        slope = np.asarray(problem.log_boundary_slope(t))
+        g[1:] = -2.0 * _kernel(problem.params.sigma2, t[1:] - t[0], b[1:], slope[1:])  # free terms
+        # trapezoid weights of tau_1 .. tau_{n-2}: g(t0) = 0, and psi vanishes at tau = t_k
+        w = 0.5 * (t[2:] - t[:-2])
+        rows = max(1, KERNEL_BLOCK // n)
+        for k0 in range(2, n, rows):
+            k1 = min(k0 + rows, n)
+            dt = t[k0:k1, None] - t[1 : k1 - 1]
+            dt[dt <= 0.0] = 1.0  # tau_j >= t_k: never read
+            wk = _kernel(problem.params.sigma2, dt, b[k0:k1, None] - b[1 : k1 - 1], slope[k0:k1, None])
+            wk *= w[: k1 - 2]
+            for k in range(k0, k1):
+                g[k] += 2.0 * float(np.sum(wk[k - k0, : k - 1] * g[1:k]))
 
     negative_warning = float(g.min()) < -1e-9
     g_clip = np.maximum(g, 0.0)

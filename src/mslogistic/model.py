@@ -187,7 +187,8 @@ def log_saturation_gap(params: ModelParams, t):
     ``-Q(t)`` is far outside the double exponent range.  Everything else in
     this module is expressed through this quantity.
     """
-    return np.logaddexp(math.log(params.eta), -params.poly.value(t))
+    with np.errstate(over="ignore"):  # a Q(t) beyond the double range is +-inf, which it takes
+        return np.logaddexp(math.log(params.eta), -params.poly.value(t))
 
 
 def curve(params: ModelParams, l0: float, t0: float, t):

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from mslogistic import ModelParams, PolyCoeffs, carrying_capacity, integrated_drift
+from mslogistic import (Degenerate, ModelParams, PolyCoeffs, SimSpec, carrying_capacity,
+                        integrated_drift, simulate_panel)
 from mslogistic.fpt import (
     FptProblem,
     VolterraError,
@@ -203,6 +204,13 @@ class TestSolveDensity:
         with pytest.raises(ValueError):
             FptProblem(params=noiseless, x0=5.0, t0=0.0, boundary=15.0, t_max=50.0)
 
+    @pytest.mark.parametrize("field", ["x0", "t0", "boundary", "t_max"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_arguments_rejected(self, field, value):
+        args = {"x0": 5.0, "t0": 0.0, "boundary": 15.0, "t_max": 50.0, field: value}
+        with pytest.raises(ValueError, match="need finite x0 > 0, t0, boundary > 0 and t_max"):
+            FptProblem(params=EX41, **args)
+
 
 class TestGolden:
     def test_matches_recorded_densities_bit_for_bit(self):
@@ -257,3 +265,28 @@ class TestDeterministicCrossing:
         level = vals[peak] * 0.98
         t_first = crossing_time_deterministic(params, 5.0, 0.0, level)
         assert t_first < grid[peak]
+
+
+class TestErrorContract:
+    """Arguments at or past the floating-point range: a named error or a result, no warning."""
+
+    @pytest.mark.parametrize("call, outcome", [
+        (lambda: FptProblem(params=EX41, x0=5.0, t0=0.0, boundary=15.0, t_max=math.inf),
+         ValueError),
+        (lambda: FptProblem(params=EX41, x0=5.0, t0=0.0, boundary=math.inf, t_max=50.0),
+         ValueError),
+        (lambda: solve_density(ex41_problem(t_max=1e300)), VolterraError),
+        (lambda: crossing_time_deterministic(EX41, 5.0, 1e200, 15.0), None),
+        (lambda: simulate_panel(SimSpec(params=EX41, init=Degenerate(5.0),
+                                        grid=np.array([0.0, 1e300]), d=2, seed=1)),
+         FloatingPointError),
+    ], ids=["fpt_infinite_t_max", "fpt_infinite_boundary", "density_overflowing_horizon",
+            "crossing_overflowing_start", "simulate_overflowing_grid"])
+    def test_no_warning_on_the_way(self, call, outcome):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if outcome is None:
+                assert call() is None
+            else:
+                with pytest.raises(outcome):
+                    call()
