@@ -187,7 +187,7 @@ def log_saturation_gap(params: ModelParams, t):
     ``-Q(t)`` is far outside the double exponent range.  Everything else in
     this module is expressed through this quantity.
     """
-    with np.errstate(over="ignore"):  # a Q(t) beyond the double range is +-inf, which it takes
+    with np.errstate(over="ignore"):  # a Q(t) past the double range is +-inf: logaddexp takes it
         return np.logaddexp(math.log(params.eta), -params.poly.value(t))
 
 
