@@ -66,17 +66,18 @@ class FisherInfo:
         diag[diag <= 0] = 1.0
         return 1.0 / np.sqrt(diag)
 
+    @np.errstate(over="ignore", invalid="ignore")  # a non-finite core is refused below
     def inverse(self) -> np.ndarray:
         """Covariance matrix ``I^{-1}`` via the equilibrated core.
 
-        Raises :class:`SingularInformationError` when the matrix is not finite
-        (it overflows as sigma2 nears 0) or the equilibrated core's condition
-        number exceeds :data:`MAX_CONDITION`.
+        Raises :class:`SingularInformationError` when the matrix or its
+        equilibrated core is not finite (it overflows as sigma2 nears 0) or the
+        core's condition number exceeds :data:`MAX_CONDITION`.
         """
-        if not np.isfinite(self.matrix).all():
-            raise SingularInformationError("information matrix is not finite")
         d = self.scaling_vector()
         core = self.matrix * np.outer(d, d)
+        if not np.isfinite(core).all():
+            raise SingularInformationError("information matrix is not finite")
         w, v = np.linalg.eigh(core)
         if w.min() <= 0 or w.max() / w.min() > MAX_CONDITION:
             cond = math.inf if w.min() <= 0 else w.max() / w.min()
@@ -87,12 +88,15 @@ class FisherInfo:
         return core_inv * np.outer(d, d)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite matrix is refused by inverse()
 def fisher_info(vdata: VData, xi: ModelParams) -> FisherInfo:
     """Expected information matrix at ``xi`` for the observation design of ``vdata``.
 
     Depends on the observation times only (not on the observed values), as the
-    expectation removes every data term.
+    expectation removes every data term.  ``xi.sigma2`` must be positive (ValueError).
     """
+    if not xi.sigma2 > 0:
+        raise ValueError(f"the information needs sigma2 > 0, got {xi.sigma2}")
     stats = compute_stats(vdata, xi)
     p = stats.p
     dm = direction_signs(p)[:, None] * stats.d_g     # (p+1, G): true dm/dtheta
@@ -102,8 +106,7 @@ def fisher_info(vdata: VData, xi: ModelParams) -> FisherInfo:
     matrix[: p + 1, : p + 1] = (dm * (cnt / dt)) @ dm.T
     matrix[: p + 1, p + 1] = matrix[p + 1, : p + 1] = -0.5 * (dm @ cnt)
     matrix[p + 1, p + 1] = 0.5 * stats.n / xi.sigma2 + 0.25 * stats.z3
-    with np.errstate(over="ignore"):  # an overflow to inf is refused by inverse()
-        matrix /= xi.sigma2
+    matrix /= xi.sigma2
     return FisherInfo(matrix)
 
 

@@ -276,7 +276,10 @@ def ingest_csv(path, scale_max: bool = False) -> PathPanel:
             )
     if scale_max:
         values = values / values.max(axis=0, keepdims=True)
-    return PathPanel.from_matrix(times, values.T)
+    try:
+        return PathPanel.from_matrix(times, values.T)
+    except ValueError as exc:  # what the panel refuses past the checks above: a value's range
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def _is_float(cell: str) -> bool:
@@ -288,12 +291,13 @@ def _is_float(cell: str) -> bool:
 
 
 def _write_csv(path: Path, header: list[str], columns) -> str:
-    """Stream ``columns`` to ``path`` as CSV rows and return the file's SHA-256."""
+    """Stream ``columns`` (columns or ``(k, N)`` blocks of k) as CSV rows; return the SHA-256."""
+    columns = [np.atleast_2d(np.asarray(c, dtype=float)) for c in columns]
     with path.open("w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(header)
-        rows = max(1, CSV_BLOCK // len(columns))
-        for j in range(0, len(columns[0]), rows):
-            block = np.array([c[j : j + rows] for c in columns], dtype=float).T.tolist()
+        rows = max(1, CSV_BLOCK // sum(c.shape[0] for c in columns))
+        for j in range(0, columns[0].shape[1], rows):
+            block = np.vstack([c[:, j : j + rows] for c in columns]).T.tolist()
             # a float's repr needs no quoting, so this is what csv.writer writes
             fh.writelines(",".join(map(repr, row)) + "\r\n" for row in block)
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -360,7 +364,7 @@ def _cmd_simulate(cfg: dict, bundle: _Bundle) -> None:
     panel = simulate_panel(spec)
     grid, d = spec.grid, spec.d
     bundle.add_csv("panel", "panel.csv", ["t"] + [f"path{i + 1}" for i in range(d)],
-                   [grid, *panel.values_matrix()])
+                   [grid, panel.values_matrix()])
     bundle.results = {
         "paths": d,
         "points_per_path": int(grid.size),

@@ -213,6 +213,7 @@ def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     return x if np.all(np.isfinite(x)) else None
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite point fails the checks below
 def fit(
     panel: PathPanel,
     p: int,

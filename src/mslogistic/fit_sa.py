@@ -22,12 +22,13 @@ seeded replications; per-replication solutions are kept alongside the average.
 The replications advance in lockstep, each on its own ``(seed, rep)`` random
 stream, and every step evaluates all their proposals in one call of the
 batched kernel :func:`~mslogistic.likelihood.neg_core_loglik`; the results are
-identical to running the replications one after another.  Each stage tops up
-every replication's block of pre-drawn uniforms so a full chain fits, and the
-steps read it through an index: for PCG64, ``random(a)`` then ``random(b)``
-equals ``random(a + b)``, so the stream is unchanged.  The box corners pass
-the kernel's parameter check once per run; every candidate lies between
-them, so the steps skip that check.
+identical to running the replications one after another, as each one's
+acceptance test runs as scalar code in replication order.  Each stage tops up
+every running replication's list of unread uniforms to a full chain's worth,
+and the steps take them from its front: for PCG64, ``random(a)`` then
+``random(b)`` equals ``random(a + b)``, so each stream is unchanged.  The box
+corners pass the kernel's parameter check once per run; every candidate lies
+between them, so the steps skip that check.
 """
 
 from __future__ import annotations
@@ -115,6 +116,7 @@ class SaResult:
     t0_temperature: float
 
 
+@np.errstate(over="ignore", invalid="ignore")  # ParamBox refuses a non-finite interval
 def build_box(panel: PathPanel, p: int) -> ParamBox:
     """Data-driven parameter box for degree ``p``.
 
@@ -177,8 +179,8 @@ def _run_lockstep(vdata, box: ParamBox, sched: SaSchedule, t0_temp: float,
                   uphill_log: list | None):
     """All replications in lockstep; returns best vectors, objectives and stop reasons.
 
-    Row ``i`` of the per-step arrays belongs to replication ``reps[i]``; a flat
-    chain removes the row once its best point is saved in ``found``.
+    Every piece of state is indexed by replication.  ``active`` lists the running
+    replications in order, and row ``i`` of a step's candidates is ``active[i]``'s.
     """
     n_rep, chain = sched.replications, sched.chain_length
     rngs = [np.random.default_rng((sched.seed, rep)) for rep in range(n_rep)]
@@ -191,61 +193,56 @@ def _run_lockstep(vdata, box: ParamBox, sched: SaSchedule, t0_temp: float,
     ws, n = _Workspace(vdata, n_rep), width.size
 
     current = lower + (upper - lower) * np.array([rng.random(n) for rng in rngs])
-    f_curr = _neg_core_loglik(ws, current)
-    best, f_best = current.copy(), f_curr.copy()
-    found, f_found = best.copy(), f_best.copy()
-    logged = []                                     # (rep, df/T, accepted) in step order
-    stops = np.full(n_rep, "max_iter", dtype=object)
-    recent = np.empty((n_rep, chain))
-    reps = np.arange(n_rep)
-    block = np.empty((n_rep, chain * (n + 1)))      # n per proposal, 1 per uphill test
-    read = np.full(n_rep, block.shape[1])           # uniforms read from each block
+    f_curr = _neg_core_loglik(ws, current).tolist()
+    best, f_best = current.copy(), list(f_curr)
+    stops = ["max_iter"] * n_rep
+    unread = [[] for _ in range(n_rep)]     # n uniforms per proposal, 1 per uphill test
+    logs = [[] for _ in range(n_rep)]       # (df/T, accepted) of each uphill test
+    active = list(range(n_rep))
 
     temp = t0_temp
     for _ in range(sched.max_iter):
-        for i, r in enumerate(reps):
-            block[i] = np.concatenate((block[i, read[i]:], rngs[r].random(read[i])))
-        read[:] = 0
-        rows = np.arange(reps.size)
+        for r in active:                    # a full chain's uniforms
+            unread[r] += rngs[r].random(chain * (n + 1) - len(unread[r])).tolist()
         radius = width * max(0.10 * temp / t0_temp, 0.001)
-        for step in range(chain):
-            lo = np.maximum(lower, current - radius)
-            hi = np.minimum(upper, current + radius)
-            cand = lo + (hi - lo) * block[rows[:, None], read[:, None] + np.arange(n)]
-            read += n
-            f_cand = _neg_core_loglik(ws, cand)
-            df = f_cand - f_curr
-            uphill = ~(df <= 0)
-            u = block[rows, read].tolist()          # consumed only by an uphill test
-            read += uphill
-            ratio = (df / temp).tolist()
-            accept = np.array([not up or ui < math.exp(-x)
-                               for up, ui, x in zip(uphill.tolist(), u, ratio)])
-            if uphill_log is not None:
-                logged += [(r, x, ok) for r, up, x, ok in zip(
-                    reps.tolist(), uphill.tolist(), ratio, accept.tolist()) if up]
-            np.copyto(current, cand, where=accept[:, None])
-            np.copyto(f_curr, f_cand, where=accept)
-            better = accept & (f_cand < f_best)
-            np.copyto(best, cand, where=better[:, None])
-            np.copyto(f_best, f_cand, where=better)
-            recent[:, step] = f_curr
-        found[reps], f_found[reps] = best, f_best
-        flat = recent.max(axis=1) - recent.min(axis=1) <= FLAT_TOL
-        stops[reps[flat]] = "flat_chain"
-        reps, current, f_curr, best, f_best, recent, block, read = (
-            a[~flat] for a in (reps, current, f_curr, best, f_best, recent, block, read))
-        if not reps.size:
+        seen = [[] for _ in range(n_rep)]   # the objective after each step of the stage
+        for _ in range(chain):
+            cur = current[active]
+            lo, hi = np.maximum(lower, cur - radius), np.minimum(upper, cur + radius)
+            cand = lo + (hi - lo) * np.array([unread[r][:n] for r in active])
+            f_cand = _neg_core_loglik(ws, cand).tolist()
+            for i, r in enumerate(active):
+                del unread[r][:n]
+                df = f_cand[i] - f_curr[r]
+                accept = df <= 0
+                if not accept:              # uphill or NaN: the only test that reads a uniform
+                    x = df / temp
+                    accept = unread[r].pop(0) < math.exp(-x)
+                    if uphill_log is not None:      # a default fit makes about 80,000
+                        logs[r].append((x, accept))
+                if accept:
+                    current[r], f_curr[r] = cand[i], f_cand[i]
+                    if f_cand[i] < f_best[r]:
+                        best[r], f_best[r] = cand[i], f_cand[i]
+                seen[r].append(f_curr[r])
+        for r in active:    # a NaN is never accepted, so it is all of seen[r] or none
+            if max(seen[r]) - min(seen[r]) <= FLAT_TOL:     # all NaN: a NaN spread, not flat
+                stops[r] = "flat_chain"
+        active = [r for r in active if stops[r] != "flat_chain"]
+        if not active:
             break
         temp *= sched.gamma
         if temp < sched.t_final:
-            stops[reps] = "temperature_floor"
+            for r in active:
+                stops[r] = "temperature_floor"
             break
-    if uphill_log is not None:     # a stable sort keeps each replication's step order
-        uphill_log.extend((x, ok) for _, x, ok in sorted(logged, key=lambda e: e[0]))
-    return found, f_found.tolist(), stops.tolist()
+    if uphill_log is not None:
+        for log in logs:
+            uphill_log.extend(log)
+    return best, f_best, stops
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite objective is never accepted
 def anneal(panel: PathPanel, p: int, box: ParamBox | None = None,
            sched: SaSchedule | None = None, uphill_log: list | None = None) -> SaResult:
     """Annealed maximum-likelihood estimate of degree ``p`` inside ``box``.

@@ -33,7 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._special import ndtr
-from .model import ModelParams, carrying_capacity, curve, drift_rate, integrated_drift
+from .model import (ModelParams, carrying_capacity, curve, drift_rate, integrated_drift,
+                    log_saturation_gap)
 
 __all__ = [
     "FptProblem",
@@ -75,8 +76,8 @@ class FptProblem:
         if not self.boundary > self.x0:
             raise ValueError(f"boundary {self.boundary} must exceed the start {self.x0} "
                              "(down-crossing passages are not solved)")
-        if not self.t_max > self.t0:
-            raise ValueError("t_max must exceed t0")
+        if not (self.t_max > self.t0 and math.isfinite(self.t_max - self.t0)):
+            raise ValueError("t_max must exceed t0 by a finite span")
         if self.params.sigma2 <= 0:
             raise ValueError("passage-time problems need sigma2 > 0")
 
@@ -205,7 +206,8 @@ def solve_density(problem: FptProblem, steps: np.ndarray | None = None) -> FptDe
     read; a time gap of 1 keeps them from raising a floating-point warning.
     """
     if steps is None:
-        steps = adaptive_steps(fptl_curve(problem))
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite drift is refused below
+            steps = adaptive_steps(fptl_curve(problem))
     t = np.asarray(steps, dtype=float)
     if not (t.ndim == 1 and t.size >= 2 and np.all(np.isfinite(t)) and t[0] == problem.t0
             and np.all(np.diff(t) > 0)):
@@ -283,9 +285,10 @@ def crossing_time_deterministic(params: ModelParams, l0: float, t0: float,
     """Smallest time where the deterministic curve reaches ``boundary``.
 
     Returns None when the boundary exceeds the attainable level (an infinite
-    one always does).  The scanned horizon doubles until the curve passes the
-    boundary (at most 60 times).  Raises ValueError unless ``l0`` is finite and
-    positive, ``t0`` is finite and ``boundary`` is positive.
+    one always does), and when the curve's log gap at ``t0`` or the scanned
+    horizon is past the double range.  The horizon doubles until the curve
+    passes the boundary (at most 60 times).  Raises ValueError unless ``l0`` is
+    finite and positive, ``t0`` is finite and ``boundary`` is positive.
     """
     if not (math.isfinite(l0) and l0 > 0 and math.isfinite(t0) and boundary > 0):
         raise ValueError(f"need finite l0 > 0, finite t0 and boundary > 0, got l0={l0}, "
@@ -294,8 +297,12 @@ def crossing_time_deterministic(params: ModelParams, l0: float, t0: float,
         return t0
     if params.poly.beta[-1] > 0 and boundary > carrying_capacity(params, l0, t0):
         return None
+    if not math.isfinite(log_saturation_gap(params, t0)):
+        return None
     t_max = t0 + 10.0 * max(1.0, abs(t0))
     for _ in range(60):
+        if not math.isfinite(t_max):
+            return None
         if np.max(curve(params, l0, t0, np.linspace(t0, t_max, 200))) >= boundary:
             break
         t_max = t0 + 2.0 * (t_max - t0)
@@ -310,9 +317,9 @@ def crossing_time_deterministic(params: ModelParams, l0: float, t0: float,
     if k == 0:
         return t0
     a, bnd = grid[k - 1], grid[k]
-    fa = vals[k - 1] - boundary
+    fa = float(vals[k - 1]) - boundary     # Python floats: a product past the range is inf
     for _ in range(200):
-        m = 0.5 * (a + bnd)
+        m = 0.5 * a + 0.5 * bnd     # = 0.5 * (a + bnd), which overflows near the double max
         fm = float(curve(params, l0, t0, m)) - boundary
         if fa * fm <= 0:
             bnd = m
@@ -320,4 +327,4 @@ def crossing_time_deterministic(params: ModelParams, l0: float, t0: float,
             a, fa = m, fm
         if bnd - a < 1e-12 * max(1.0, abs(bnd)):
             break
-    return 0.5 * (a + bnd)
+    return 0.5 * a + 0.5 * bnd

@@ -98,6 +98,7 @@ class VData:
 _PREPARED = weakref.WeakKeyDictionary()  # panel -> its VData, dropped with the panel
 
 
+@np.errstate(over="ignore")  # an increment squared past the range: the likelihood is inf
 def transform(panel: PathPanel) -> VData:
     """Grouped standardized log-increments of ``panel``, computed once per panel.
 

@@ -191,6 +191,7 @@ def log_saturation_gap(params: ModelParams, t):
         return np.logaddexp(math.log(params.eta), -params.poly.value(t))
 
 
+@np.errstate(over="ignore")  # a level past the double range is inf
 def curve(params: ModelParams, l0: float, t0: float, t):
     """Multisigmoidal logistic curve through ``(t0, l0)``.
 
@@ -200,6 +201,7 @@ def curve(params: ModelParams, l0: float, t0: float, t):
     return l0 * np.exp(log_saturation_gap(params, t0) - log_saturation_gap(params, t))
 
 
+@np.errstate(over="ignore")  # a level past the double range is inf
 def carrying_capacity(params: ModelParams, l0: float, t0: float) -> float:
     """Limit of :func:`curve` as ``t -> inf``; requires a positive leading coefficient."""
     if params.poly.beta[-1] <= 0:

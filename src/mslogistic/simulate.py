@@ -30,6 +30,7 @@ __all__ = ["SamplePath", "PathPanel", "SimSpec", "simulate_panel", "check_seed"]
 
 
 MAX_FLOATS = np.iinfo(np.intp).max // 8  # float64 values one numpy array can address
+VALUE_MIN, VALUE_MAX = 1e-150, 1e150  # path values whose squares and ratios stay finite
 # Draws up to which simulate_panel uses the numpy ndtri port.  Its tails call
 # libm's log per element, so above this scipy's compiled ndtri wins even
 # counting the 0.2-0.3 s its import costs.
@@ -209,18 +210,26 @@ def _check(times: np.ndarray, values: np.ndarray, where: str) -> None:
         raise ValueError(where.format(0) + "a path needs at least one observation")
     if problem := _times_problem(times):
         raise ValueError(where.format(0) + "observation times " + problem)
-    if not values.min() > 0:  # NaN fails here too
+    low, high = values.min(), values.max()
+    if not low > 0:  # NaN fails here too
         i, j = divmod(int(np.argmin(values > 0)), times.size)
         raise ValueError(where.format(i) + f"nonpositive value {values[i, j]} at index {j}")
-    if values.max() == np.inf:
+    if high == np.inf:
         i, j = divmod(int(np.argmax(values)), times.size)
         raise ValueError(where.format(i) + f"infinite value {values[i, j]} at index {j}")
+    if not (VALUE_MIN <= low and high <= VALUE_MAX):
+        i, j = divmod(int(np.argmax((values < VALUE_MIN) | (values > VALUE_MAX))), times.size)
+        raise ValueError(where.format(i) + f"value {values[i, j]} at index {j} is outside "
+                         f"[{VALUE_MIN:g}, {VALUE_MAX:g}]")
 
 
 def _times_problem(t: np.ndarray) -> str | None:
-    """What keeps the nonempty ``t`` from being finite and strictly increasing, or None."""
-    if not ((np.diff(t) > 0).all() and np.isfinite(t[[0, -1]]).all()):
-        return "must be strictly increasing" if (np.diff(t) <= 0).any() else "must be finite"
+    """What keeps the nonempty ``t - t[0]`` from being finite and strictly increasing, or None."""
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite time is named below
+        shifted = t - t[0]
+        step = np.diff(shifted)
+    if not ((step > 0).all() and np.isfinite(shifted[[0, -1]]).all()):
+        return "must be strictly increasing" if (step <= 0).any() else "must be finite"
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -265,6 +274,7 @@ class SimSpec:
         object.__setattr__(self, "grid", grid)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a value out of range fails the panel's check
 def simulate_panel(spec: SimSpec) -> PathPanel:
     """Draw ``spec.d`` paths on ``spec.grid``; FloatingPointError if a value under/overflows."""
     grid, params = spec.grid, spec.params
@@ -302,10 +312,9 @@ def simulate_panel(spec: SimSpec) -> PathPanel:
         log_x0 *= np.sqrt(spec.init.sigma1sq)
         log_x0 += spec.init.mu1
     incr += log_x0
-    try:  # overflow raises here; a value that underflows to 0 fails the panel's check
-        with np.errstate(over="raise"):
-            np.exp(rows, out=rows)
+    np.exp(rows, out=rows)
+    try:  # a NaN, or a value outside [VALUE_MIN, VALUE_MAX], fails the panel's check
         return PathPanel._from_owned(grid, rows)
-    except (FloatingPointError, ValueError):
+    except ValueError:
         raise FloatingPointError("simulated values leave the floating-point range; "
                                  "check sigma2, the initial law and the grid") from None

@@ -1,9 +1,15 @@
 import math
+import os
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from mslogistic import ModelParams, PolyCoeffs, Degenerate, SimSpec, simulate_panel
+
+# HYPOTHESIS_PROFILE=ci draws the same examples on every run; local runs keep exploring
+settings.register_profile("ci", derandomize=True, database=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 # one line per acceptance criterion, printed in the terminal summary
 ACCEPTANCE_LINES: list[str] = []

@@ -138,6 +138,18 @@ class TestFisherInfo:
         core_inv = cov / np.outer(d, d)
         assert np.max(np.abs(core @ core_inv - np.eye(fi.matrix.shape[0]))) < 1e-8
 
+    def test_zero_sigma2_refused(self):
+        panel = ingest_csv(Path(__file__).parent / "data" / "epidemic_shaped.csv")
+        with pytest.raises(ValueError, match="sigma2 > 0"):
+            fisher_info(transform(panel), ModelParams(0.3, PolyCoeffs((0.1,)), 0.0))
+
+    def test_core_that_overflows_refused(self):
+        fi = FisherInfo(np.array([[1e-300, 1e300], [1e300, 1e-300]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularInformationError, match="not finite"):
+                fi.inverse()
+
     @pytest.mark.parametrize("sigma2", [1e-200, 1e-300, 1e-310])
     def test_overflowing_information_refused(self, sigma2):
         # the entries scale as 1/sigma2 and 1/sigma2^2, so they overflow to inf

@@ -82,6 +82,12 @@ class TestIngest:
         with pytest.raises(ConfigError, match=r"times not strictly increasing at row 6$"):
             ingest_csv(f)
 
+    def test_value_past_the_panel_range_is_a_config_error(self, tmp_path):
+        f = tmp_path / "huge.csv"
+        f.write_text("t,a\n0,1.0\n1,1e200\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match=r"huge.csv: path 0: value 1e\+200 at index 1"):
+            ingest_csv(f)
+
     def test_messages_name_file_lines_after_a_quoted_line_break(self, tmp_path):
         f = tmp_path / "quoted.csv"
         f.write_text('t,"a\nb"\n0,1.0\n1,0.0\n', encoding="utf-8")
@@ -130,6 +136,17 @@ class TestWriteCsv:
         sha = cli._write_csv(tmp_path / "got.csv", header, columns)
         assert (tmp_path / "got.csv").read_bytes() == want.read_bytes()
         assert sha == hashlib.sha256(want.read_bytes()).hexdigest()
+
+
+    @pytest.mark.parametrize("block", [cli.CSV_BLOCK, 7, 1])
+    def test_matrix_entries_write_their_rows_as_columns(self, tmp_path, monkeypatch, block):
+        monkeypatch.setattr(cli, "CSV_BLOCK", block)
+        rng = np.random.default_rng(1)
+        t, matrix, last = np.arange(9.0), rng.standard_normal((5, 9)), rng.random(9)
+        header = ["t", *"abcde", "z"]
+        one_by_one = cli._write_csv(tmp_path / "want.csv", header, [t, *matrix, last])
+        assert cli._write_csv(tmp_path / "got.csv", header, [t, matrix, last]) == one_by_one
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
 class TestSimulateCommand:

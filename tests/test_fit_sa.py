@@ -15,6 +15,7 @@ from mslogistic import (
     SimSpec,
     simulate_panel,
 )
+from mslogistic import fit_sa
 from mslogistic.fit_nr import FitError
 from mslogistic.fit_sa import ParamBox, SaSchedule, anneal, build_box
 
@@ -196,12 +197,20 @@ class TestAnneal:
         assert with_log == anneal(panel, 2, box, sched)
 
     def test_pcg64_block_draws_equal_sequential_draws(self):
-        # the lockstep loop draws each replication's uniforms in blocks
+        # each stage tops up a replication's unread uniforms with one draw of
+        # the count the last stage consumed; the stream must not change
         assert isinstance(np.random.default_rng((3, 1)).bit_generator, np.random.PCG64)
         seq, blk = np.random.default_rng((3, 1)), np.random.default_rng((3, 1))
         parts = [seq.random(5), [seq.random()], seq.random(5), seq.random(0), [seq.random()],
                  seq.random(12)]
         assert np.concatenate(parts).tolist() == blk.random(24).tolist()
+
+    def test_nan_objective_leaves_the_chain_non_flat(self, case1_params, monkeypatch):
+        monkeypatch.setattr(fit_sa, "_neg_core_loglik", lambda ws, rows: np.full(len(rows), np.nan))
+        panel = make_case1_panel(case1_params, seed=57, d=10, n_points=21)
+        sched = SaSchedule(seed=1, replications=2, chain_length=4, max_iter=5)
+        res = anneal(panel, 2, build_box(panel, 2), sched)
+        assert res.stop_reasons == ("max_iter", "max_iter")
 
     def test_wrong_box_degree_rejected(self, case1_params):
         panel = make_case1_panel(case1_params, seed=57, d=10, n_points=21)

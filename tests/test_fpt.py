@@ -280,8 +280,15 @@ class TestErrorContract:
         (lambda: simulate_panel(SimSpec(params=EX41, init=Degenerate(5.0),
                                         grid=np.array([0.0, 1e300]), d=2, seed=1)),
          FloatingPointError),
+        # the log gap at t0 is inf, so the curve would take inf - inf
+        (lambda: crossing_time_deterministic(
+            ModelParams(0.3679, PolyCoeffs((0.1, -0.009)), 1e-4), 5.0, 1e300, 1e6), None),
+        # a finite gap at t0, but the doubled horizon passes the double range
+        (lambda: crossing_time_deterministic(
+            ModelParams(0.3679, PolyCoeffs((1e-307,)), 1e-4), 5.0, 1e307, 9.9997), None),
     ], ids=["fpt_infinite_t_max", "fpt_infinite_boundary", "density_overflowing_horizon",
-            "crossing_overflowing_start", "simulate_overflowing_grid"])
+            "crossing_overflowing_start", "simulate_overflowing_grid",
+            "crossing_infinite_gap_at_start", "crossing_overflowing_horizon"])
     def test_no_warning_on_the_way(self, call, outcome):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -290,3 +297,11 @@ class TestErrorContract:
             else:
                 with pytest.raises(outcome):
                     call()
+
+    def test_crossing_bisected_near_the_largest_double(self):
+        # the midpoint of two times above 9e307 must not overflow
+        params = ModelParams(0.3679, PolyCoeffs((1e-307,)), 1e-4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            t = crossing_time_deterministic(params, 5.0, 1e307, 9.999)
+        assert 1e308 < t < 1.1e308

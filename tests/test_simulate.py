@@ -494,6 +494,13 @@ class TestValidation:
         ([0.0, 1.0, 2.0], [[1.0, 2.0, 3.0], [1.0, np.inf, 3.0]],
          r"path 1: infinite value inf at index 1"),
         ([0.0, 1.0], [[np.inf, 2.0], [1.0, -np.inf]], r"path 1: nonpositive value -inf at index 1"),
+        # squares and ratios of such values leave the double range
+        ([0.0, 1.0], [[1.0, 2.0], [1e200, 2.0]], r"path 1: value 1e\+200 at index 0 is outside"),
+        ([0.0, 1.0], [[1.0, 1e-200]], r"path 0: value 1e-200 at index 1 is outside"),
+        # distinct times that are equal once shifted to start at 0, as the likelihood reads them
+        ([-10.709516896407592, -1.4e-183, 3.0e-145], [[1.0, 2.0, 3.0]],
+         r"path 0: observation times must be strictly"),
+        ([-1e308, 1e308], [[1.0, 2.0]], r"path 0: observation times must be finite"),
     ])
     def test_from_matrix_messages(self, times, values, message):
         with pytest.raises(ValueError, match=message):
