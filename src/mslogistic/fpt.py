@@ -23,6 +23,9 @@ The kernel does not depend on ``g``: it is evaluated in blocks of about
 The cheap passage-location (FPTL) function ``P[X(t) > S | X(t0) = x0]``
 locates where the density mass lives; integration steps are fine inside its
 detected growth windows and coarse elsewhere.
+
+The deterministic crossing needs no search: the curve is at or above ``S`` exactly
+where ``Q(t) >= c`` for a constant ``c``, so it is a real root of the polynomial ``Q - c``.
 """
 
 from __future__ import annotations
@@ -33,8 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._special import ndtr
-from .model import (ModelParams, carrying_capacity, curve, drift_rate, integrated_drift,
-                    log_saturation_gap)
+from .model import ModelParams, drift_rate, integrated_drift, log_saturation_gap
 
 __all__ = [
     "FptProblem",
@@ -50,7 +52,7 @@ __all__ = [
 SCOUT_POINTS = 2001        # uniform scouting grid of the location function
 GROWTH_THRESHOLD = 1e-4    # rise per scout step that marks a growth window
 COARSE_FACTOR = 20.0       # coarse integration step over the fine one
-CROSSING_SCAN_POINTS = 4000  # bracketing subintervals of the deterministic crossing
+REAL_ROOT_TOL = 1e-9       # |imag| over |root| below which a crossing root is real
 KERNEL_BLOCK = 2**14       # kernel entries per array pass (128 KB per temporary)
 
 
@@ -140,24 +142,14 @@ def adaptive_steps(curve: FptlCurve) -> np.ndarray:
         return np.linspace(t0, t_max, 401)
 
     fine = sum(b - a for a, b in curve.growth_intervals) / 400.0
-    coarse = COARSE_FACTOR * fine
-
-    marks: list[tuple[float, float, float]] = []
-    cursor = t0
-    for a, b in curve.growth_intervals:
-        if a > cursor:
-            marks.append((cursor, a, coarse))
-        marks.append((a, b, fine))
-        cursor = b
-    if cursor < t_max:
-        marks.append((cursor, t_max, coarse))
-
-    nodes = [t0]
-    for a, b, step in marks:
-        count = max(1, int(math.ceil((b - a) / step)))
-        seg = np.linspace(a, b, count + 1)[1:]
-        nodes.extend(seg.tolist())
-    return np.asarray(nodes)
+    # spans between the edges alternate coarse and fine, starting coarse
+    edges = [t0, *sum(curve.growth_intervals, ()), t_max]
+    nodes = [np.array([t0])]
+    for k, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
+        if b > a:
+            step = fine if k % 2 else COARSE_FACTOR * fine
+            nodes.append(np.linspace(a, b, max(1, math.ceil((b - a) / step)) + 1)[1:])
+    return np.concatenate(nodes)
 
 
 @dataclass(frozen=True)
@@ -282,49 +274,32 @@ def solve_density(problem: FptProblem, steps: np.ndarray | None = None) -> FptDe
 
 def crossing_time_deterministic(params: ModelParams, l0: float, t0: float,
                                 boundary: float) -> float | None:
-    """Smallest time where the deterministic curve reaches ``boundary``.
+    """Smallest time after ``t0`` where the deterministic curve reaches ``boundary``.
 
-    Returns None when the boundary exceeds the attainable level (an infinite
-    one always does), and when the curve's log gap at ``t0`` or the scanned
-    horizon is past the double range.  The horizon doubles until the curve
-    passes the boundary (at most 60 times).  Raises ValueError unless ``l0`` is
-    finite and positive, ``t0`` is finite and ``boundary`` is positive.
+    With ``gap0`` the log gap at ``t0`` and ``x = log eta + log(S/l0) - gap0``, the curve
+    reaches ``S = boundary`` only if ``x < 0`` (``S`` below its supremum ``l0 exp(gap0)/eta``,
+    whatever the sign of the leading coefficient), and then exactly where
+    ``Q(t) >= c = log(S/l0) - gap0 - log(-expm1(x))``.
+
+    Returns ``t0`` when ``boundary <= l0``, and None when ``gap0`` is not finite, when
+    ``x >= 0`` (an infinite boundary included), when the companion matrix of ``Q - c`` is past
+    the double range, or when no real root of it follows ``t0``.  Raises ValueError unless
+    ``l0`` is finite and positive, ``t0`` is finite and ``boundary`` is positive.
     """
     if not (math.isfinite(l0) and l0 > 0 and math.isfinite(t0) and boundary > 0):
         raise ValueError(f"need finite l0 > 0, finite t0 and boundary > 0, got l0={l0}, "
                          f"t0={t0}, boundary={boundary}")
     if boundary <= l0:
         return t0
-    if params.poly.beta[-1] > 0 and boundary > carrying_capacity(params, l0, t0):
+    gap0, rise = float(log_saturation_gap(params, t0)), math.log(boundary / l0)
+    x = math.log(params.eta) + rise - gap0
+    if not (math.isfinite(gap0) and x < 0):
         return None
-    if not math.isfinite(log_saturation_gap(params, t0)):
+    c = rise - gap0 - math.log(-math.expm1(x))
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # eigvals refuses an inf entry
+            roots = np.roots([*reversed(params.poly.beta), -c])
+    except np.linalg.LinAlgError:
         return None
-    t_max = t0 + 10.0 * max(1.0, abs(t0))
-    for _ in range(60):
-        if not math.isfinite(t_max):
-            return None
-        if np.max(curve(params, l0, t0, np.linspace(t0, t_max, 200))) >= boundary:
-            break
-        t_max = t0 + 2.0 * (t_max - t0)
-    else:
-        return None
-    grid = np.linspace(t0, t_max, CROSSING_SCAN_POINTS + 1)
-    vals = np.asarray(curve(params, l0, t0, grid))
-    above = vals >= boundary
-    if not np.any(above):
-        return None
-    k = int(np.argmax(above))
-    if k == 0:
-        return t0
-    a, bnd = grid[k - 1], grid[k]
-    fa = float(vals[k - 1]) - boundary     # Python floats: a product past the range is inf
-    for _ in range(200):
-        m = 0.5 * a + 0.5 * bnd     # = 0.5 * (a + bnd), which overflows near the double max
-        fm = float(curve(params, l0, t0, m)) - boundary
-        if fa * fm <= 0:
-            bnd = m
-        else:
-            a, fa = m, fm
-        if bnd - a < 1e-12 * max(1.0, abs(bnd)):
-            break
-    return 0.5 * a + 0.5 * bnd
+    after = roots.real[(np.abs(roots.imag) <= REAL_ROOT_TOL * np.abs(roots)) & (roots.real > t0)]
+    return float(after.min()) if after.size else None

@@ -161,6 +161,8 @@ class LognormalStart:
     sigma1sq: float
 
     def __post_init__(self):
+        if not math.isfinite(self.mu1):
+            raise ValueError(f"mu1 must be finite, got {self.mu1}")
         if not (self.sigma1sq >= 0 and math.isfinite(self.sigma1sq)):
             raise ValueError(f"sigma1sq must be nonnegative, got {self.sigma1sq}")
 
@@ -174,7 +176,15 @@ class LognormalStart:
 
     @property
     def mean(self) -> float:
-        return math.exp(self.mu1 + self.sigma1sq / 2.0)
+        """``exp(mu1 + sigma1sq/2)``; ValueError when that is past the double range."""
+        try:
+            mean = math.exp(self.mu1 + self.sigma1sq / 2.0)  # an infinite exponent gives inf
+        except OverflowError:
+            mean = math.inf
+        if mean == math.inf:
+            raise ValueError(f"the mean of LognormalStart({self.mu1}, {self.sigma1sq}) "
+                             "is past the double range")
+        return mean
 
 
 InitialDistribution = Degenerate | LognormalStart
@@ -191,12 +201,13 @@ def log_saturation_gap(params: ModelParams, t):
         return np.logaddexp(math.log(params.eta), -params.poly.value(t))
 
 
-@np.errstate(over="ignore")  # a level past the double range is inf
+@np.errstate(over="ignore", invalid="ignore")  # a level past the double range is inf
 def curve(params: ModelParams, l0: float, t0: float, t):
     """Multisigmoidal logistic curve through ``(t0, l0)``.
 
     ``curve(t0) == l0`` holds exactly (the exponent cancels to zero).  It is
-    also the conditional mean ``E[X(t) | X(t0) = l0]`` of the diffusion.
+    also the conditional mean ``E[X(t) | X(t0) = l0]`` of the diffusion.  A level
+    past the double range is inf, and NaN where the log gaps at both times are.
     """
     return l0 * np.exp(log_saturation_gap(params, t0) - log_saturation_gap(params, t))
 
@@ -238,16 +249,20 @@ def process_mean(params: ModelParams, init: InitialDistribution, t0: float, t):
     return curve(params, init.mean, t0, t)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a factor past the double range: inf or NaN
 def percentile(params: ModelParams, init: InitialDistribution, t0: float, t, alpha: float):
-    """alpha-percentile of the (lognormal) law of ``X(t)``.
+    """alpha-percentile of the (lognormal) law of ``X(t)`` for ``t >= t0``.
 
     ``log X(t)`` is normal with mean ``log_mean + H(t0, t)`` and variance
     ``log_var + sigma2 (t - t0)``; the percentile is the exponential of the
-    corresponding normal quantile.
+    corresponding normal quantile.  It is inf, or NaN, where a factor of it is
+    past the double range.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     dt = np.asarray(t, dtype=float) - t0
+    if np.any(dt < 0):
+        raise ValueError("percentile is defined for t >= t0")
     z = ndtri(alpha)
     ratio = np.exp(log_saturation_gap(params, t0) - log_saturation_gap(params, t))
     return ratio * np.exp(
@@ -280,19 +295,22 @@ def _inflection_residual(params: ModelParams, t):
     return dp - p * p * np.tanh(0.5 * (q + math.log(params.eta)))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a residual past the double range is inf or NaN
 def inflection_points(params: ModelParams, t0: float, t_max: float,
                       l0: float = 1.0) -> InflectionSet:
     """Locate curvature sign changes of :func:`curve` on ``(t0, t_max)``.
 
     A uniform bracketing scan (:data:`INFLECTION_SCAN_POINTS` subintervals) is
-    followed by bisection down to an interval of width :data:`INFLECTION_WIDTH_TOL`.
+    followed by bisection down to an interval of width :data:`INFLECTION_WIDTH_TOL`,
+    or until the midpoint falls on an end (times too large for that width).
     A root is found where the residual changes sign between scan points or
-    is exactly zero at one.
+    is exactly zero at one; a residual that is not finite brackets no root.
     """
-    if not t_max > t0:
-        raise ValueError("t_max must exceed t0")
+    if not (t_max > t0 and math.isfinite(t_max - t0)):
+        raise ValueError("t_max must exceed t0 by a finite span")
     grid = np.linspace(t0, t_max, INFLECTION_SCAN_POINTS + 1)
     res = _inflection_residual(params, grid)
+    res[~np.isfinite(res)] = np.nan  # compares false: neither zero nor a sign change
 
     roots: list[float] = []
     for k in range(INFLECTION_SCAN_POINTS):
@@ -302,14 +320,15 @@ def inflection_points(params: ModelParams, t0: float, t_max: float,
             roots.append(float(a))
             continue
         if fa * fb < 0.0:
-            while b - a > INFLECTION_WIDTH_TOL:
-                m = 0.5 * (a + b)
+            m = 0.5 * a + 0.5 * b  # = 0.5 * (a + b), which overflows near the double max
+            while b - a > INFLECTION_WIDTH_TOL and a < m < b:
                 fm = _inflection_residual(params, m)
                 if fa * fm <= 0.0:
                     b = m
                 else:
                     a, fa = m, fm
-            roots.append(0.5 * (a + b))
+                m = 0.5 * a + 0.5 * b
+            roots.append(m)
 
     roots = sorted(set(roots))
     values = tuple(float(curve(params, l0, t0, r)) for r in roots)

@@ -365,6 +365,18 @@ class TestMainEntry:
         self.assert_config_error(tmp_path, capsys, "fit", {"data": str(f), "degree": 1},
                                  f":3: non-finite value {cell!r} in column 'b'")
 
+    @pytest.mark.parametrize("text, fragment", [
+        ("", ": empty file"),
+        ("t\n0\n1\n", ": need a time column plus at least one path column"),
+        ("t,a\n0,1.0\n1,abc\n", ":3: non-numeric cell 'abc'"),
+        ("t,a\n\n0,1.0\n", ": need at least two observation rows"),
+    ], ids=["empty", "one_column", "non_numeric_cell", "one_row"])
+    def test_unreadable_panel_exit_code(self, tmp_path, capsys, text, fragment):
+        f = tmp_path / "bad.csv"
+        f.write_text(text, encoding="utf-8")
+        self.assert_config_error(tmp_path, capsys, "fit", {"data": str(f), "degree": 1},
+                                 f"{f}{fragment}\n")
+
     @pytest.mark.parametrize("message, line", [
         ("Unable to allocate 8.00 GiB", "out of memory: Unable to allocate 8.00 GiB\n"),
         ("", "out of memory: an allocation failed\n"),

@@ -14,7 +14,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from mslogistic import (Degenerate, LognormalStart, ModelParams, PathPanel, PolyCoeffs, SimSpec,
-                        simulate_panel, transform)
+                        inflection_points, percentile, process_mean, simulate_panel, transform)
 from mslogistic.asymptotics import SingularInformationError, confidence_intervals, fisher_info
 from mslogistic.fit_nr import DegreeError, FitError, fit
 from mslogistic.fit_sa import ParamBox, SaSchedule, anneal, build_box
@@ -50,10 +50,16 @@ SIGMA2 = near(0.0, 0.05)
 LEVEL = near(0.1, 1e3)
 TIME = near(-50.0, 200.0)
 SEED = st.integers(0, 2**64 - 1)
+# a Degenerate start's x0, or a LognormalStart's (mu1, sigma1sq)
+START = LEVEL | st.tuples(near(-3.0, 3.0), near(0.0, 1.0))
 
 
 def params(eta, beta, sigma2):
     return ModelParams(eta, PolyCoeffs(beta), sigma2)
+
+
+def initial(start):
+    return LognormalStart(*start) if isinstance(start, tuple) else Degenerate(start)
 
 
 def simulated(xi, x0, t_max, n, d, seed):
@@ -134,11 +140,25 @@ def test_crossing_time_deterministic(eta, beta, l0, t0, boundary):
 
 
 @settings(max_examples=150, deadline=None)
-@given(eta=ETA, beta=BETA, sigma2=SIGMA2, start=LEVEL | st.tuples(near(-3.0, 3.0), near(0.0, 1.0)),
+@given(eta=ETA, beta=BETA, sigma2=SIGMA2, start=START,
        grid=st.lists(TIME, min_size=2, max_size=6, unique=True).map(sorted), d=st.integers(1, 4),
        seed=SEED)
 def test_simulate_panel(eta, beta, sigma2, start, grid, d, seed):
-    def call():
-        init = LognormalStart(*start) if isinstance(start, tuple) else Degenerate(start)
-        simulate_panel(SimSpec(params(eta, beta, sigma2), init, np.array(grid), d, seed))
-    keeps_contract(call)
+    keeps_contract(lambda: simulate_panel(SimSpec(params(eta, beta, sigma2), initial(start),
+                                                  np.array(grid), d, seed)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(eta=ETA, beta=BETA, sigma2=SIGMA2, start=START, t0=near(-50.0, 10.0),
+       times=st.lists(TIME, min_size=1, max_size=4), alpha=near(0.01, 0.99))
+def test_process_mean_and_percentile(eta, beta, sigma2, start, t0, times, alpha):
+    keeps_contract(lambda: process_mean(params(eta, beta, sigma2), initial(start), t0,
+                                        np.array(times)))
+    keeps_contract(lambda: percentile(params(eta, beta, sigma2), initial(start), t0,
+                                      np.array(times), alpha))
+
+
+@settings(max_examples=100, deadline=None)
+@given(eta=ETA, beta=BETA, t0=TIME, horizon=near(1.0, 300.0), l0=LEVEL)
+def test_inflection_points(eta, beta, t0, horizon, l0):
+    keeps_contract(lambda: inflection_points(params(eta, beta, 0.0), t0, t0 + horizon, l0))

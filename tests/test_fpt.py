@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from mslogistic import (Degenerate, ModelParams, PolyCoeffs, SimSpec, carrying_capacity,
+from mslogistic import (Degenerate, ModelParams, PolyCoeffs, SimSpec, carrying_capacity, curve,
                         integrated_drift, simulate_panel)
 from mslogistic.fpt import (
+    FptlCurve,
     FptProblem,
     VolterraError,
     adaptive_steps,
@@ -33,6 +34,8 @@ make_fpt_golden = importlib.util.module_from_spec(_maker)
 _maker.loader.exec_module(make_fpt_golden)
 
 EX41 = ModelParams(eta=math.exp(-1), poly=PolyCoeffs((0.1, -0.009, 0.0002)), sigma2=1e-4)
+# a line so flat that its crossings lie near the largest double
+TINY_SLOPE = ModelParams(0.3679, PolyCoeffs((1e-307,)), 1e-4)
 
 
 def ex41_problem(t_max=50.0, boundary=15.0):
@@ -96,6 +99,15 @@ class TestAdaptiveSteps:
         steps = adaptive_steps(fptl_curve(prob))
         frac = np.mean((steps >= 36.0) & (steps <= 46.0))
         assert frac >= 0.75
+
+    def test_window_at_either_end_leaves_no_coarse_span_there(self):
+        # fine step 2/400 inside the windows [0, 1] and [9, 10], coarse 20 times that between
+        curve = FptlCurve(np.linspace(0.0, 10.0, 11), np.zeros(11), ((0.0, 1.0), (9.0, 10.0)))
+        steps = adaptive_steps(curve)
+        assert steps[0] == 0.0 and steps[-1] == 10.0 and {1.0, 9.0} <= set(steps.tolist())
+        gaps, ends = np.diff(steps), steps[1:]
+        np.testing.assert_allclose(gaps[(ends <= 1.0) | (ends > 9.0)], 0.005)
+        np.testing.assert_allclose(gaps[(ends > 1.0) & (ends <= 9.0)], 0.1)
 
     def test_covers_interval_exactly(self):
         prob = ex41_problem()
@@ -249,22 +261,39 @@ class TestDeterministicCrossing:
     def test_example_crossing_location(self):
         t_star = crossing_time_deterministic(EX41, 5.0, 0.0, 15.0)
         assert t_star == pytest.approx(40.086, abs=0.01)
-        from mslogistic import curve
-
         assert float(curve(EX41, 5.0, 0.0, t_star)) == pytest.approx(15.0, rel=1e-9)
 
     def test_smallest_crossing_returned(self):
         # non-monotone curve: the first passage through the dip level is
         # before the local maximum
         params = ModelParams(eta=math.exp(-1), poly=PolyCoeffs((0.1, -0.009, 0.0002)))
-        from mslogistic import curve
-
         grid = np.linspace(0.0, 50.0, 5001)
         vals = np.asarray(curve(params, 5.0, 0.0, grid))
         peak = int(np.argmax(vals[:2000]))
         level = vals[peak] * 0.98
         t_first = crossing_time_deterministic(params, 5.0, 0.0, level)
         assert t_first < grid[peak]
+
+    @pytest.mark.parametrize("boundary", np.linspace(5.5, 22.0, 34))
+    def test_first_time_at_the_boundary(self, boundary):
+        # the curve meets the boundary at t*, stays below it before, and None means never
+        grid = np.linspace(0.0, 200.0, 200_001)
+        vals = np.asarray(curve(EX41, 5.0, 0.0, grid))
+        t_star = crossing_time_deterministic(EX41, 5.0, 0.0, boundary)
+        if t_star is None:
+            assert vals.max() < boundary
+        else:
+            assert float(curve(EX41, 5.0, 0.0, t_star)) == pytest.approx(boundary, rel=1e-13)
+            assert np.all(vals[grid < t_star] < boundary)
+
+    def test_decreasing_curve_reaches_only_what_it_rises_to(self):
+        # a negative leading coefficient: the curve rises to a peak near t = 10, then falls to 0
+        params = ModelParams(math.exp(-1), PolyCoeffs((0.2, -0.01)))
+        peak = float(curve(params, 5.0, 0.0, 10.0))
+        assert crossing_time_deterministic(params, 5.0, 0.0, 1.0001 * peak) is None
+        t_star = crossing_time_deterministic(params, 5.0, 0.0, 0.999 * peak)
+        assert 0.0 < t_star < 10.0
+        assert float(curve(params, 5.0, 0.0, t_star)) == pytest.approx(0.999 * peak, rel=1e-13)
 
 
 class TestErrorContract:
@@ -283,25 +312,28 @@ class TestErrorContract:
         # the log gap at t0 is inf, so the curve would take inf - inf
         (lambda: crossing_time_deterministic(
             ModelParams(0.3679, PolyCoeffs((0.1, -0.009)), 1e-4), 5.0, 1e300, 1e6), None),
-        # a finite gap at t0, but the doubled horizon passes the double range
-        (lambda: crossing_time_deterministic(
-            ModelParams(0.3679, PolyCoeffs((1e-307,)), 1e-4), 5.0, 1e307, 9.9997), None),
+        # Q = 1e-307 t reaches c near 1.4093e308, within the double range
+        (lambda: float(curve(TINY_SLOPE, 5.0, 1e307,
+                             crossing_time_deterministic(TINY_SLOPE, 5.0, 1e307, 9.9997))),
+         pytest.approx(9.9997, rel=1e-12)),
+        # below the capacity 9.99972059..., but the root of Q - c is past the double range
+        (lambda: crossing_time_deterministic(TINY_SLOPE, 5.0, 1e307, 9.9997205), None),
     ], ids=["fpt_infinite_t_max", "fpt_infinite_boundary", "density_overflowing_horizon",
             "crossing_overflowing_start", "simulate_overflowing_grid",
-            "crossing_infinite_gap_at_start", "crossing_overflowing_horizon"])
+            "crossing_infinite_gap_at_start", "crossing_overflowing_horizon",
+            "crossing_root_past_the_range"])
     def test_no_warning_on_the_way(self, call, outcome):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            if outcome is None:
-                assert call() is None
-            else:
+            if isinstance(outcome, type):
                 with pytest.raises(outcome):
                     call()
+            else:
+                assert call() == outcome
 
-    def test_crossing_bisected_near_the_largest_double(self):
-        # the midpoint of two times above 9e307 must not overflow
-        params = ModelParams(0.3679, PolyCoeffs((1e-307,)), 1e-4)
+    def test_crossing_near_the_largest_double(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            t = crossing_time_deterministic(params, 5.0, 1e307, 9.999)
+            t = crossing_time_deterministic(TINY_SLOPE, 5.0, 1e307, 9.999)
         assert 1e308 < t < 1.1e308
+        assert float(curve(TINY_SLOPE, 5.0, 1e307, t)) == pytest.approx(9.999, rel=1e-12)

@@ -222,6 +222,16 @@ class TestPercentile:
             med = percentile(p, init, 0.0, t, 0.5)
             assert med < process_mean(p, init, 0.0, t)
 
+    def test_time_before_start_refused(self):
+        p = params(CASE1_BETA, eta=math.exp(-1), sigma2=1e-4)
+        with pytest.raises(ValueError, match="t >= t0"):
+            percentile(p, Degenerate(5.0), 10.0, np.array([5.0]), 0.5)
+
+    def test_initial_mean_past_the_range_refused(self):
+        p = params(CASE1_BETA, eta=math.exp(-1), sigma2=1e-4)
+        with pytest.raises(ValueError, match="past the double range"):
+            process_mean(p, LognormalStart(800.0, 0.5), 0.0, 10.0)
+
     def test_band_brackets_simulated_paths(self, case1_params):
         from conftest import make_case1_panel
 
@@ -282,6 +292,24 @@ class TestInflectionPoints:
         for t, v in zip(res.times, res.values):
             assert v == pytest.approx(curve(p, 5.0, 0.0, t), rel=1e-12)
 
+    @pytest.mark.parametrize("t0, t_max", [(1.0, 1.0), (2.0, 1.0), (math.nan, 1.0), (0.0, math.inf),
+                                           (-1e308, 1e308)])
+    def test_horizon_refused(self, t0, t_max):
+        with pytest.raises(ValueError, match="t_max must exceed t0"):
+            inflection_points(params(CASE1_BETA, eta=math.exp(-1)), t0, t_max)
+
+    @pytest.mark.parametrize("beta, t_max", [(CASE1_BETA, 1e200), ((1e200, -1e200), 50.0)])
+    def test_residual_past_the_range_brackets_no_root(self, beta, t_max):
+        # an overflow warning would fail the test (pyproject's RuntimeWarning filter)
+        res = inflection_points(params(beta, eta=math.exp(-1)), 0.0, t_max)
+        assert all(map(math.isfinite, res.times))
+
+    def test_bisection_stops_at_the_resolution_of_large_times(self):
+        # Q + log eta = 0 at t = 1e6, where doubles are 1.2e-10 apart, wider than the tolerance
+        res = inflection_points(params((1e-5,), eta=math.exp(-10)), 0.3, 2.1e6)
+        assert len(res.times) == 1
+        assert res.times[0] == pytest.approx(1e6, rel=1e-12)
+
 
 class TestValidation:
     def test_eta_positive(self):
@@ -291,6 +319,17 @@ class TestValidation:
     def test_sigma2_nonnegative(self):
         with pytest.raises(ValueError):
             ModelParams(eta=1.0, poly=PolyCoeffs((1.0,)), sigma2=-0.1)
+
+    @pytest.mark.parametrize("mu1", [math.nan, math.inf, -math.inf])
+    def test_lognormal_start_mu1_finite(self, mu1):
+        with pytest.raises(ValueError, match="mu1 must be finite"):
+            LognormalStart(mu1, 0.5)
+
+    @pytest.mark.parametrize("mu1, sigma1sq", [(800.0, 0.5), (1.7e308, 1.7e308)])
+    def test_lognormal_mean_past_the_range_refused(self, mu1, sigma1sq):
+        # math.exp raises OverflowError for the first, and takes an infinite exponent for the second
+        with pytest.raises(ValueError, match="past the double range"):
+            LognormalStart(mu1, sigma1sq).mean
 
     def test_poly_needs_coefficients(self):
         with pytest.raises(ValueError):
