@@ -22,10 +22,12 @@ The kernel does not depend on ``g``: it is evaluated in blocks of about
 
 The cheap passage-location (FPTL) function ``P[X(t) > S | X(t0) = x0]``
 locates where the density mass lives; integration steps are fine inside its
-detected growth windows and coarse elsewhere.
+detected growth windows and coarse elsewhere.  Its values only place that grid,
+so its normal cdf is libm's ``erfc``: scipy's ``ndtr`` gives the same windows and nodes.
 
 The deterministic crossing needs no search: the curve is at or above ``S`` exactly
-where ``Q(t) >= c`` for a constant ``c``, so it is a real root of the polynomial ``Q - c``.
+where ``Q(t) >= c`` for a constant ``c``, so it is a root of the polynomial ``Q - c``
+(real, or a complex pair split from a double root where ``S`` touches a peak).
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._special import ndtr
-from .model import ModelParams, drift_rate, integrated_drift, log_saturation_gap
+from .model import ModelParams, curve, drift_rate, integrated_drift, log_saturation_gap
 
 __all__ = [
     "FptProblem",
@@ -279,11 +281,14 @@ def crossing_time_deterministic(params: ModelParams, l0: float, t0: float,
     With ``gap0`` the log gap at ``t0`` and ``x = log eta + log(S/l0) - gap0``, the curve
     reaches ``S = boundary`` only if ``x < 0`` (``S`` below its supremum ``l0 exp(gap0)/eta``,
     whatever the sign of the leading coefficient), and then exactly where
-    ``Q(t) >= c = log(S/l0) - gap0 - log(-expm1(x))``.
+    ``Q(t) >= c = log(S/l0) - gap0 - log(-expm1(x))``.  The crossing is the smallest root
+    of ``Q - c`` after ``t0`` that is real to :data:`REAL_ROOT_TOL` or at whose real part the
+    curve reaches ``S``: where ``S`` touches a peak of the curve, ``np.roots`` can split the
+    double root into a complex pair.
 
     Returns ``t0`` when ``boundary <= l0``, and None when ``gap0`` is not finite, when
     ``x >= 0`` (an infinite boundary included), when the companion matrix of ``Q - c`` is past
-    the double range, or when no real root of it follows ``t0``.  Raises ValueError unless
+    the double range, or when no root of it after ``t0`` counts.  Raises ValueError unless
     ``l0`` is finite and positive, ``t0`` is finite and ``boundary`` is positive.
     """
     if not (math.isfinite(l0) and l0 > 0 and math.isfinite(t0) and boundary > 0):
@@ -301,5 +306,7 @@ def crossing_time_deterministic(params: ModelParams, l0: float, t0: float,
             roots = np.roots([*reversed(params.poly.beta), -c])
     except np.linalg.LinAlgError:
         return None
-    after = roots.real[(np.abs(roots.imag) <= REAL_ROOT_TOL * np.abs(roots)) & (roots.real > t0)]
-    return float(after.min()) if after.size else None
+    roots = roots[roots.real > t0]
+    reached = ((np.abs(roots.imag) <= REAL_ROOT_TOL * np.abs(roots))
+               | (curve(params, l0, t0, roots.real) >= boundary))
+    return float(roots.real[reached].min()) if reached.any() else None

@@ -45,6 +45,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._special import libm_map
 from .model import LognormalStart, ModelParams
 from .simulate import PathPanel, _column_sums
 
@@ -217,8 +218,8 @@ def _log_gap(ws: _Workspace, eta: np.ndarray, beta: np.ndarray):
     """``Q`` and ``log(eta + e^{-Q})`` on the time table, one row per ``(eta, beta)`` row.
 
     ``eta`` has shape ``(K,)`` and ``beta`` ``(K, p)``.  Horner's scheme runs in
-    the order of ``PolyCoeffs.value``, and logs are taken with ``math.log``
-    (``np.log`` can differ in the last bit), so every row is bit-identical.
+    the order of ``PolyCoeffs.value``, and the logs of ``eta`` are libm's, so every
+    row is bit-identical.
     """
     times, coefs = ws.vdata.times, beta.T[::-1, :, None]
     q = np.add(coefs[0], 0.0, out=ws.q[:eta.size])     # = 0 * times + beta_p, as times >= 0
@@ -226,7 +227,7 @@ def _log_gap(ws: _Workspace, eta: np.ndarray, beta: np.ndarray):
         q *= times
         q += coef
     q *= times
-    log_eta = np.array([math.log(e) for e in eta.tolist()])
+    log_eta = libm_map(math.log, eta)
     log_u = np.negative(q, out=ws.log_u[:eta.size])
     return q, np.logaddexp(log_eta[:, None], log_u, out=log_u)
 

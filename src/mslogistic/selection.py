@@ -25,6 +25,7 @@ from typing import Callable
 
 import numpy as np
 
+from ._special import libm_map
 from .fit_nr import DegreeError, FitError, fit
 from .likelihood import fit_initial, loglik, transform
 from .model import LognormalStart, ModelParams, integrated_drift, process_mean
@@ -67,19 +68,14 @@ def kl_divergence(mu_c, var_c, mu_s, var_s):
     Equals the Gaussian divergence of the logs:
     ``(log(var_s/var_c) + (var_c + (mu_c - mu_s)^2)/var_s - 1) / 2``.  Arrays
     broadcast and scalars give a float.  The log and the square are libm's, as
-    in scalar code (numpy's array loops can differ in the last bit).
+    in scalar code.
     """
     mu_c, var_c, mu_s, var_s = (np.asarray(a, dtype=float) for a in (mu_c, var_c, mu_s, var_s))
     if (var_c <= 0).any() or (var_s <= 0).any():
         raise ValueError("variances must be positive")
-    log_ratio, square = _libm(math.log, var_s / var_c), _libm(lambda x: x ** 2, mu_c - mu_s)
+    log_ratio, square = libm_map(math.log, var_s / var_c), libm_map(lambda v: v ** 2, mu_c - mu_s)
     kl = 0.5 * (log_ratio + (var_c + square) / var_s - 1.0)
     return float(kl) if kl.ndim == 0 else kl
-
-
-def _libm(fn, x) -> np.ndarray:
-    """``fn`` on each element of ``x`` as a numpy scalar (``math.log`` and ``** 2`` call libm)."""
-    return np.array([fn(v) for v in np.ravel(x)]).reshape(np.shape(x))
 
 
 def resistor_average(kl_cs, kl_sc):

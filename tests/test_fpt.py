@@ -8,7 +8,7 @@ import pytest
 from scipy.special import ndtr
 
 from mslogistic import (Degenerate, ModelParams, PolyCoeffs, SimSpec, carrying_capacity, curve,
-                        integrated_drift, simulate_panel)
+                        fpt, integrated_drift, simulate_panel)
 from mslogistic.fpt import (
     FptlCurve,
     FptProblem,
@@ -82,6 +82,32 @@ class TestFptl:
         assert 34.0 < a < 39.5
         assert 42.0 < b < 47.0
         assert np.all(curve.values >= 0) and np.all(curve.values <= 1)
+
+
+def seeded_case1_problems(n, seed):
+    """Problems like case 1: random growth, noise, start, horizon and a boundary below capacity."""
+    rng = np.random.default_rng(seed)
+    problems = []
+    for _ in range(n):
+        beta = (rng.uniform(0.02, 0.2), -rng.uniform(0.0, 0.01), rng.uniform(1e-4, 4e-4))
+        params = ModelParams(math.exp(rng.uniform(-3.0, 1.0)), PolyCoeffs(beta),
+                             10.0 ** rng.uniform(-6.0, -2.0))
+        x0 = rng.uniform(1.0, 10.0)
+        boundary = x0 + rng.uniform(0.1, 0.95) * (carrying_capacity(params, x0, 0.0) - x0)
+        problems.append(FptProblem(params, x0, 0.0, boundary, rng.uniform(50.0, 400.0)))
+    return problems
+
+
+class TestGridInvariance:
+    def test_scipy_ndtr_gives_the_same_grid(self, monkeypatch):
+        # the location values only place the grid: scipy's bits for them move no node
+        problems = [make_fpt_golden.TABLE4, make_fpt_golden.fixture_problem(),
+                    *(ex41_problem(210.0, s) for s in np.linspace(5.5, 22.0, 34)),
+                    *seeded_case1_problems(300, seed=30)]
+        ours = [adaptive_steps(fptl_curve(p)) for p in problems]
+        monkeypatch.setattr(fpt, "ndtr", ndtr)
+        for p, steps in zip(problems, ours):
+            np.testing.assert_array_equal(adaptive_steps(fptl_curve(p)), steps, err_msg=repr(p))
 
 
 class TestAdaptiveSteps:
@@ -285,6 +311,14 @@ class TestDeterministicCrossing:
         else:
             assert float(curve(EX41, 5.0, 0.0, t_star)) == pytest.approx(boundary, rel=1e-13)
             assert np.all(vals[grid < t_star] < boundary)
+
+    def test_boundary_touching_a_peak(self):
+        # S is the curve's peak near t = 7.36 to the last bits: np.roots splits the double
+        # root of Q - c into a complex pair; the curve reaches S there, and just above S it
+        # does not, so the next crossing counts
+        peak = 6.285689089004772
+        assert crossing_time_deterministic(EX41, 5.0, 0.0, peak) == pytest.approx(7.362374, abs=1e-5)
+        assert crossing_time_deterministic(EX41, 5.0, 0.0, peak * (1 + 1e-15)) == 30.27525231651947
 
     def test_decreasing_curve_reaches_only_what_it_rises_to(self):
         # a negative leading coefficient: the curve rises to a peak near t = 10, then falls to 0
