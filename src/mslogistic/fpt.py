@@ -17,8 +17,9 @@ second-kind Volterra equation with the regular (vanishing-diagonal) kernel
 discretized with the composite trapezoid rule.  For a constant boundary and
 zero drift the integral term vanishes and the recursion reproduces the
 inverse-Gaussian density exactly, which anchors the kernel's sign conventions.
-The kernel does not depend on ``g``: it is evaluated in blocks of about
-:data:`KERNEL_BLOCK` entries, and the recurrence over the nodes stays sequential.
+:func:`solve_density` checks the grid, solves on it (:func:`_volterra`: the kernel does not
+depend on ``g``, so it is evaluated in blocks of about :data:`KERNEL_BLOCK` entries, and the
+recurrence over the nodes stays sequential) and summarises the density (:func:`_summaries`).
 
 The cheap passage-location (FPTL) function ``P[X(t) > S | X(t0) = x0]``
 locates where the density mass lives; integration steps are fine inside its
@@ -96,10 +97,10 @@ class FptProblem:
 
 
 def fptl(problem: FptProblem, t):
-    """Passage-location function ``P[X(t) > S | X(t0) = x0]`` for ``t > t0``."""
+    """Passage-location function ``P[X(t) > S | X(t0) = x0]`` for finite ``t > t0``."""
     t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr <= problem.t0):
-        raise ValueError("fptl is defined for t > t0")
+    if not np.all((t_arr > problem.t0) & (t_arr < math.inf)):
+        raise ValueError("fptl is defined for finite t > t0")
     z = problem.log_boundary_gap(t_arr) / (problem.params.sigma * np.sqrt(t_arr - problem.t0))
     return ndtr(-z)
 
@@ -180,24 +181,8 @@ def _kernel(sigma2: float, dt, diff, slope):
 def solve_density(problem: FptProblem, steps: np.ndarray | None = None) -> FptDensity:
     """Solve the Volterra equation for the up-crossing density on ``[t0, t_max]``.
 
-    ``steps`` overrides the FPTL-driven adaptive grid (2+ finite nodes from
-    ``t0``).  Mean and standard deviation are moments of the computed density
-    over the solved horizon (no renormalization: passage densities through
-    near-saturation boundaries carry long right tails, and
-    truncated-but-renormalized variances are dominated by the renormalization
-    itself); check ``captured_mass`` before trusting them.  Deciles invert the
-    cumulative renormalized to the captured mass.  ``mass_warning`` flags
-    horizons that truncate more than 5% of the mass.  A negative variance
-    raises VolterraError where the density also went negative (a grid too
-    coarse for the spread); where it did not, the spread is below what the
-    unnormalised moments resolve, and ``std`` reads 0.
-
-    The kernel is evaluated in array passes: the free terms at once, then
-    blocks of about :data:`KERNEL_BLOCK` entries (nodes ``t_k`` against
-    ``tau_1 .. tau_{k1-2}``).  Each node reads its row of weight times kernel,
-    so every product and pairwise sum is the node-by-node one and the result
-    is bit-identical to it.  Block entries with ``tau_j >= t_k`` are never
-    read; a time gap of 1 keeps them from raising a floating-point warning.
+    ``steps`` overrides the FPTL-driven adaptive grid (2+ finite nodes from ``t0``):
+    :func:`_volterra` solves on the grid and :func:`_summaries` summarises the density.
     """
     if steps is None:
         with np.errstate(over="ignore", invalid="ignore"):  # a non-finite drift is refused below
@@ -206,24 +191,49 @@ def solve_density(problem: FptProblem, steps: np.ndarray | None = None) -> FptDe
     if not (t.ndim == 1 and t.size >= 2 and np.all(np.isfinite(t)) and t[0] == problem.t0
             and np.all(np.diff(t) > 0)):
         raise ValueError("steps must be a finite 1-D grid of 2+ nodes from t0, increasing strictly")
+    return _summaries(t, _volterra(problem, t))
 
+
+@np.errstate(over="ignore", invalid="ignore")  # a drift that overflows: _summaries refuses g
+def _volterra(problem: FptProblem, t: np.ndarray) -> np.ndarray:
+    """The density ``g`` at the nodes of the checked grid ``t``, with ``g(t0) = 0``.
+
+    The kernel is evaluated in array passes: the free terms at once, then blocks of about
+    :data:`KERNEL_BLOCK` entries (nodes ``t_k`` against ``tau_1 .. tau_{k1-2}``).  Each node
+    reads its row of weight times kernel, so the result is bit-identical to a node-by-node
+    solve.  Block entries with ``tau_j >= t_k`` are never read; a time gap of 1 keeps them
+    from raising a floating-point warning.
+    """
     n, g = t.size, np.zeros(t.size)
-    with np.errstate(over="ignore", invalid="ignore"):  # a drift that overflows: g is refused below
-        b = np.asarray(problem.log_boundary_gap(t))
-        slope = np.asarray(problem.log_boundary_slope(t))
-        g[1:] = -2.0 * _kernel(problem.params.sigma2, t[1:] - t[0], b[1:], slope[1:])  # free terms
-        # trapezoid weights of tau_1 .. tau_{n-2}: g(t0) = 0, and psi vanishes at tau = t_k
-        w = 0.5 * (t[2:] - t[:-2])
-        rows = max(1, KERNEL_BLOCK // n)
-        for k0 in range(2, n, rows):
-            k1 = min(k0 + rows, n)
-            dt = t[k0:k1, None] - t[1 : k1 - 1]
-            dt[dt <= 0.0] = 1.0  # tau_j >= t_k: never read
-            wk = _kernel(problem.params.sigma2, dt, b[k0:k1, None] - b[1 : k1 - 1], slope[k0:k1, None])
-            wk *= w[: k1 - 2]
-            for k in range(k0, k1):
-                g[k] += 2.0 * float(np.sum(wk[k - k0, : k - 1] * g[1:k]))
+    b, slope = problem.log_boundary_gap(t), problem.log_boundary_slope(t)
+    g[1:] = -2.0 * _kernel(problem.params.sigma2, t[1:] - t[0], b[1:], slope[1:])  # free terms
+    # trapezoid weights of tau_1 .. tau_{n-2}: g(t0) = 0, and psi vanishes at tau = t_k
+    w = 0.5 * (t[2:] - t[:-2])
+    rows = max(1, KERNEL_BLOCK // n)
+    for k0 in range(2, n, rows):
+        k1 = min(k0 + rows, n)
+        dt = t[k0:k1, None] - t[1 : k1 - 1]
+        dt[dt <= 0.0] = 1.0  # tau_j >= t_k: never read
+        wk = _kernel(problem.params.sigma2, dt, b[k0:k1, None] - b[1 : k1 - 1], slope[k0:k1, None])
+        wk *= w[: k1 - 2]
+        for k in range(k0, k1):
+            g[k] += 2.0 * float(np.sum(wk[k - k0, : k - 1] * g[1:k]))
+    return g
 
+
+def _summaries(t: np.ndarray, g: np.ndarray) -> FptDensity:
+    """Summaries of the density ``g`` on the grid ``t``, clipped at 0, by the trapezoid rule.
+
+    Mean and standard deviation are moments over the solved horizon (no renormalization:
+    passage densities through near-saturation boundaries carry long right tails, and
+    truncated-but-renormalized variances are dominated by the renormalization itself); check
+    ``captured_mass`` before trusting them.  Deciles invert the cumulative renormalized to the
+    captured mass; ``mass_warning`` flags horizons that truncate more than 5% of it.  A mass
+    that is not finite or not positive raises VolterraError, and so does a negative variance
+    where the density also went negative (a grid too coarse for the spread); where it did
+    not, the spread is below what the unnormalised moments resolve, and ``std`` reads 0.
+    """
+    n = t.size
     negative_warning = float(g.min()) < -1e-9
     g_clip = np.maximum(g, 0.0)
 

@@ -195,9 +195,9 @@ def log_saturation_gap(params: ModelParams, t):
 
     Evaluated as ``logaddexp(log eta, -Q(t))`` so it never overflows, even when
     ``-Q(t)`` is far outside the double exponent range.  Everything else in
-    this module is expressed through this quantity.
+    this module is expressed through this quantity.  It is NaN where ``t`` or ``Q(t)`` is.
     """
-    with np.errstate(over="ignore"):  # a Q(t) past the double range is +-inf: logaddexp takes it
+    with np.errstate(over="ignore", invalid="ignore"):  # logaddexp takes a Q(t) of +-inf or NaN
         return np.logaddexp(math.log(params.eta), -params.poly.value(t))
 
 
@@ -220,21 +220,25 @@ def carrying_capacity(params: ModelParams, l0: float, t0: float) -> float:
     return float(l0 * np.exp(log_saturation_gap(params, t0) - math.log(params.eta)))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a rate past the double range is inf or NaN
 def drift_rate(params: ModelParams, t):
     """Relative growth rate ``h(t) = Q'(t) exp(-Q(t)) / (eta + exp(-Q(t)))``.
 
     The ratio is computed as a logistic sigmoid of ``-(Q(t) + log eta)``, which
-    stays in (0, 1) without overflow for any polynomial value.
+    stays in [0, 1] without overflow for any polynomial value.  A rate past the
+    double range is +-inf, and NaN where ``Q'(t)`` is infinite and the ratio 0.
     """
     q = params.poly.value(t)
     return params.poly.deriv(t) * expit(-(q + math.log(params.eta)))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a drift past the double range is inf or NaN
 def integrated_drift(params: ModelParams, t0, t):
     """Closed form of ``int_t0^t h(s) ds - sigma2/2 (t - t0)``.
 
     This is the mean of ``log(X(t)/X(t0))`` conditional on the past; no
     quadrature is involved.  ``t0`` may be an array of steps' starts, one per ``t``.
+    It is +-inf, or NaN, where a term of it is past the double range.
     """
     t = np.asarray(t, dtype=float) if np.ndim(t) else t
     return (

@@ -45,12 +45,15 @@ VARIANCE_FLOOR = 1e-12
 BIC_TIE_WINDOW = 2.0  # BIC units within which the smallest degree wins
 
 
+@np.errstate(over="ignore")  # an error past the double range is inf
 def rae(sample_mean_series, fitted_mean_series) -> float:
-    """Mean absolute relative error between two positive series."""
+    """Mean absolute relative error of the fitted means from positive, finite sample means."""
     m = np.asarray(sample_mean_series, dtype=float)
     f = np.asarray(fitted_mean_series, dtype=float)
     if m.shape != f.shape:
         raise ValueError(f"series shapes differ: {m.shape} vs {f.shape}")
+    if not np.all((m > 0) & (m < math.inf)):
+        raise ValueError("the sample means must be positive and finite")
     return float(np.mean(np.abs(m - f) / m))
 
 
@@ -62,29 +65,48 @@ def aic_bic(p: int, loglik_value: float, n: int) -> tuple[float, float]:
     return 2 * k - 2 * loglik_value, k * math.log(n) - 2 * loglik_value
 
 
+def _square(v: float) -> float:
+    """libm's ``v ** 2``, and inf past the double range, where Python raises OverflowError."""
+    try:
+        return v ** 2
+    except OverflowError:
+        return math.inf
+
+
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")  # the ratio is checked below
 def kl_divergence(mu_c, var_c, mu_s, var_s):
     """KL divergence between lognormal laws with log-scale moments (mu, var).
 
     Equals the Gaussian divergence of the logs:
     ``(log(var_s/var_c) + (var_c + (mu_c - mu_s)^2)/var_s - 1) / 2``.  Arrays
     broadcast and scalars give a float.  The log and the square are libm's, as
-    in scalar code.
+    in scalar code.  The variances must be positive with a ratio in the double
+    range, and the means must differ by a number; a divergence past the double
+    range is inf.
     """
     mu_c, var_c, mu_s, var_s = (np.asarray(a, dtype=float) for a in (mu_c, var_c, mu_s, var_s))
-    if (var_c <= 0).any() or (var_s <= 0).any():
-        raise ValueError("variances must be positive")
-    log_ratio, square = libm_map(math.log, var_s / var_c), libm_map(lambda v: v ** 2, mu_c - mu_s)
-    kl = 0.5 * (log_ratio + (var_c + square) / var_s - 1.0)
+    ratio, diff = var_s / var_c, mu_c - mu_s
+    if not np.all((var_c > 0) & (var_s > 0) & (ratio > 0) & (ratio < math.inf)):
+        raise ValueError("variances must be positive and finite, with a ratio in the double range")
+    if np.isnan(diff).any():
+        raise ValueError("the means must differ by a number, not NaN")
+    kl = 0.5 * (libm_map(math.log, ratio) + (var_c + libm_map(_square, diff)) / var_s - 1.0)
     return float(kl) if kl.ndim == 0 else kl
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")  # the product's overflow is redone
 def resistor_average(kl_cs, kl_sc):
-    """Harmonic mean of the two directional divergences (0 where both vanish); arrays broadcast."""
+    """Harmonic mean of the two directional divergences (0 where both vanish); arrays broadcast.
+
+    ``kl_cs kl_sc / (kl_cs + kl_sc)``, or ``1 / (1/kl_cs + 1/kl_sc)`` where that product is past
+    the double range, so an infinite divergence gives the other one.
+    """
     kl_cs, kl_sc = np.asarray(kl_cs, dtype=float), np.asarray(kl_sc, dtype=float)
-    if (kl_cs < 0).any() or (kl_sc < 0).any():
-        raise ValueError("divergences must be nonnegative")
-    total = kl_cs + kl_sc
-    ra = np.divide(kl_cs * kl_sc, total, out=np.zeros_like(total), where=total != 0.0)
+    if not (np.all(kl_cs >= 0) and np.all(kl_sc >= 0)):
+        raise ValueError("divergences must be nonnegative, not NaN")
+    total, product = kl_cs + kl_sc, kl_cs * kl_sc
+    ra = np.divide(product, total, out=np.zeros_like(total), where=total != 0.0)
+    ra = np.where(np.isfinite(product), ra, 1.0 / (1.0 / kl_cs + 1.0 / kl_sc))
     return float(ra) if ra.ndim == 0 else ra
 
 

@@ -7,19 +7,23 @@ anywhere in the double range, non-finite ones included, and values near the
 paper's examples, so that the calls also run past their argument checks.
 """
 
+import math
 import warnings
 from functools import partial
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from mslogistic import (Degenerate, LognormalStart, ModelParams, PathPanel, PolyCoeffs, SimSpec,
-                        inflection_points, percentile, process_mean, simulate_panel, transform)
+                        carrying_capacity, curve, drift_rate, inflection_points, integrated_drift,
+                        percentile, process_mean, simulate_panel, transform)
 from mslogistic.asymptotics import SingularInformationError, confidence_intervals, fisher_info
 from mslogistic.fit_nr import DegreeError, FitError, fit
 from mslogistic.fit_sa import ParamBox, SaSchedule, anneal, build_box
-from mslogistic.fpt import FptProblem, VolterraError, crossing_time_deterministic, solve_density
-from mslogistic.selection import select_degree
+from mslogistic.fpt import (FptProblem, VolterraError, crossing_time_deterministic, fptl, fptl_curve,
+                            solve_density)
+from mslogistic.selection import aic_bic, kl_divergence, rae, resistor_average, select_degree
 
 NAMED = (ValueError, FitError, DegreeError, VolterraError, SingularInformationError,
          FloatingPointError)
@@ -162,3 +166,76 @@ def test_process_mean_and_percentile(eta, beta, sigma2, start, t0, times, alpha)
 @given(eta=ETA, beta=BETA, t0=TIME, horizon=near(1.0, 300.0), l0=LEVEL)
 def test_inflection_points(eta, beta, t0, horizon, l0):
     keeps_contract(lambda: inflection_points(params(eta, beta, 0.0), t0, t0 + horizon, l0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(eta=ETA, beta=BETA, sigma2=near(1e-4, 0.05), x0=LEVEL, rise=near(1.01, 10.0), t0=TIME,
+       horizon=near(1.0, 300.0), times=st.lists(TIME, min_size=1, max_size=4))
+def test_fptl_and_fptl_curve(eta, beta, sigma2, x0, rise, t0, horizon, times):
+    def problem():
+        return FptProblem(params(eta, beta, sigma2), x0, t0, x0 * rise, t0 + horizon)
+    keeps_contract(lambda: fptl(problem(), times[0]))
+    keeps_contract(lambda: fptl(problem(), np.array(times)))
+    keeps_contract(lambda: fptl_curve(problem()))
+
+
+@settings(max_examples=300, deadline=None)
+@given(eta=ETA, beta=BETA, sigma2=SIGMA2, l0=LEVEL, t0=TIME,
+       times=st.lists(TIME, min_size=1, max_size=4))
+def test_curve_and_drift(eta, beta, sigma2, l0, t0, times):
+    for t in (times[0], np.array(times)):
+        keeps_contract(lambda: curve(params(eta, beta, sigma2), l0, t0, t))
+        keeps_contract(lambda: drift_rate(params(eta, beta, sigma2), t))
+        keeps_contract(lambda: integrated_drift(params(eta, beta, sigma2), t0, t))
+    keeps_contract(lambda: carrying_capacity(params(eta, beta, sigma2), l0, t0))
+
+
+def columns(*pools):
+    """Equal-length lists, one per pool: the entries of arrays that broadcast."""
+    return st.integers(1, 4).flatmap(
+        lambda n: st.tuples(*(st.lists(p, min_size=n, max_size=n) for p in pools)))
+
+
+MU, VAR, KL = near(-5.0, 5.0), near(1e-6, 5.0), near(0.0, 10.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(kl_args=columns(MU, VAR, MU, VAR), ra_args=columns(KL, KL), rae_args=columns(LEVEL, LEVEL),
+       p=st.integers(1, 6), loglik=st.floats(), n=st.integers(0, 10**6))
+def test_goodness_measures(kl_args, ra_args, rae_args, p, loglik, n):
+    for args in ([a[0] for a in kl_args], [np.array(a) for a in kl_args]):
+        keeps_contract(lambda: kl_divergence(*args))
+    for args in ([a[0] for a in ra_args], [np.array(a) for a in ra_args]):
+        keeps_contract(lambda: resistor_average(*args))
+    keeps_contract(lambda: rae(*rae_args))
+    keeps_contract(lambda: aic_bic(p, loglik, n))
+
+
+EX41 = ModelParams(math.exp(-1.0), PolyCoeffs((0.1, -0.009, 0.0002)), 1e-4)
+TABLE4 = FptProblem(EX41, 5.0, 0.0, 15.0, 210.0)
+
+
+@pytest.mark.parametrize("call, outcome", [
+    (lambda: fptl(TABLE4, math.nan), ValueError),
+    (lambda: fptl(TABLE4, math.inf), ValueError),
+    (lambda: carrying_capacity(EX41, 5.0, math.nan), math.isnan),
+    (lambda: integrated_drift(EX41, 0.0, math.nan), math.isnan),
+    (lambda: drift_rate(EX41, 1e200), math.isnan),  # Q' overflows where the sigmoid is 0
+    (lambda: kl_divergence(1e200, 1.0, -1e200, 1.0), math.inf),
+    (lambda: kl_divergence(0.0, math.inf, 0.0, 1.0), ValueError),
+    (lambda: resistor_average(math.inf, math.inf), math.inf),
+    (lambda: resistor_average(math.inf, 5.0), 5.0),
+    (lambda: rae([0.0, 1.0], [1.0, 1.0]), ValueError),
+], ids=["fptl_nan", "fptl_inf", "capacity_nan_start", "drift_nan_time", "rate_past_the_range",
+        "kl_square_past_the_range", "kl_infinite_variance", "ra_both_infinite", "ra_one_infinite",
+        "rae_zero_sample_mean"])
+def test_arguments_at_the_edge_of_the_range(call, outcome):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if isinstance(outcome, type):
+            with pytest.raises(outcome):
+                call()
+        elif callable(outcome):
+            assert outcome(call())
+        else:
+            assert call() == outcome

@@ -13,6 +13,7 @@ from mslogistic.fpt import (
     FptlCurve,
     FptProblem,
     VolterraError,
+    _summaries,
     adaptive_steps,
     crossing_time_deterministic,
     fptl,
@@ -203,6 +204,21 @@ class TestSolveDensity:
         assert abs(fine.mean - coarse.mean) / coarse.mean < 1e-3
         assert abs(fine.mode - coarse.mode) / coarse.mode < 1e-3
 
+    @pytest.mark.parametrize("eta, sigma2, x0, boundary, t_max", [
+        (1.0, 0.04, 1.0, 1.5, 50.0), (math.exp(-1), 1e-3, 5.0, 6.0, 400.0)])
+    @pytest.mark.parametrize("uniform", [False, True], ids=["adaptive", "uniform"])
+    def test_linear_boundary_gives_the_inverse_gaussian(self, eta, sigma2, x0, boundary, t_max,
+                                                        uniform):
+        # Q = 0: the log-scale boundary a + sigma2 t / 2 is linear, so the integral term vanishes
+        # and the free term is the inverse-Gaussian density, which anchors the kernel's signs
+        prob = FptProblem(ModelParams(eta, PolyCoeffs((0.0,)), sigma2), x0, 0.0, boundary, t_max)
+        dens = solve_density(prob, np.linspace(0.0, t_max, 300) if uniform else None)
+        a, t = math.log(boundary / x0), dens.times[1:]
+        want = a / np.sqrt(2 * math.pi * sigma2 * t**3) * np.exp(-(a + sigma2 * t / 2) ** 2
+                                                                 / (2 * sigma2 * t))
+        assert dens.density[0] == 0.0
+        np.testing.assert_allclose(dens.density[1:], want, rtol=1e-13, atol=0.0)
+
     def test_horizon_warning(self):
         dens = solve_density(ex41_problem(t_max=40.0))
         assert dens.mass_warning  # only ~half the mass has crossed by t=40
@@ -248,6 +264,67 @@ class TestSolveDensity:
         args = {"x0": 5.0, "t0": 0.0, "boundary": 15.0, "t_max": 50.0, field: value}
         with pytest.raises(ValueError, match="need finite x0 > 0, t0, boundary > 0 and t_max"):
             FptProblem(params=EX41, **args)
+
+
+class TestSummaries:
+    """``_summaries`` on densities built by hand."""
+
+    def test_uniform_density(self):
+        t = np.linspace(0.0, 10.0, 11)
+        dens = _summaries(t, np.full(11, 0.1))
+        assert dens.captured_mass == pytest.approx(1.0, rel=1e-15)
+        assert dens.mean == pytest.approx(5.0, rel=1e-15)
+        assert dens.std == pytest.approx(math.sqrt(33.5 - 25.0), rel=1e-14)  # trapezoid moments
+        np.testing.assert_allclose(dens.deciles, (1.0, 5.0, 9.0), rtol=1e-14)
+        np.testing.assert_allclose(dens.cumulative, t / 10.0, rtol=1e-15)
+        assert not dens.mass_warning and not dens.negative_warning
+
+    def test_mode_at_a_concave_peak_is_the_parabola_vertex(self):
+        # vertex of the parabola through (1, 0.1), (2, 0.5), (3, 0.3)
+        dens = _summaries(np.arange(5.0), np.array([0.0, 0.1, 0.5, 0.3, 0.0]))
+        assert dens.mode == pytest.approx(2.0 + 1.0 / 6.0, rel=1e-14)
+
+    @pytest.mark.parametrize("g, mode", [([0.6, 0.3, 0.1], 0.0), ([0.1, 0.3, 0.6], 2.0)],
+                             ids=["first_node", "last_node"])
+    def test_mode_at_an_end_node(self, g, mode):
+        assert _summaries(np.arange(3.0), np.array(g)).mode == mode
+
+    @pytest.mark.parametrize("height, warned", [(0.094, True), (0.096, False)])
+    def test_mass_warning_below_095(self, height, warned):
+        dens = _summaries(np.linspace(0.0, 10.0, 11), np.full(11, height))
+        assert dens.captured_mass == pytest.approx(10 * height, rel=1e-14)
+        assert dens.mass_warning is warned
+
+    @pytest.mark.parametrize("g", [[0.0, 0.0, 0.0], [0.0, -1.0, 0.0]], ids=["zero", "negative"])
+    def test_no_mass_refused(self, g):
+        with pytest.raises(VolterraError, match="no probability mass captured on the 3-node grid "
+                                                "up to t_max 2; refine the grid"):
+            _summaries(np.arange(3.0), np.array(g))
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_not_finite_refused(self, bad):
+        with pytest.raises(VolterraError, match="the passage density is not finite up to t_max 2: "
+                                                "the drift overflows on this horizon"):
+            _summaries(np.arange(3.0), np.array([0.0, bad, 0.0]))
+
+    def test_negative_dip_with_negative_variance_refused(self):
+        # mass 1.1 at t = 10: second moment 110 below the squared mean 121
+        g = np.array([0.0, -0.01, 1.1, 0.0, 0.0])
+        with pytest.raises(VolterraError, match="negative variance -11 of the passage density on "
+                                                "the 5-node grid: the grid is too coarse"):
+            _summaries(np.array([0.0, 9.0, 10.0, 11.0, 12.0]), g)
+
+    def test_narrow_density_with_mass_above_one_reads_zero_std(self):
+        # a triangle of half-width 0.05 at t = 20 with mass 1 + 1e-5: its centered variance
+        # 0.05^2 / 6 is below the mass term (M - 1) M 20^2, so second - mean^2 < 0 and, with
+        # no negative node, std is clipped to 0.0 (the unnormalised-moment formula as it stands)
+        mass = 1.0 + 1e-5
+        t = np.array([0.0, 19.9, 19.95, 20.0, 20.05, 20.1])
+        dens = _summaries(t, np.array([0.0, 0.0, 0.0, mass / 0.05, 0.0, 0.0]))
+        assert dens.captured_mass == pytest.approx(mass, rel=1e-14)
+        assert dens.mean == pytest.approx(20.0 * mass, rel=1e-14)
+        assert 0.05**2 / 6 < (mass - 1) * mass * 20.0**2
+        assert dens.std == 0.0 and not dens.negative_warning
 
 
 class TestGolden:
