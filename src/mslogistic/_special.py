@@ -1,20 +1,20 @@
-"""Normal quantile, normal cdf and logistic sigmoid without scipy.
+"""Normal quantile and cdf, logistic sigmoid and Student-t quantile without scipy.
 
 ``ndtri`` and ``expit`` port the Cephes routines behind ``scipy.special.ndtri`` and
 ``scipy.special.expit`` step for step, so they return scipy's doubles (the tests
 check this bitwise against the installed scipy): their values reach simulated
-panels, interval z values and the drift rate.  ``ndtr`` is libm's ``erfc``: its
-values only place the passage-time grid, which scipy's bits leave unchanged.
-They spare the library and the commands the import of ``scipy.special``.
+panels, interval z values and the drift rate.  ``ndtr`` is libm's ``erfc``: its values
+only place the passage-time grid.  ``stdtrit`` is checked against mpmath, not scipy.
 
-Each function takes a scalar or an array: a scalar gives a Python float, an array a
-float64 array of the same shape.  ``ndtri`` runs each Cephes branch as numpy
-arithmetic over the elements that take it; ``ndtr``, ``expit`` and the logs in
+``ndtri``, ``ndtr`` and ``expit`` take a scalar or an array: a scalar gives a Python
+float, an array a float64 array of the same shape.  ``ndtri`` runs each Cephes branch as
+numpy arithmetic over the elements that take it; ``ndtr``, ``expit`` and the logs in
 ``ndtri`` call libm per element through :func:`libm_map`.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -133,3 +133,45 @@ def expit(x):
     """Bitwise port of ``scipy.special.expit``, per element."""
     r = libm_map(_expit, x)
     return float(r) if r.ndim == 0 else r
+
+
+def stdtrit(df, p) -> float:
+    """Student-t quantile: ``t`` with ``P(T <= t) = p`` for ``T`` on ``df`` degrees of freedom.
+
+    ``df``: an integer >= 1; ``p``: in [0, 1], 0 and 1 giving -inf and inf; else ``ValueError``.
+    Newton steps on ``log t`` solve ``P(T > t) = q = min(p, 1 - p)``, or ``P(0 < T < t) = 1/2 - q``
+    for q >= 1/4, by Gauss continued fractions (A&S 26.5.8).  Within 1 ulp at ``fit_sa``'s level.
+    """
+    if not (isinstance(df, (int, np.integer)) and df >= 1 and 0.0 <= p <= 1.0):
+        raise ValueError(f"need an integer df >= 1 and p in [0, 1], got {df!r} and {p!r}")
+    q, df = min(p, 1.0 - p), min(int(df), 2**64)  # past 2^64 the quantile moves < 1/2 ulp
+    if q in (0.0, 0.5) or df <= 2:  # closed forms; 1/tan(pi q) keeps the Cauchy tail's digits
+        t = 1.0 / math.tan(math.pi * q) if 0.0 < q < 0.25 else math.tan(math.pi * (0.5 - q))
+        t = math.inf if q == 0.0 else t if df == 1 else (1 - 2 * q) / math.sqrt(2 * q * (1 - q))
+        return math.copysign(t, p - 0.5)  # the median is 0 for every df, as for df = 2
+    nu, m, t = float(df), df + df % 2, -ndtri(q)  # g(n) = Gamma(n/2+1/2) / (sqrt(pi) Gamma(n/2+1))
+    h = math.comb(m, m // 2) / 2**m if m <= 4000 else (
+        1 - (1 - (1 + (5 - 21 / 16 / m) / 4 / m) / 8 / m) / 4 / m) / math.sqrt(math.pi * m / 2)
+    g = h if m == df else 2 / (math.pi * m * h)  # h = g(m), exact or by its series in 1/m
+    for _ in range(100):
+        num, den = t.as_integer_ratio()
+        s = num * num / (den * den * df)  # t^2/df, correctly rounded
+        w = (1 + s) ** ((1 - nu) / 2) if s > 2 else math.exp((1 - nu) / 2 * math.log1p(s))
+        b, c, z = (0.5, nu / 2, -1 / s) if q < 0.25 else (nu / 2 + 0.5, 0.5, s / (1 + s))
+        d, k, kz = 0.0, 1.0, []  # Lentz's method finds the depth; the sum runs bottom-up
+        while d * k != 1.0 and len(kz) < 10_000:
+            i, j = len(kz) + 1, (len(kz) + 1) // 2
+            kz += [(-(c + j) * (b + j) if i & 1 else j * (b - c - j)) * z / (c + i - 1) / (c + i)]
+            d, k = 1.0 / (1.0 + kz[-1] * d), 1.0 + kz[-1] / k
+        f = 1.0 / functools.reduce(lambda v, a: 1.0 + a / v, reversed(kz), 1.0)
+        if q < 0.25:  # log P(T > t) = log(w x) falls by nu s / ((1 + s) f) per unit of log t
+            x = g / 2 / math.sqrt(s) * f
+            r = w * x / q if q > 1e-300 else 0.0  # P(T > t)/q, 0 or inf when far off
+            step = (math.log(r) if 0.0 < r < math.inf else (1 - nu) / 2 * math.log1p(s)
+                    + math.log(x) - math.log(q)) * (1 + s) * f / (nu * s)
+        else:  # P(0 < T < t) = w g f nu sqrt(s) / (2 (1 + s)) rises f times slower
+            step = math.log((1 - 2 * q) * (1 + s) / (w * g * f * nu * math.sqrt(s))) * f
+        t += t * math.expm1(step)
+        if abs(step) < 1e-12:
+            break
+    return math.copysign(t, p - 0.5)

@@ -47,10 +47,9 @@ from pathlib import Path
 from typing import Callable
 
 # Before numpy loads: the estimators work on sufficient aggregates, so no BLAS
-# operand exceeds (p+2) x (N-1) entries, whatever the number of paths.  Each
-# idle OpenBLAS worker still spins for about 0.1 s of CPU, and scipy.special
-# (build_box, and simulate_panel above 2**20 draws) starts a second pool.  A
-# value the user set wins.
+# operand exceeds (p+2) x (N-1) entries, whatever the number of paths.  Each idle
+# OpenBLAS worker still spins for about 0.1 s of CPU, and scipy.special (simulate_panel
+# above 2**20 draws) starts a second pool.  A value the user set wins.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np

@@ -5,8 +5,8 @@ vector ``(eta, beta_1..beta_p, sigma2)`` inside a box built from the data:
 
 * ``eta``: the interval spanned by the per-path estimates
   ``(x_last / x_first - 1)^-1`` (last-over-first growth ratios);
-* ``beta``: high-confidence OLS intervals from the no-intercept regression of
-  ``-log[(m_N/m_j - 1) * eta_hat]`` on ``(t, ..., t^p)``;
+* ``beta``: OLS t-intervals at level 0.999 (quantile from ``_special.stdtrit``) from
+  the no-intercept regression of ``-log[(m_N/m_j - 1) * eta_hat]`` on ``(t, ..., t^p)``;
 * ``sigma2``: the fixed interval (0, 0.01), i.e. sigma < 0.1.
 
 Schedule: the starting temperature is calibrated from a pilot sample of
@@ -39,6 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._special import stdtrit
 from .fit_nr import DegreeError, FitError, _scaled_vandermonde, usable_saturation_pairs
 from .likelihood import _check_rows, _neg_core_loglik, _Workspace, neg_core_loglik, transform
 from .model import ModelParams
@@ -125,7 +126,6 @@ def build_box(panel: PathPanel, p: int) -> ParamBox:
     degenerate eta interval (all ratios equal) is widened by +-10%.
     """
     _check_count(p, "degree")
-    from scipy.special import stdtrit  # costly import, paid only by SA fits
 
     values = panel.values_matrix()
     first, last = values[:, 0], values[:, -1]

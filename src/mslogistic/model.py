@@ -220,16 +220,16 @@ def carrying_capacity(params: ModelParams, l0: float, t0: float) -> float:
     return float(l0 * np.exp(log_saturation_gap(params, t0) - math.log(params.eta)))
 
 
-@np.errstate(over="ignore", invalid="ignore")  # a rate past the double range is inf or NaN
+@np.errstate(over="ignore", invalid="ignore")  # a rate past the double range is inf
 def drift_rate(params: ModelParams, t):
     """Relative growth rate ``h(t) = Q'(t) exp(-Q(t)) / (eta + exp(-Q(t)))``.
 
     The ratio is computed as a logistic sigmoid of ``-(Q(t) + log eta)``, which
-    stays in [0, 1] without overflow for any polynomial value.  A rate past the
-    double range is +-inf, and NaN where ``Q'(t)`` is infinite and the ratio 0.
+    stays in [0, 1] without overflow for any polynomial value.  A rate past the double
+    range is +-inf, and 0 where the ratio is 0, even if ``Q'(t)`` is inf (``exp(-Q)`` wins).
     """
-    q = params.poly.value(t)
-    return params.poly.deriv(t) * expit(-(q + math.log(params.eta)))
+    ratio = expit(-(params.poly.value(t) + math.log(params.eta)))
+    return np.where(ratio == 0.0, 0.0, params.poly.deriv(t) * ratio)[()]
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a drift past the double range is inf or NaN

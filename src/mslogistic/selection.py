@@ -79,18 +79,22 @@ def kl_divergence(mu_c, var_c, mu_s, var_s):
 
     Equals the Gaussian divergence of the logs:
     ``(log(var_s/var_c) + (var_c + (mu_c - mu_s)^2)/var_s - 1) / 2``.  Arrays
-    broadcast and scalars give a float.  The log and the square are libm's, as
-    in scalar code.  The variances must be positive with a ratio in the double
-    range, and the means must differ by a number; a divergence past the double
-    range is inf.
+    broadcast and scalars give a float.  The logs and the square are libm's, as
+    in scalar code; where the ratio is past the normal double range its log is
+    ``log(var_s) - log(var_c)``.  The variances must be positive and finite, and the
+    means must differ by a number; a divergence past the double range is inf.
     """
     mu_c, var_c, mu_s, var_s = (np.asarray(a, dtype=float) for a in (mu_c, var_c, mu_s, var_s))
+    if not np.all((var_c > 0) & (var_s > 0) & (var_c < math.inf) & (var_s < math.inf)):
+        raise ValueError("variances must be positive and finite")
     ratio, diff = var_s / var_c, mu_c - mu_s
-    if not np.all((var_c > 0) & (var_s > 0) & (ratio > 0) & (ratio < math.inf)):
-        raise ValueError("variances must be positive and finite, with a ratio in the double range")
     if np.isnan(diff).any():
         raise ValueError("the means must differ by a number, not NaN")
-    kl = 0.5 * (libm_map(math.log, ratio) + (var_c + libm_map(_square, diff)) / var_s - 1.0)
+    past = ~((ratio >= np.finfo(float).tiny) & (ratio < math.inf))
+    log_ratio = libm_map(math.log, np.where(past, 1.0, ratio))
+    v_s, v_c = np.broadcast_arrays(var_s, var_c)
+    log_ratio[past] = libm_map(math.log, v_s[past]) - libm_map(math.log, v_c[past])
+    kl = 0.5 * (log_ratio + (var_c + libm_map(_square, diff)) / var_s - 1.0)
     return float(kl) if kl.ndim == 0 else kl
 
 

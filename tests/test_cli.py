@@ -586,9 +586,10 @@ class TestMainEntry:
     def test_fpt_overflowing_horizon_exit_code(self, tmp_path, capsys):
         cfg = {"params": {"eta": math.exp(-1), "beta": [0.1, -0.009, 0.0002], "sigma2": 1e-4},
                "x0": 5.0, "t0": 0.0, "boundary": 15.0, "t_max": 1e300}
-        # the drift overflows, so the density is NaN
+        # the drift is 0 where the sigmoid underflows, and 401 nodes up to 1e300 miss the mass
         self.assert_numerical_failure(tmp_path, capsys, "fpt", cfg,
-                                      "the passage density is not finite up to t_max 1e+300")
+                                      "no probability mass captured on the 401-node grid up to "
+                                      "t_max 1e+300")
 
     def test_simulate_underflowing_paths_exit_code(self, tmp_path, capsys):
         cfg = {**sim_config(), "params": {"eta": 0.3679, "beta": [0.1], "sigma2": 1e300}}

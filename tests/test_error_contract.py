@@ -220,14 +220,19 @@ TABLE4 = FptProblem(EX41, 5.0, 0.0, 15.0, 210.0)
     (lambda: fptl(TABLE4, math.inf), ValueError),
     (lambda: carrying_capacity(EX41, 5.0, math.nan), math.isnan),
     (lambda: integrated_drift(EX41, 0.0, math.nan), math.isnan),
-    (lambda: drift_rate(EX41, 1e200), math.isnan),  # Q' overflows where the sigmoid is 0
+    (lambda: drift_rate(EX41, 1e200), 0.0),  # Q' overflows where the sigmoid is 0
     (lambda: kl_divergence(1e200, 1.0, -1e200, 1.0), math.inf),
     (lambda: kl_divergence(0.0, math.inf, 0.0, 1.0), ValueError),
+    (lambda: kl_divergence(0.0, 1e-300, 0.0, 1e300),  # about 690.3
+     0.5 * (math.log(1e300) - math.log(1e-300) - 1)),
+    (lambda: kl_divergence(0.0, 1e300, 0.0, 1e-300), math.inf),
+    (lambda: kl_divergence(0.0, 1.0, 0.0, 1e-308), 0.5 * (math.log(1e-308) + 1.0 / 1e-308 - 1)),
     (lambda: resistor_average(math.inf, math.inf), math.inf),
     (lambda: resistor_average(math.inf, 5.0), 5.0),
     (lambda: rae([0.0, 1.0], [1.0, 1.0]), ValueError),
 ], ids=["fptl_nan", "fptl_inf", "capacity_nan_start", "drift_nan_time", "rate_past_the_range",
-        "kl_square_past_the_range", "kl_infinite_variance", "ra_both_infinite", "ra_one_infinite",
+        "kl_square_past_the_range", "kl_infinite_variance", "kl_ratio_past_the_range",
+        "kl_ratio_under_the_range", "kl_subnormal_ratio", "ra_both_infinite", "ra_one_infinite",
         "rae_zero_sample_mean"])
 def test_arguments_at_the_edge_of_the_range(call, outcome):
     with warnings.catch_warnings():

@@ -16,7 +16,8 @@ from mslogistic import (
     simulate_panel,
 )
 from mslogistic import fit_sa
-from mslogistic.fit_nr import FitError
+from mslogistic._special import stdtrit
+from mslogistic.fit_nr import FitError, usable_saturation_pairs
 from mslogistic.fit_sa import ParamBox, SaSchedule, anneal, build_box
 
 from conftest import make_case1_panel
@@ -89,14 +90,21 @@ class TestBuildBox:
         ratios = [1.0 / (p.values[-1] / p.values[0] - 1.0) for p in base.paths]
         assert box.eta_interval == (pytest.approx(min(ratios)), pytest.approx(max(ratios)))
 
-    def test_t_quantile_matches_scipy_stats(self):
-        # build_box takes its t quantile from scipy.special.stdtrit
-        from scipy.special import stdtrit
-
-        dof = np.arange(1, 600)
-        for confidence in (0.95, 0.99, 0.999):
-            q = 0.5 + confidence / 2.0
-            np.testing.assert_array_equal(stdtrit(dof, q), sps.t.ppf(q, dof))
+    def test_t_quantile_comes_from_the_port(self, case1_params, monkeypatch):
+        # each beta estimate is widened by _special.stdtrit(dof, 0.9995) standard errors;
+        # test_special holds that quantile to 50-digit mpmath
+        panel = make_case1_panel(case1_params, seed=52, d=20, n_points=51)
+        calls = []
+        monkeypatch.setattr(fit_sa, "stdtrit",
+                            lambda df, p: calls.append((df, p)) or stdtrit(df, p))
+        box = build_box(panel, 3)
+        dof = usable_saturation_pairs(panel)[0].size - 3
+        assert calls == [(dof, 0.5 + fit_sa.BOX_CONFIDENCE / 2.0)] and type(calls[0][0]) is int
+        monkeypatch.setattr(fit_sa, "stdtrit", lambda df, p: 2.0 * stdtrit(df, p))
+        wide = build_box(panel, 3)
+        for (lo, hi), (wide_lo, wide_hi) in zip(box.beta_intervals, wide.beta_intervals):
+            assert wide_hi - wide_lo == pytest.approx(2.0 * (hi - lo), rel=1e-12)
+            assert wide_lo + wide_hi == pytest.approx(lo + hi, rel=1e-12)
 
     def test_all_paths_decreasing_fails(self):
         t = np.linspace(0.0, 5.0, 6)

@@ -122,3 +122,46 @@ class TestBlasThreads:
 
     def test_preset_thread_count_is_kept(self):
         assert run_fresh(self.SCRIPT, OPENBLAS_NUM_THREADS="2")["threads"] == "2"
+
+
+class TestAnnealingWithoutScipy:
+    DATA = Path(__file__).parent / "data"
+    # makes every import of scipy or of a scipy submodule raise ImportError
+    BLOCKER = (
+        "import sys\n"
+        "class NoScipy:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name == 'scipy' or name.startswith('scipy.'):\n"
+        "            raise ImportError(f'{name} is blocked')\n"
+        "sys.meta_path.insert(0, NoScipy())\n"
+    )
+
+    def test_sa_fit_runs_and_matches_its_golden_with_scipy_blocked(self):
+        # make_cli_golden.record runs `msl fit --method sa` through mslogistic.cli.main
+        seen = run_fresh(
+            self.BLOCKER
+            + "import importlib.util, json\n"
+            f"path = {str(self.DATA / 'make_cli_golden.py')!r}\n"
+            "spec = importlib.util.spec_from_file_location('make_cli_golden', path)\n"
+            "gen = importlib.util.module_from_spec(spec)\n"
+            "spec.loader.exec_module(gen)\n"
+            "record = gen.record('fit_sa')\n"
+            "loaded = [name for name in sys.modules if name.split('.')[0] == 'scipy']\n"
+            "try:\n"
+            "    import scipy.special\n"
+            "    blocked = False\n"
+            "except ImportError:\n"
+            "    blocked = True\n"
+            "print(json.dumps({'record': record, 'scipy': loaded, 'blocked': blocked}))\n")
+        golden = json.loads((self.DATA / "cli_golden.json").read_text(encoding="utf-8"))
+        assert seen == {"record": golden["fit_sa"], "scipy": [], "blocked": True}
+
+    def test_build_box_leaves_scipy_special_unloaded(self):
+        seen = run_fresh(
+            "import json, sys\n"
+            "from mslogistic.cli import ingest_csv\n"
+            "from mslogistic.fit_sa import build_box\n"
+            f"box = build_box(ingest_csv({str(self.DATA / 'epidemic_shaped.csv')!r}), 3)\n"
+            "print(json.dumps({'intervals': len(box.beta_intervals),\n"
+            "                  'scipy.special': 'scipy.special' in sys.modules}))\n")
+        assert seen == {"intervals": 3, "scipy.special": False}

@@ -1,8 +1,9 @@
-"""The special functions against scipy, and where scipy gets loaded.
+"""The special functions against their oracles, and where scipy gets loaded.
 
-``scipy.special`` is the oracle: the ``ndtri`` and ``expit`` ports must return
-the same doubles, bit for bit, on a fixed seeded sample.  ``ndtr`` is libm's
-``erfc``, bit for bit, and close to scipy's.
+``scipy.special`` is the oracle of the ``ndtri`` and ``expit`` ports: they must
+return the same doubles, bit for bit, on a fixed seeded sample.  ``ndtr`` is libm's
+``erfc``, bit for bit, and close to scipy's.  ``stdtrit`` is held to 50-digit mpmath
+quantiles recorded by ``tests/data/make_stdtrit_golden.py``, and to its properties.
 """
 
 import ast
@@ -14,13 +15,17 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 import scipy.special as sc
+from hypothesis import example, given, settings, strategies as st
 
 import mslogistic
-from mslogistic._special import expit, ndtr, ndtri
+from mslogistic._special import expit, ndtr, ndtri, stdtrit
+from mslogistic.fit_sa import BOX_CONFIDENCE
 
 PACKAGE_DIR = Path(mslogistic.__file__).parent
 FIXTURE = Path(__file__).parent / "data" / "epidemic_shaped.csv"
+STDTRIT_GOLDEN = Path(__file__).parent / "data" / "stdtrit_golden.json"
 
 
 def assert_bitwise(got, want):
@@ -107,6 +112,101 @@ class TestExpit:
         assert type(expit(-710.0)) is float and expit(-710.0) == 0.0
         assert expit(np.ones((3, 2, 1))).shape == (3, 2, 1)
         assert expit(np.empty((0, 2))).shape == (0, 2)
+
+
+def ulps_apart(a: float, b: float) -> int:
+    """Doubles between two finite doubles of one sign, counting one end."""
+    return abs(int(np.float64(a).view(np.int64)) - int(np.float64(b).view(np.int64)))
+
+
+# stdtrit against 50-digit mpmath on 3,000 random (df, p) pairs: at most 5 ulps off where
+# q = min(p, 1 - p) is a normal double, and 126 where it is subnormal (a relative 3e-14)
+SLACK = 16 * 2.0**-52
+DF = st.one_of(st.integers(1, 40), st.integers(1, 10**7), st.integers(1, 2**80))
+P = st.floats(0.0, 1.0)
+
+
+class TestStdtrit:
+    def test_within_two_ulps_of_the_recorded_quantiles(self):
+        golden = json.loads(STDTRIT_GOLDEN.read_text(encoding="utf-8"))
+        assert golden["level"] == 0.5 + BOX_CONFIDENCE / 2.0 and golden["digits"] == 50
+        dofs = [df for df, _ in golden["quantiles"]]
+        assert dofs == [*range(1, 10**4 + 1), 10**5, 10**6, 10**7]
+        off = {df: ulps_apart(stdtrit(df, golden["level"]), t) for df, t in golden["quantiles"]}
+        assert max(off.values()) <= 2, {df: n for df, n in off.items() if n > 2}
+
+    def test_closed_forms_and_scalars(self):
+        q = 1.0 - (0.5 + BOX_CONFIDENCE / 2.0)
+        assert stdtrit(1, 1.0 - q) == 1.0 / math.tan(math.pi * q)
+        assert stdtrit(2, 1.0 - q) == (1.0 - 2.0 * q) / math.sqrt(2.0 * q * (1.0 - q))
+        assert type(stdtrit(np.int64(5), np.float64(0.9))) is float
+        assert stdtrit(np.int64(5), 0.9) == stdtrit(5, 0.9)
+
+    @settings(deadline=None)
+    @given(df=DF)
+    @example(df=1)
+    @example(df=2)
+    def test_median_and_ends(self, df):
+        assert stdtrit(df, 0.5) == 0.0 and math.copysign(1.0, stdtrit(df, 0.5)) == 1.0
+        assert stdtrit(df, 0.0) == -math.inf and stdtrit(df, 1.0) == math.inf
+
+    @settings(deadline=None)
+    @given(df=DF, p=st.floats(0.5, 1.0))
+    @example(df=1, p=1.0 - 2.0**-53)
+    @example(df=2, p=0.5 + 2.0**-53)
+    @example(df=3, p=np.nextafter(1.0, 0.0))
+    def test_odd_where_one_minus_p_is_exact(self, df, p):
+        assert stdtrit(df, 1.0 - p) == -stdtrit(df, p)  # 1 - p is exact for p in [1/2, 1]
+
+    @settings(deadline=None)
+    @given(df=DF, p=P)
+    @example(df=1, p=5e-324)
+    @example(df=2, p=5e-324)
+    @example(df=3, p=1.0 - 2.0**-53)
+    def test_finite_inside_the_range(self, df, p):
+        t = stdtrit(df, p)
+        if 0.0 < p < 1.0:
+            # the Cauchy quantile 1/tan(pi q) leaves the double range below q = 1.8e-309
+            assert math.isfinite(t) or (df == 1 and min(p, 1.0 - p) < 1.8e-309)
+            assert (t > 0) == (p > 0.5) and (t < 0) == (p < 0.5)
+
+    @settings(deadline=None)
+    @given(df=DF, ps=st.tuples(P, P).map(sorted))
+    @example(df=1, ps=[0.25, 0.75])
+    @example(df=2, ps=[0.0, 2.0**-1074])
+    @example(df=1, ps=[1.0 - 2.0**-53, 1.0])
+    def test_increasing_in_p(self, df, ps):
+        lo, hi = (stdtrit(df, p) for p in ps)
+        assert lo <= hi or math.isclose(lo, hi, rel_tol=SLACK)
+
+    @settings(deadline=None)
+    @given(dfs=st.tuples(DF, DF).map(sorted), p=st.floats(0.5, 1.0, exclude_min=True,
+                                                          exclude_max=True))
+    @example(dfs=[1, 2], p=0.9995)
+    @example(dfs=[2, 3], p=1.0 - 2.0**-53)
+    @example(dfs=[1, 2**80], p=0.5 + 2.0**-53)
+    def test_decreasing_in_df_towards_the_normal_quantile(self, dfs, p):
+        few, many = (stdtrit(df, p) for df in dfs)
+        z = ndtri(p)
+        assert many <= few or math.isclose(few, many, rel_tol=SLACK)
+        assert z <= many or math.isclose(many, z, rel_tol=SLACK)
+        if dfs[1] >= 1000:  # twice the first Cornish-Fisher term bounds the distance there
+            assert many - z <= (z**3 + z) / (2 * dfs[1]) + SLACK * z
+
+    @pytest.mark.parametrize("df", [0, -1, 2.0, 2.5, "3", None, math.inf])
+    def test_refuses_a_df_that_is_not_a_positive_integer(self, df):
+        with pytest.raises(ValueError, match="integer df >= 1"):
+            stdtrit(df, 0.9)
+
+    @settings(deadline=None)
+    @given(df=DF, p=st.one_of(st.just(math.nan), st.floats(max_value=-1e-300),
+                              st.floats(min_value=1.0, exclude_min=True)))
+    @example(df=1, p=math.nan)
+    @example(df=2, p=-0.0 - 2.0**-1074)
+    @example(df=2, p=np.nextafter(1.0, 2.0))
+    def test_refuses_a_p_outside_the_unit_interval(self, df, p):
+        with pytest.raises(ValueError, match=r"p in \[0, 1\]"):
+            stdtrit(df, p)
 
 
 def import_time_modules(tree: ast.Module):
