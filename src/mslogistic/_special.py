@@ -166,7 +166,8 @@ def stdtrit(df, p) -> float:
         f = 1.0 / functools.reduce(lambda v, a: 1.0 + a / v, reversed(kz), 1.0)
         if q < 0.25:  # log P(T > t) = log(w x) falls by nu s / ((1 + s) f) per unit of log t
             x = g / 2 / math.sqrt(s) * f
-            r = w * x / q if q > 1e-300 else 0.0  # P(T > t)/q, 0 or inf when far off
+            # P(T > t)/q, 0 or inf when far off; w / q keeps a subnormal q's digits
+            r = w / q * x if w >= 2.2250738585072014e-308 else 0.0  # subnormal w: sum the logs
             step = (math.log(r) if 0.0 < r < math.inf else (1 - nu) / 2 * math.log1p(s)
                     + math.log(x) - math.log(q)) * (1 + s) * f / (nu * s)
         else:  # P(0 < T < t) = w g f nu sqrt(s) / (2 (1 + s)) rises f times slower

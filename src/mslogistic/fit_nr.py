@@ -101,11 +101,8 @@ def usable_saturation_pairs(panel: PathPanel):
 
     Returns the kept pairs ``(t_shifted, ratio)`` among ``j = 1..N-1``.
     """
-    grid = panel.common_grid()
-    if grid is None:
-        raise FitError("saturation regression needs a common observation grid")
-    t = grid - grid[0]
-    m = panel.pointwise_mean
+    m = panel.pointwise_mean  # ValueError on a ragged panel
+    t = panel.common_grid() - panel.t0
     ratio = m[-1] / m[:-1] - 1.0
     if panel.d > 1:
         sd_m = panel.pointwise_sd / math.sqrt(panel.d)
@@ -145,16 +142,13 @@ def initial_sigma2(panel: PathPanel) -> float:
 
     ``2 log(m_j / m^g_j)`` estimates ``sigma1sq + sigma2 (t_j - t0)``; the
     slope of its recentred regression on ``t_j - t0`` estimates sigma2.
-    Needs at least two paths (arithmetic and geometric means must differ).
+    Needs at least two paths (arithmetic and geometric means must differ) on one grid.
     """
     if panel.d < 2:
         raise FitError("sigma2 starting value needs at least two paths")
-    grid = panel.common_grid()
-    if grid is None:
-        raise FitError("sigma2 starting value needs a common observation grid")
-    sigma1sq_hat = fit_initial(transform(panel)).sigma1sq
     proxy = 2.0 * np.log(panel.pointwise_mean / panel.pointwise_geometric_mean)
-    x = grid - grid[0]
+    sigma1sq_hat = fit_initial(transform(panel)).sigma1sq
+    x = panel.common_grid() - panel.t0
     slope = float(np.dot(x, proxy - sigma1sq_hat) / np.dot(x, x))
     return max(slope, SIGMA2_FLOOR)
 
@@ -225,7 +219,8 @@ def fit(
 
     ``init`` optionally overrides the regression start ``theta0 = (eta, beta_1..beta_p)``
     and must hold those p + 1 values; sigma2 needs no start, as its closed-form
-    root eliminates it.  A bad ``init``, ``tol``, ``max_iter`` or degree raises ValueError.
+    root eliminates it.  A bad ``init``, ``tol``, ``max_iter`` or degree raises ValueError,
+    as does a ragged panel with no ``init`` (the regression start reads the pointwise mean).
     Non-convergence is reported, not raised: the best iterate reached is
     returned with ``converged=False`` and the residual trace attached.
     """

@@ -175,20 +175,16 @@ def _pilot_temperature(rng, vdata, lower, upper, sched: SaSchedule) -> float:
     return -float(np.mean(increases)) / math.log(sched.p0)
 
 
-def _run_lockstep(vdata, box: ParamBox, sched: SaSchedule, t0_temp: float,
+def _run_lockstep(vdata, lower, upper, width, sched: SaSchedule, t0_temp: float,
                   uphill_log: list | None):
     """All replications in lockstep; returns best vectors, objectives and stop reasons.
 
-    Every piece of state is indexed by replication.  ``active`` lists the running
-    replications in order, and row ``i`` of a step's candidates is ``active[i]``'s.
+    Candidates lie between the nudged corners ``lower`` and ``upper``; radii scale with
+    ``width``.  State is indexed by replication: ``active`` lists the running ones in
+    order, and row ``i`` of a step's candidates is ``active[i]``'s.
     """
     n_rep, chain = sched.replications, sched.chain_length
     rngs = [np.random.default_rng((sched.seed, rep)) for rep in range(n_rep)]
-    lower, upper = box.lower, box.upper
-    width = upper - lower
-    eps = 1e-12 * width
-    lower = lower + eps          # keep the open sigma2 endpoint strictly positive
-    upper = upper - eps
     _check_rows(np.array([lower, upper]))      # every candidate lies between these corners
     ws, n = _Workspace(vdata, n_rep), width.size
 
@@ -262,10 +258,11 @@ def anneal(panel: PathPanel, p: int, box: ParamBox | None = None,
 
     vdata = transform(panel)
     pilot_rng = np.random.default_rng((sched.seed, 0x9E3779B9))
-    t0_temp = _pilot_temperature(pilot_rng, vdata, box.lower + 1e-12 * (box.upper - box.lower),
-                                 box.upper, sched)
+    width = box.upper - box.lower  # the nudge keeps the open sigma2 endpoint strictly positive
+    lower, upper = box.lower + 1e-12 * width, box.upper - 1e-12 * width
+    t0_temp = _pilot_temperature(pilot_rng, vdata, lower, box.upper, sched)
 
-    best, f_best, stops = _run_lockstep(vdata, box, sched, t0_temp, uphill_log)
+    best, f_best, stops = _run_lockstep(vdata, lower, upper, width, sched, t0_temp, uphill_log)
     return SaResult(
         xi_hat=ModelParams.from_vector(np.mean(best, axis=0)),
         per_replication=tuple((ModelParams.from_vector(vec), f)

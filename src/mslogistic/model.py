@@ -8,7 +8,8 @@ where ``Q(t) = sum_i beta_i t^i`` is a polynomial with no constant term.  When
 the leading coefficient is positive the curve saturates at the carrying
 capacity ``l0 * (eta + exp(-Q(t0))) / eta`` and, depending on the lower-order
 coefficients, may go through several growth waves (hence several inflection
-points) on the way there.
+points, which :func:`inflection_points` locates to the resolution of the
+doubles) on the way there.
 
 The stochastic counterpart multiplies the relative growth rate into the drift
 of a lognormal diffusion: ``dX = h(t) X dt + sigma X dW`` with
@@ -47,7 +48,6 @@ __all__ = [
 ]
 
 INFLECTION_SCAN_POINTS = 2000   # bracketing subintervals of the inflection scan
-INFLECTION_WIDTH_TOL = 1e-12    # bisection stops at an interval this wide
 
 
 @dataclass(frozen=True)
@@ -87,9 +87,7 @@ class PolyCoeffs:
     def deriv2(self, t):
         """Second derivative of the polynomial."""
         coeffs = [i * (i - 1) * b for i, b in enumerate(self.beta, start=1)]
-        if len(coeffs) <= 1:
-            return np.zeros_like(np.asarray(t, dtype=float))
-        return np.polyval(list(reversed(coeffs[1:])), t)
+        return np.polyval(list(reversed(coeffs[1:])), t)  # no coefficients: zeros of t's shape
 
 
 @dataclass(frozen=True)
@@ -304,11 +302,10 @@ def inflection_points(params: ModelParams, t0: float, t_max: float,
                       l0: float = 1.0) -> InflectionSet:
     """Locate curvature sign changes of :func:`curve` on ``(t0, t_max)``.
 
-    A uniform bracketing scan (:data:`INFLECTION_SCAN_POINTS` subintervals) is
-    followed by bisection down to an interval of width :data:`INFLECTION_WIDTH_TOL`,
-    or until the midpoint falls on an end (times too large for that width).
-    A root is found where the residual changes sign between scan points or
-    is exactly zero at one; a residual that is not finite brackets no root.
+    A uniform scan (:data:`INFLECTION_SCAN_POINTS` subintervals) brackets the sign
+    changes, and one bisection halves all brackets together until each midpoint is an
+    end of its bracket.  A residual exactly zero at a scan point inside ``(t0, t_max)``
+    is a root too; a residual that is not finite brackets no root.
     """
     if not (t_max > t0 and math.isfinite(t_max - t0)):
         raise ValueError("t_max must exceed t0 by a finite span")
@@ -316,24 +313,17 @@ def inflection_points(params: ModelParams, t0: float, t_max: float,
     res = _inflection_residual(params, grid)
     res[~np.isfinite(res)] = np.nan  # compares false: neither zero nor a sign change
 
-    roots: list[float] = []
-    for k in range(INFLECTION_SCAN_POINTS):
-        a, b = grid[k], grid[k + 1]
-        fa, fb = res[k], res[k + 1]
-        if fa == 0.0 and a > t0:
-            roots.append(float(a))
-            continue
-        if fa * fb < 0.0:
-            m = 0.5 * a + 0.5 * b  # = 0.5 * (a + b), which overflows near the double max
-            while b - a > INFLECTION_WIDTH_TOL and a < m < b:
-                fm = _inflection_residual(params, m)
-                if fa * fm <= 0.0:
-                    b = m
-                else:
-                    a, fa = m, fm
-                m = 0.5 * a + 0.5 * b
-            roots.append(m)
+    zeros = grid[:-1][(res[:-1] == 0.0) & (grid[:-1] > t0)]
+    k = np.flatnonzero(res[:-1] * res[1:] < 0.0)
+    a, b, fa = grid[k], grid[k + 1], res[k]
+    m = 0.5 * a + 0.5 * b  # = 0.5 * (a + b), which overflows near the double max
+    while (live := (a < m) & (m < b)).any():  # a bracket whose midpoint is an end is done
+        fm = _inflection_residual(params, m)
+        left = fa * fm <= 0.0  # False for a NaN residual, which moves the left end
+        b = np.where(live & left, m, b)
+        a, fa = np.where(live & ~left, m, a), np.where(live & ~left, fm, fa)
+        m = 0.5 * a + 0.5 * b
 
-    roots = sorted(set(roots))
+    roots = np.unique(np.concatenate((zeros, m))).tolist()
     values = tuple(float(curve(params, l0, t0, r)) for r in roots)
     return InflectionSet(times=tuple(roots), values=values)

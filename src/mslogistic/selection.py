@@ -162,10 +162,8 @@ def dra_curve(panel: PathPanel, xi: ModelParams, init: LognormalStart):
     (floored); the fitted law propagates the log-moments of the initial law
     ``init`` with the integrated drift and ``sigma2 (t - t0)``.
     """
-    grid = panel.common_grid()
-    if grid is None:
-        raise ValueError("distance curve needs a common observation grid")
     m, g = panel.pointwise_mean[1:], panel.pointwise_geometric_mean[1:]
+    grid = panel.common_grid()
     t0, times = grid[0], grid[1:]
     mu_c, var_c = np.log(g), np.maximum(2.0 * np.log(m / g), VARIANCE_FLOOR)
     mu_s = init.mu1 + np.asarray(integrated_drift(xi, 0.0, times - t0))

@@ -18,6 +18,7 @@ exists until :attr:`PathPanel.paths` is read.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -297,8 +298,9 @@ def simulate_panel(spec: SimSpec) -> PathPanel:
     # draws are multiples of 2**-53, so this lifts only exact zeros (ndtri(0) = -inf)
     np.maximum(z, 0.5 / 2**53, out=z)
     ndtri = _special.ndtri
-    if z.size > NDTRI_PORT_MAX:
-        from scipy.special import ndtri  # same doubles; costly import, paid only here
+    if z.size > NDTRI_PORT_MAX:  # same doubles; a costly import, paid only here
+        with contextlib.suppress(ImportError):  # without scipy the port serves, about 10x slower
+            from scipy.special import ndtri
     ndtri(z, out=z)
 
     incr = rows[:, 1:]

@@ -205,6 +205,8 @@ class TestConfidenceIntervals:
         report = confidence_intervals(fi, xi, levels=(0.95,),
                                       functions={"log_eta": (math.log(2.0), np.array([0.5, 0.0, 0.0]))})
         assert report["log_eta"].std_error == pytest.approx(0.1, rel=1e-12)
+        with pytest.raises(KeyError):
+            report["eta_squared"]
 
     def test_case1_interval_contains_truth_at_calibrated_width(self, case1_params):
         # the Wald SE for eta at this design is ~0.0024, which matches the
@@ -236,6 +238,10 @@ class TestInitialParamLaws:
     def test_needs_two_paths(self):
         with pytest.raises(ValueError):
             initial_param_laws(1, 0.5)
+
+    def test_needs_a_positive_variance(self):
+        with pytest.raises(ValueError, match="sigma1sq must be positive"):
+            initial_param_laws(3, 0.0)
 
     def test_monte_carlo_moments(self):
         # 10^4 replications of the initial fit on d=10 lognormal starts

@@ -337,6 +337,22 @@ class TestMainEntry:
                                  "regression points for degree 1000 (need 1002)")
         assert not (tmp_path / "o").exists()
 
+    def test_unknown_command_is_a_config_error(self, tmp_path):
+        with pytest.raises(ConfigError, match="unknown command 'nope'"):
+            run("nope", {}, out_dir=tmp_path)
+
+    def test_singular_information_reports_null_intervals(self, tmp_path, monkeypatch):
+        def singular(*args, **kwargs):
+            raise cli.SingularInformationError("the information matrix is singular")
+
+        monkeypatch.setattr(cli, "confidence_intervals", singular)
+        results = load_report(run("fit", {"data": str(FIXTURE), "degree": 3},
+                                  out_dir=tmp_path).parent)["results"]
+        assert results["confidence_intervals"] is None
+        assert results["confidence_intervals_error"] == "the information matrix is singular"
+        assert len(results["estimates"]["beta"]) == 3
+        assert_strict_reports(tmp_path)
+
     def test_invalid_json_exit_code(self, tmp_path):
         bad = tmp_path / "broken.json"
         bad.write_text("{not json", encoding="utf-8")

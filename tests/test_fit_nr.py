@@ -29,7 +29,9 @@ from mslogistic.fit_nr import (
     usable_saturation_pairs,
 )
 from mslogistic.fit_sa import SaSchedule, anneal, build_box
-from mslogistic.selection import select_degree
+from mslogistic.model import LognormalStart
+from mslogistic.selection import dra_curve, select_degree
+from mslogistic.simulate import SamplePath
 
 from conftest import make_case1_panel
 
@@ -155,6 +157,41 @@ class TestSigma2Root:
             s2 = sigma2_root(s, n)
             resid = s2 * (n + 0.25 * s2 * z3) - k
             assert abs(resid) <= 1e-10 * max(1.0, k)
+
+    def test_refuses_a_zero_z3(self):
+        class Stub:
+            z1, a, b, z3 = 1.0, 0.0, 0.0, 0.0
+        with pytest.raises(ValueError, match="z3 must be positive"):
+            sigma2_root(Stub(), 100)
+
+    def test_refuses_a_negative_sum_of_squares(self):
+        class Stub:  # z1 + a - 2b = -1, far below the rounding slack of 1e-12
+            z1, a, b, z3 = 1.0, 0.0, 1.0, 50.0
+        with pytest.raises(FitError, match=r"sum-of-squares aggregate is negative \(-1\.0\)"):
+            sigma2_root(Stub(), 100)
+
+
+class TestRaggedPanel:
+    """Every stage that reads the cross-sectional moments refuses a ragged panel in one way."""
+
+    PANEL = PathPanel((SamplePath([0.0, 1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 3.5, 4.5, 5.0]),
+                       SamplePath([0.0, 1.5, 3.0, 4.0], [1.0, 2.5, 4.0, 5.5]),
+                       SamplePath([0.0, 2.0, 4.0], [1.0, 3.0, 5.0])))
+    XI = ModelParams(eta=0.5, poly=PolyCoeffs((0.5,)), sigma2=0.01)
+    STAGES = {
+        "fit": lambda panel: fit(panel, 1),
+        "initial_theta": lambda panel: initial_theta(panel, 1),
+        "initial_sigma2": initial_sigma2,
+        "build_box": lambda panel: build_box(panel, 1),
+        "select_degree": lambda panel: select_degree(panel, [1, 2]),
+        "dra_curve": lambda panel: dra_curve(panel, TestRaggedPanel.XI, LognormalStart(0.0, 0.1)),
+    }
+
+    @pytest.mark.parametrize("stage", sorted(STAGES))
+    def test_refused_by_the_panel(self, stage):
+        assert self.PANEL.common_grid() is None
+        with pytest.raises(ValueError, match="paths are not on a common grid"):
+            self.STAGES[stage](self.PANEL)
 
 
 class TestSystemResidual:

@@ -513,6 +513,11 @@ class TestNegCoreLoglik:
         with pytest.raises(ValueError):
             neg_core_loglik(vdata, rows)
 
+    def test_rows_without_a_beta_rejected(self):
+        vdata = transform(random_panel(np.random.default_rng(9), d=2))
+        with pytest.raises(ValueError, match=r"need a \(K, p\+2\) parameter matrix, got shape \(2, 2\)"):
+            neg_core_loglik(vdata, np.ones((2, 2)))
+
 
 class TestGradient:
     @staticmethod
@@ -545,3 +550,8 @@ class TestGradient:
             scale = np.maximum(np.abs(g), 1e-6 * np.max(np.abs(g)) + 1e-12)
             worst = max(worst, float(np.max(np.abs(g - fd) / scale)))
         assert worst < 1e-6
+
+    def test_needs_a_positive_sigma2(self):
+        vdata = transform(random_panel(np.random.default_rng(9), d=2))
+        with pytest.raises(ValueError, match="sigma2 must be positive, got 0.0"):
+            grad_loglik(vdata, dataclasses.replace(CASE1, sigma2=0.0))

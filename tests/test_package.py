@@ -5,6 +5,7 @@ so importing it loads no numpy; the ``msl`` module runs OpenBLAS on one
 thread unless ``OPENBLAS_NUM_THREADS`` is already set.
 """
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -124,22 +125,24 @@ class TestBlasThreads:
         assert run_fresh(self.SCRIPT, OPENBLAS_NUM_THREADS="2")["threads"] == "2"
 
 
+# makes every import of scipy or of a scipy submodule raise ImportError
+NO_SCIPY = (
+    "import sys\n"
+    "class NoScipy:\n"
+    "    def find_spec(self, name, path=None, target=None):\n"
+    "        if name == 'scipy' or name.startswith('scipy.'):\n"
+    "            raise ImportError(f'{name} is blocked')\n"
+    "sys.meta_path.insert(0, NoScipy())\n"
+)
+
+
 class TestAnnealingWithoutScipy:
     DATA = Path(__file__).parent / "data"
-    # makes every import of scipy or of a scipy submodule raise ImportError
-    BLOCKER = (
-        "import sys\n"
-        "class NoScipy:\n"
-        "    def find_spec(self, name, path=None, target=None):\n"
-        "        if name == 'scipy' or name.startswith('scipy.'):\n"
-        "            raise ImportError(f'{name} is blocked')\n"
-        "sys.meta_path.insert(0, NoScipy())\n"
-    )
 
     def test_sa_fit_runs_and_matches_its_golden_with_scipy_blocked(self):
         # make_cli_golden.record runs `msl fit --method sa` through mslogistic.cli.main
         seen = run_fresh(
-            self.BLOCKER
+            NO_SCIPY
             + "import importlib.util, json\n"
             f"path = {str(self.DATA / 'make_cli_golden.py')!r}\n"
             "spec = importlib.util.spec_from_file_location('make_cli_golden', path)\n"
@@ -165,3 +168,24 @@ class TestAnnealingWithoutScipy:
             "print(json.dumps({'intervals': len(box.beta_intervals),\n"
             "                  'scipy.special': 'scipy.special' in sys.modules}))\n")
         assert seen == {"intervals": 3, "scipy.special": False}
+
+
+class TestSimulationWithoutScipy:
+    @staticmethod
+    def simulate(out: Path) -> str:
+        """The README's simulation with 2,100 paths (1,050,000 draws, past NDTRI_PORT_MAX)."""
+        return (
+            "import json, sys\n"
+            "import numpy as np\n"
+            "from mslogistic import Degenerate, ModelParams, PolyCoeffs, SimSpec, simulate_panel\n"
+            "spec = SimSpec(ModelParams(0.3679, PolyCoeffs((0.1, -0.009, 0.0002)), 1e-4),\n"
+            "               Degenerate(5.0), np.linspace(0.0, 50.0, 501), 2100, 1)\n"
+            f"np.save({str(out)!r}, simulate_panel(spec).values_matrix())\n"
+            "print(json.dumps([name for name in sys.modules if name.split('.')[0] == 'scipy']))\n")
+
+    def test_large_panel_without_scipy_equals_the_scipy_one(self, tmp_path):
+        blocked, free = tmp_path / "blocked.npy", tmp_path / "free.npy"
+        assert run_fresh(NO_SCIPY + self.simulate(blocked)) == []
+        loaded = run_fresh(self.simulate(free))
+        assert ("scipy.special" in loaded) == (importlib.util.find_spec("scipy") is not None)
+        assert blocked.read_bytes() == free.read_bytes()  # same header, same doubles

@@ -104,6 +104,8 @@ class TestDivergences:
     def test_arrays_are_checked(self):
         with pytest.raises(ValueError, match="variances"):
             kl_divergence(np.zeros(3), np.array([1.0, 0.0, 1.0]), 0.0, 1.0)
+        with pytest.raises(ValueError, match="the means must differ by a number, not NaN"):
+            kl_divergence(np.array([0.0, math.nan]), 1.0, 0.0, 1.0)
         with pytest.raises(ValueError, match="nonnegative"):
             resistor_average(np.array([0.1, -0.1]), 0.2)
 
@@ -311,6 +313,23 @@ class TestConvergencePolicy:
         assert not report[3].converged and report[4].converged
         assert report.failures == ((3, "the degree-3 fit did not converge"),)
         assert report.chosen_p == 4
+
+    def test_degree_with_non_finite_log_likelihood_is_listed_and_not_kept(self, case1_params):
+        # sigma2 = 5e-324 divides the squared residuals into inf: the log-likelihood is -inf
+        panel = make_case1_panel(case1_params, seed=79, d=30, n_points=61)
+
+        def fitter(pnl, p):
+            res = fit(pnl, p)
+            if p == 2:
+                res = dataclasses.replace(res, xi_hat=dataclasses.replace(res.xi_hat,
+                                                                          sigma2=5e-324))
+            return res
+
+        report = select_degree(panel, [2, 3], fitter=fitter)
+        assert report.failures == ((2, "non-finite log-likelihood at the degree-2 fit"),)
+        assert [e.p for e in report.per_degree] == [3] and report.chosen_p == 3
+        with pytest.raises(KeyError):
+            report[2]
 
     def test_no_converged_degree_raises(self, case1_params):
         from mslogistic.fit_nr import FitError

@@ -506,6 +506,10 @@ class TestValidation:
         with pytest.raises(ValueError, match=message):
             PathPanel.from_matrix(times, values)
 
+    def test_panel_of_no_paths(self):
+        with pytest.raises(ValueError, match="panel needs at least one path"):
+            PathPanel(())
+
     @pytest.mark.parametrize("times, values, message", [
         ([0.0, 1.0], [1.0, 2.0, 3.0], "times and values must be 1-d arrays of equal length"),
         ([[0.0, 1.0]], [[1.0, 2.0]], "times and values must be 1-d arrays of equal length"),

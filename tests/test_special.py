@@ -3,7 +3,8 @@
 ``scipy.special`` is the oracle of the ``ndtri`` and ``expit`` ports: they must
 return the same doubles, bit for bit, on a fixed seeded sample.  ``ndtr`` is libm's
 ``erfc``, bit for bit, and close to scipy's.  ``stdtrit`` is held to 50-digit mpmath
-quantiles recorded by ``tests/data/make_stdtrit_golden.py``, and to its properties.
+quantiles recorded by ``tests/data/make_stdtrit_golden.py``, to 60-digit roots at subnormal
+tails, and to its properties.  mpmath comes with sympy, a test extra.
 """
 
 import ast
@@ -14,6 +15,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 import scipy.special as sc
@@ -120,7 +122,7 @@ def ulps_apart(a: float, b: float) -> int:
 
 
 # stdtrit against 50-digit mpmath on 3,000 random (df, p) pairs: at most 5 ulps off where
-# q = min(p, 1 - p) is a normal double, and 126 where it is subnormal (a relative 3e-14)
+# q = min(p, 1 - p) is a normal double, and at most 24 on 154 cases where it is subnormal
 SLACK = 16 * 2.0**-52
 DF = st.one_of(st.integers(1, 40), st.integers(1, 10**7), st.integers(1, 2**80))
 P = st.floats(0.0, 1.0)
@@ -192,6 +194,21 @@ class TestStdtrit:
         assert z <= many or math.isclose(many, z, rel_tol=SLACK)
         if dfs[1] >= 1000:  # twice the first Cornish-Fisher term bounds the distance there
             assert many - z <= (z**3 + z) / (2 * dfs[1]) + SLACK * z
+
+    # q subnormal: w / q keeps q's digits (113 and 107 ulps off when the logs were summed);
+    # at (38, 5e-324) w is subnormal too and the logs are summed (7 ulps; w / q gave 7,580)
+    @pytest.mark.parametrize("df, q, slack", [(4, 8.72e-320, 2), (8, 2.14e-313, 2),
+                                              (38, 5e-324, 16)])
+    def test_subnormal_tail_near_mpmath(self, df, q, slack):
+        # the root in log t of log P(T > t) = log q, at 60 digits, by the secant method from
+        # the tail's leading term P(T > t) ~ (df / t^2)^(df/2) / (df B(df/2, 1/2))
+        with mp.workdps(60):
+            nu, q_mp = mp.mpf(df), mp.mpf(q)
+            tail = lambda u: mp.log(mp.betainc(nu / 2, 0.5, 0, nu / (nu + mp.exp(2 * u)),
+                                               regularized=True) / 2 / q_mp)
+            u0 = mp.log(mp.sqrt(nu)) - mp.log(q_mp * nu * mp.beta(nu / 2, 0.5)) / nu
+            want = -float(mp.exp(mp.findroot(tail, (u0, u0 + mp.mpf(10) ** -3), solver="secant")))
+        assert ulps_apart(stdtrit(df, q), want) <= slack
 
     @pytest.mark.parametrize("df", [0, -1, 2.0, 2.5, "3", None, math.inf])
     def test_refuses_a_df_that_is_not_a_positive_integer(self, df):
