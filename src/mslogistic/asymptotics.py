@@ -8,8 +8,7 @@ The transitions are Gaussian in the standardized increments with mean
                         [ -(1/2) s^T,    n/(2 sigma2) + z3/4 ]]
 
 with ``Xi = sum (1/dt) (dm/dtheta)(dm/dtheta)^T`` and ``s = sum dm/dtheta``
-over transitions.  The derivative vector uses the telescoping differences with
-their true signs (+ for the eta direction, - for the beta directions).
+over transitions: the likelihood's ``LikelihoodStats.gram`` and ``w``.
 
 Asymptotically ``xi_hat ~ N(xi, I(xi)^{-1})``; intervals for the parameters
 are Wald intervals, and intervals for a smooth function g of the parameters
@@ -27,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._special import ndtri
-from .likelihood import VData, compute_stats, direction_signs
+from .likelihood import VData, compute_stats
 from .model import ModelParams
 
 __all__ = [
@@ -98,16 +97,9 @@ def fisher_info(vdata: VData, xi: ModelParams) -> FisherInfo:
     if not xi.sigma2 > 0:
         raise ValueError(f"the information needs sigma2 > 0, got {xi.sigma2}")
     stats = compute_stats(vdata, xi)
-    p = stats.p
-    dm = direction_signs(p)[:, None] * stats.d_g     # (p+1, G): true dm/dtheta
-    cnt, dt = vdata.g_count, vdata.g_delta
-
-    matrix = np.empty((p + 2, p + 2))
-    matrix[: p + 1, : p + 1] = (dm * (cnt / dt)) @ dm.T
-    matrix[: p + 1, p + 1] = matrix[p + 1, : p + 1] = -0.5 * (dm @ cnt)
-    matrix[p + 1, p + 1] = 0.5 * stats.n / xi.sigma2 + 0.25 * stats.z3
-    matrix /= xi.sigma2
-    return FisherInfo(matrix)
+    corner = 0.5 * stats.n / xi.sigma2 + 0.25 * stats.z3
+    return FisherInfo(np.block([[stats.gram, -0.5 * stats.w[:, None]],
+                                [-0.5 * stats.w, corner]]) / xi.sigma2)
 
 
 @dataclass(frozen=True)

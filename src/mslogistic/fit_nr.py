@@ -31,8 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .likelihood import (LikelihoodStats, VData, compute_stats, direction_signs, fit_initial,
-                         transform)
+from .likelihood import LikelihoodStats, VData, compute_stats, fit_initial, transform
 from .model import ModelParams, PolyCoeffs
 from .simulate import PathPanel, _check_count
 
@@ -169,33 +168,30 @@ def sigma2_root(stats: LikelihoodStats, n: int) -> float:
     return 2.0 * (-n + math.sqrt(n * n + stats.z3 * k)) / stats.z3
 
 
-def _theta_residual(stats: LikelihoodStats, sigma2: float) -> np.ndarray:
-    return stats.y + 0.5 * sigma2 * stats.w + stats.x
-
-
 def system_residual(vdata: VData, xi: ModelParams) -> np.ndarray:
     """The p+2 critical-point equations at ``xi``: (sigma2 equation, l = 0..p)."""
     stats = compute_stats(vdata, xi)
     s2 = xi.sigma2
     sig_eq = s2 * (stats.n + 0.25 * s2 * stats.z3) - stats.z1 - stats.a + 2.0 * stats.b
-    return np.concatenate(([sig_eq], _theta_residual(stats, s2)))
+    return np.concatenate(([sig_eq], stats.shape_score(s2)))
 
 
 def _shape_point(vdata: VData, theta: np.ndarray):
     """Shape residual at ``theta``, its exact Jacobian and the floored sigma2 root there.
 
     sigma2 is eliminated through its closed-form root, so the residual
-    ``y + sigma2/2 w + x`` reads theta through sigma2 too:
-    ``d sigma2/d theta_k = -2 s_k (y_k + x_k) / (n + sigma2 z3/2)``, which is 0
+    ``y + sigma2/2 w + x`` (:meth:`~mslogistic.likelihood.LikelihoodStats.shape_score`)
+    reads theta through sigma2 too:
+    ``d sigma2/d theta_k = -2 (y_k + x_k) / (n + sigma2 z3/2)``, which is 0
     where the root sits on the floor.
     """
     stats = compute_stats(vdata, ModelParams.from_vector(np.append(theta, 0.0)))
     root = sigma2_root(stats, stats.n)
     sigma2 = max(root, SIGMA2_FLOOR)
-    d_sigma2 = (root > SIGMA2_FLOOR) * -2.0 * direction_signs(stats.p) * (stats.y + stats.x) / (
+    d_sigma2 = (root > SIGMA2_FLOOR) * -2.0 * (stats.y + stats.x) / (
         stats.n + 0.5 * root * stats.z3)
     jac = stats.dy + 0.5 * sigma2 * stats.dw + 0.5 * np.outer(stats.w, d_sigma2) + stats.dx
-    return _theta_residual(stats, sigma2), jac, sigma2, stats
+    return stats.shape_score(sigma2), jac, sigma2, stats
 
 
 def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:

@@ -96,6 +96,7 @@ class FptProblem:
         return 0.5 * self.params.sigma2 - drift_rate(self.params, t)
 
 
+@np.errstate(over="ignore")  # a z past the double range is +-inf, whose tail is 0 or 1
 def fptl(problem: FptProblem, t):
     """Passage-location function ``P[X(t) > S | X(t0) = x0]`` for finite ``t > t0``."""
     t_arr = np.asarray(t, dtype=float)
@@ -194,7 +195,7 @@ def solve_density(problem: FptProblem, steps: np.ndarray | None = None) -> FptDe
     return _summaries(t, _volterra(problem, t))
 
 
-@np.errstate(over="ignore", invalid="ignore")  # a drift that overflows: _summaries refuses g
+@np.errstate(all="ignore")  # a drift that overflows or a variance of 0: _summaries refuses g
 def _volterra(problem: FptProblem, t: np.ndarray) -> np.ndarray:
     """The density ``g`` at the nodes of the checked grid ``t``, with ``g(t0) = 0``.
 
@@ -229,9 +230,10 @@ def _summaries(t: np.ndarray, g: np.ndarray) -> FptDensity:
     truncated-but-renormalized variances are dominated by the renormalization itself); check
     ``captured_mass`` before trusting them.  Deciles invert the cumulative renormalized to the
     captured mass; ``mass_warning`` flags horizons that truncate more than 5% of it.  A mass
-    that is not finite or not positive raises VolterraError, and so does a negative variance
-    where the density also went negative (a grid too coarse for the spread); where it did
-    not, the spread is below what the unnormalised moments resolve, and ``std`` reads 0.
+    that is not finite or not positive raises VolterraError, as do moments past the double
+    range and a negative variance where the density also went negative (a grid too coarse
+    for the spread); where it did not, the spread is below what the unnormalised moments
+    resolve, and ``std`` reads 0.
     """
     n = t.size
     negative_warning = float(g.min()) < -1e-9
@@ -249,9 +251,12 @@ def _summaries(t: np.ndarray, g: np.ndarray) -> FptDensity:
         raise VolterraError(f"no probability mass captured on the {n}-node grid up to "
                             f"t_max {t[-1]:g}; refine the grid or extend the horizon")
 
-    mean = float(np.trapezoid(t * g_clip, t))
-    second = float(np.trapezoid(t * t * g_clip, t))
-    var = second - mean * mean
+    with np.errstate(over="ignore", invalid="ignore"):  # moments past the double range
+        mean = float(np.trapezoid(t * g_clip, t))
+        second = float(np.trapezoid(t * t * g_clip, t))
+        var = second - mean * mean
+    if not math.isfinite(var):
+        raise VolterraError(f"the passage density's moments up to t_max {t[-1]:g} overflow")
     if var < 0 and negative_warning:  # an oscillating solution: the grid cannot hold the spread
         raise VolterraError(f"negative variance {var:.3g} of the passage density on the {n}-node "
                             "grid: the grid is too coarse for its spread; refine the grid")

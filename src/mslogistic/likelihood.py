@@ -13,9 +13,10 @@ reduces to a handful of aggregates over transitions, collected in
 * data-only scalars ``z1 = sum v^2``, ``z2 = sum v sqrt(dt)``, ``z3 = sum dt``;
 * the log-gap differences ``lam`` (one per time pair) and their aggregates
   ``a = sum lam^2/dt``, ``b = sum v lam/sqrt(dt)``, ``c = sum lam``;
-* per-derivative-direction aggregates ``w[l], x[l], y[l]`` built from the
-  telescoping differences ``d_l`` (see :func:`_derivative_table`), and their
-  exact derivatives in the shape ``theta = (eta, beta_1..beta_p)``.
+* per-direction aggregates ``w[l], x[l], y[l]`` of the derivatives
+  ``dlam/dtheta_l = dm/dtheta_l`` in the shape ``theta = (eta, beta_1..beta_p)``
+  (see :func:`_derivative_table`), their exact derivatives in ``theta``, and
+  the Gram matrix ``sum (dm/dtheta)(dm/dtheta)^T / dt`` of those derivatives.
 
 Transitions that share the same (start, end) time pair contribute identical
 parameter-dependent factors, so :func:`transform` reduces the panel to groups
@@ -58,7 +59,6 @@ __all__ = [
     "neg_core_loglik",
     "loglik",
     "grad_loglik",
-    "direction_signs",
 ]
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -177,11 +177,11 @@ def fit_initial(vdata: VData) -> LognormalStart:
 class LikelihoodStats:
     """Sufficient aggregates of a panel under a given growth shape ``theta``.
 
-    ``w``, ``x``, ``y`` have one entry per derivative direction
-    ``l = 0 (eta), 1..p (beta_l)``; ``d_g`` holds the telescoping derivative
-    differences per group, which :func:`~mslogistic.asymptotics.fisher_info`
-    reads.  ``dw[l, k]`` is ``d w_l / d theta_k`` in the shape
-    ``theta = (eta, beta_1..beta_p)``, and likewise ``dx`` and ``dy``.
+    With ``dm_l = dm/dtheta_l`` over a transition, in the shape
+    ``theta = (eta, beta_1..beta_p)``, the aggregates sum over transitions
+    ``w_l = sum dm_l``, ``x_l = sum v dm_l/sqrt(dt)`` and
+    ``y_l = -sum lam dm_l/dt``.  ``dw[l, k]`` is ``d w_l / d theta_k``, and
+    likewise ``dx`` and ``dy``; ``gram[l, k] = sum dm_l dm_k / dt``.
     """
 
     z1: float
@@ -193,12 +193,16 @@ class LikelihoodStats:
     w: np.ndarray            # (p+1,)
     x: np.ndarray            # (p+1,)
     y: np.ndarray            # (p+1,)
-    d_g: np.ndarray = field(repr=False)     # (p+1, G)
     dw: np.ndarray = field(repr=False)      # (p+1, p+1)
     dx: np.ndarray = field(repr=False)      # (p+1, p+1)
     dy: np.ndarray = field(repr=False)      # (p+1, p+1)
+    gram: np.ndarray = field(repr=False)    # (p+1, p+1)
     n: int = 0
     p: int = 0
+
+    def shape_score(self, sigma2: float) -> np.ndarray:
+        """``y + sigma2/2 w + x``: ``sigma2`` times the core log-likelihood's shape gradient."""
+        return self.y + 0.5 * sigma2 * self.w + self.x
 
 
 class _Workspace:
@@ -254,20 +258,19 @@ def _gap_aggregates(ws: _Workspace, log_u: np.ndarray):
 
 
 def _derivative_table(inv_u: np.ndarray, w_frac: np.ndarray, times: np.ndarray, p: int):
-    """Tables ``f_l(t)`` and ``E_j(t)``, the first and second derivatives of ``log u``.
+    """Tables ``f = -grad_theta log u`` and ``E_j(t)``, from which its derivatives follow.
 
-    With ``u = eta + e^{-Q}``, ``f_0 = -1/u`` and ``f_l = -t^l e^{-Q}/u`` for
-    ``l >= 1``; the difference ``f_l(t_hi) - f_l(t_lo)`` over a transition is
-    ``+d(lam)/d(eta)`` for ``l = 0`` and ``-d(lam)/d(beta_l)`` otherwise.
-    ``E_j = t^j e^{-Q}/u^2`` (``j = 0..2p``) gives the derivatives of ``f``:
-    ``df_0/deta = 1/u^2``, ``df_0/dbeta_k = -E_k`` but ``df_l/deta = +E_l``
-    (the two signs differ), and ``df_l/dbeta_k = eta E_{l+k}``.
+    With ``u = eta + e^{-Q}``, ``f_0 = -1/u`` and ``f_l = t^l e^{-Q}/u`` for
+    ``l >= 1``, so the difference ``f(t_hi) - f(t_lo)`` over a transition is
+    ``dlam/dtheta``.  ``E_j = t^j e^{-Q}/u^2`` (``j = 0..2p``) gives the
+    symmetric derivatives of ``f``: ``df_0/deta = 1/u^2``,
+    ``df_0/dbeta_k = df_k/deta = -E_k`` and ``df_l/dbeta_k = -eta E_{l+k}``.
     """
     tl = np.empty((2 * p + 1, times.size))
     tl[0] = 1.0
     for j in range(1, 2 * p + 1):
         np.multiply(tl[j - 1], times, out=tl[j])
-    return np.vstack((-inv_u, -tl[1:p + 1] * w_frac)), tl * (w_frac * inv_u)
+    return np.vstack((-inv_u, tl[1:p + 1] * w_frac)), tl * (w_frac * inv_u)
 
 
 def compute_stats(vdata: VData, params: ModelParams) -> LikelihoodStats:
@@ -282,7 +285,7 @@ def compute_stats(vdata: VData, params: ModelParams) -> LikelihoodStats:
     lo, hi, m = vdata.g_lo, vdata.g_hi, vdata.times.size
     inv_u = np.exp(-log_u)
     f, e = _derivative_table(inv_u, np.exp(-q - log_u), vdata.times, p)
-    d_g = f[:, hi] - f[:, lo]           # (p+1, G)
+    d_g = f[:, hi] - f[:, lo]           # (p+1, G): dlam/dtheta per group
 
     weights = (cnt, sv / ws.sqrt_dt, cnt * (-lam) / dt)
     w, x, y = (d_g @ wt for wt in weights)
@@ -291,17 +294,17 @@ def compute_stats(vdata: VData, params: ModelParams) -> LikelihoodStats:
     # + at its end and - at its start, so only (2p+1, m) E sums are formed
     on_times = np.stack([np.bincount(hi, wt, m) - np.bincount(lo, wt, m) for wt in weights])
     e_sums = e @ on_times.T                                         # (2p+1, 3)
-    jac = params.eta * e_sums[np.add.outer(np.arange(p + 1), np.arange(p + 1))]
+    jac = -params.eta * e_sums[np.add.outer(np.arange(p + 1), np.arange(p + 1))]
     jac[0, 0] = (inv_u * inv_u) @ on_times.T
-    jac[0, 1:] = -e_sums[1:p + 1]
-    jac[1:, 0] = e_sums[1:p + 1]
+    jac[0, 1:] = jac[1:, 0] = -e_sums[1:p + 1]
     dw, dx, dy = np.moveaxis(jac, 2, 0)
-    # y also reads lam, whose derivative in theta_k is s_k d_g[k]
-    dy -= (d_g * (cnt / dt)) @ d_g.T * direction_signs(p)
+    # y also reads lam, whose derivative in theta_k is d_g[k]
+    gram = (d_g * (cnt / dt)) @ d_g.T
+    dy -= gram
 
     return LikelihoodStats(
         z1=vdata.z1, z2=vdata.z2, z3=vdata.z3, a=a, b=b, c=c,
-        w=w, x=x, y=y, d_g=d_g, dw=dw, dx=dx, dy=dy, n=vdata.n, p=p,
+        w=w, x=x, y=y, dw=dw, dx=dx, dy=dy, gram=gram, n=vdata.n, p=p,
     )
 
 
@@ -371,27 +374,18 @@ def loglik(vdata: VData, alpha: LognormalStart | None, xi: ModelParams) -> float
     return value
 
 
-def direction_signs(p: int) -> np.ndarray:
-    """``(+1, -1, ..., -1)``: the telescoping difference is ``+dm/deta`` but ``-dm/dbeta_l``."""
-    signs = np.full(p + 1, -1.0)
-    signs[0] = 1.0
-    return signs
-
-
 def grad_loglik(vdata: VData, xi: ModelParams) -> np.ndarray:
     """Analytic gradient of the core log-likelihood in ``(eta, beta_1..p, sigma2)``.
 
     The shape directions reduce to the score aggregates:
-    ``dL/dtheta_l = s_l (y_l + sigma2/2 w_l + x_l) / sigma2`` with ``s_0 = +1``
-    for eta and ``s_l = -1`` for the beta directions (the telescoping
-    difference equals ``+dm/deta`` but ``-dm/dbeta_l``).
+    ``dL/dtheta = (y + sigma2/2 w + x) / sigma2`` (:meth:`LikelihoodStats.shape_score`).
     """
     sigma2 = xi.sigma2
     if sigma2 <= 0:
         raise ValueError(f"sigma2 must be positive, got {sigma2}")
     stats = compute_stats(vdata, xi)
 
-    g_theta = direction_signs(stats.p) * (stats.y + 0.5 * sigma2 * stats.w + stats.x) / sigma2
+    g_theta = stats.shape_score(sigma2) / sigma2
 
     y_xi = stats.c - 0.5 * sigma2 * stats.z3
     g_sigma2 = (

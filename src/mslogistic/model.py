@@ -212,10 +212,10 @@ def curve(params: ModelParams, l0: float, t0: float, t):
 
 @np.errstate(over="ignore")  # a level past the double range is inf
 def carrying_capacity(params: ModelParams, l0: float, t0: float) -> float:
-    """Limit of :func:`curve` as ``t -> inf``; requires a positive leading coefficient."""
+    """Limit of :func:`curve` as t -> inf (0 if l0 is 0); needs a positive leading coefficient."""
     if params.poly.beta[-1] <= 0:
         raise ValueError("carrying capacity needs a positive leading coefficient")
-    return float(l0 * np.exp(log_saturation_gap(params, t0) - math.log(params.eta)))
+    return float(l0 * np.exp(log_saturation_gap(params, t0) - math.log(params.eta)) if l0 else l0)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a rate past the double range is inf
@@ -304,8 +304,8 @@ def inflection_points(params: ModelParams, t0: float, t_max: float,
 
     A uniform scan (:data:`INFLECTION_SCAN_POINTS` subintervals) brackets the sign
     changes, and one bisection halves all brackets together until each midpoint is an
-    end of its bracket.  A residual exactly zero at a scan point inside ``(t0, t_max)``
-    is a root too; a residual that is not finite brackets no root.
+    end of its bracket.  A residual exactly zero at a scan point inside ``(t0, t_max)``,
+    between two of opposite sign, is a root too; a non-finite residual brackets no root.
     """
     if not (t_max > t0 and math.isfinite(t_max - t0)):
         raise ValueError("t_max must exceed t0 by a finite span")
@@ -313,7 +313,7 @@ def inflection_points(params: ModelParams, t0: float, t_max: float,
     res = _inflection_residual(params, grid)
     res[~np.isfinite(res)] = np.nan  # compares false: neither zero nor a sign change
 
-    zeros = grid[:-1][(res[:-1] == 0.0) & (grid[:-1] > t0)]
+    zeros = grid[1:-1][(res[1:-1] == 0.0) & (res[:-2] * res[2:] < 0.0)]
     k = np.flatnonzero(res[:-1] * res[1:] < 0.0)
     a, b, fa = grid[k], grid[k + 1], res[k]
     m = 0.5 * a + 0.5 * b  # = 0.5 * (a + b), which overflows near the double max

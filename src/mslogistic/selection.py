@@ -52,6 +52,8 @@ def rae(sample_mean_series, fitted_mean_series) -> float:
     f = np.asarray(fitted_mean_series, dtype=float)
     if m.shape != f.shape:
         raise ValueError(f"series shapes differ: {m.shape} vs {f.shape}")
+    if m.size == 0:
+        raise ValueError("the series are empty")
     if not np.all((m > 0) & (m < math.inf)):
         raise ValueError("the sample means must be positive and finite")
     return float(np.mean(np.abs(m - f) / m))

@@ -2,9 +2,10 @@
 
 Whatever the arguments, each public entry point returns, or raises one of the
 named errors below, and warns of nothing on the way (a ``RuntimeWarning``
-from numpy counts as a failure).  Arguments are drawn from two pools: floats
-anywhere in the double range, non-finite ones included, and values near the
-paper's examples, so that the calls also run past their argument checks.
+from numpy counts as a failure).  Arguments are drawn from three pools: floats
+anywhere in the double range, non-finite ones included; values near the
+paper's examples, so that the calls also run past their argument checks; and
+boundary values, so that a derandomized run reaches them too.
 """
 
 import math
@@ -43,9 +44,12 @@ def keeps_contract(call) -> None:
 
 
 def near(lo, hi):
-    """Mostly moderate values; one draw in four is any double, a NaN or an infinity included."""
+    """Mostly moderate values; one draw in five is any double, a NaN or an infinity included,
+    and one in five a boundary value, so derandomized runs reach those too."""
     moderate = st.floats(lo, hi)
-    return st.one_of(moderate, moderate, moderate, st.floats())
+    edges = st.sampled_from([lo, hi, 0.0, -0.0, 5e-324, 1.7976931348623157e308,
+                             -1.7976931348623157e308, math.inf, -math.inf, math.nan])
+    return st.one_of(moderate, moderate, moderate, st.floats(), edges)
 
 
 ETA = near(1e-3, 10.0)
@@ -215,10 +219,21 @@ EX41 = ModelParams(math.exp(-1.0), PolyCoeffs((0.1, -0.009, 0.0002)), 1e-4)
 TABLE4 = FptProblem(EX41, 5.0, 0.0, 15.0, 210.0)
 
 
+def flat_density(sigma2, t_max):
+    """The passage density from 1.0 to the level 1.5 under a constant drift (Q = 0)."""
+    return solve_density(FptProblem(ModelParams(1.0, PolyCoeffs((0.0,)), sigma2), 1.0, 0.0, 1.5,
+                                    t_max))
+
+
 @pytest.mark.parametrize("call, outcome", [
     (lambda: fptl(TABLE4, math.nan), ValueError),
     (lambda: fptl(TABLE4, math.inf), ValueError),
+    (lambda: fptl(FptProblem(ModelParams(1.0, PolyCoeffs((-1.7976931348623157e308,)), 0.03125),
+                             1.0, 0.0, 2.0, 1.0), 0.5), 0.0),  # z overflows to +inf
+    (lambda: flat_density(5e-324, 1.0), VolterraError),  # sigma2 * dt underflows to 0
+    (lambda: flat_density(2.2e-311, 1.7976931348623157e308), VolterraError),  # t * t overflows
     (lambda: carrying_capacity(EX41, 5.0, math.nan), math.isnan),
+    (lambda: carrying_capacity(ModelParams(1e-3, PolyCoeffs((-704.0, 0.5))), 0.0, 1.0), 0.0),
     (lambda: integrated_drift(EX41, 0.0, math.nan), math.isnan),
     (lambda: drift_rate(EX41, 1e200), 0.0),  # Q' overflows where the sigmoid is 0
     (lambda: kl_divergence(1e200, 1.0, -1e200, 1.0), math.inf),
@@ -230,10 +245,13 @@ TABLE4 = FptProblem(EX41, 5.0, 0.0, 15.0, 210.0)
     (lambda: resistor_average(math.inf, math.inf), math.inf),
     (lambda: resistor_average(math.inf, 5.0), 5.0),
     (lambda: rae([0.0, 1.0], [1.0, 1.0]), ValueError),
-], ids=["fptl_nan", "fptl_inf", "capacity_nan_start", "drift_nan_time", "rate_past_the_range",
+    (lambda: rae([], []), ValueError),
+], ids=["fptl_nan", "fptl_inf", "fptl_z_past_the_range", "density_variance_under_the_range",
+        "density_moments_past_the_range", "capacity_nan_start", "capacity_zero_level_past_the_range",
+        "drift_nan_time", "rate_past_the_range",
         "kl_square_past_the_range", "kl_infinite_variance", "kl_ratio_past_the_range",
         "kl_ratio_under_the_range", "kl_subnormal_ratio", "ra_both_infinite", "ra_one_infinite",
-        "rae_zero_sample_mean"])
+        "rae_zero_sample_mean", "rae_empty"])
 def test_arguments_at_the_edge_of_the_range(call, outcome):
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -212,7 +212,7 @@ class TestSystemResidual:
         assert abs(resid[0]) < 1e-10 * max(1.0, stats.z1)
 
     def test_proportional_to_gradient(self, case1_params):
-        # grad_l = sign_l * resid_{l+1} / sigma2 exactly
+        # grad_l = resid_{l+1} / sigma2 exactly: both read LikelihoodStats.shape_score
         rng = np.random.default_rng(3)
         panel = make_case1_panel(case1_params, seed=7, d=5, n_points=21)
         vdata = transform(panel)
@@ -224,8 +224,7 @@ class TestSystemResidual:
             )
             resid = system_residual(vdata, xi)
             grad = grad_loglik(vdata, xi)
-            signs = np.array([1.0, -1.0, -1.0, -1.0])
-            np.testing.assert_allclose(grad[:-1], signs * resid[1:] / xi.sigma2, rtol=1e-10)
+            np.testing.assert_array_equal(grad[:-1], resid[1:] / xi.sigma2)
 
     def test_gradient_sigma2_zero_at_root(self, case1_params):
         panel = make_case1_panel(case1_params, seed=8, d=20, n_points=51)

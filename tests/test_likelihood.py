@@ -283,13 +283,12 @@ class TestComputeStats:
         panel = random_panel(rng, d=4)
         params = random_params(rng, p=3)
         stats = compute_stats(transform(panel), params)
-        signs = np.array([1.0] + [-1.0] * params.degree)
         # per-transition double sum, and per path the one step (first, last)
         double_sum = np.zeros(params.degree + 1)
         tele = np.zeros(params.degree + 1)
         for _, _, t_a, t_b in path_transitions(panel):
-            double_sum += signs * mean_gradient(params, t_a, t_b).sum(axis=1)
-            tele += signs * mean_gradient(params, t_a[0], t_b[-1])
+            double_sum += mean_gradient(params, t_a, t_b).sum(axis=1)
+            tele += mean_gradient(params, t_a[0], t_b[-1])
         np.testing.assert_allclose(stats.w, double_sum, atol=1e-12)
         np.testing.assert_allclose(stats.w, tele, atol=1e-12)
 
@@ -309,34 +308,41 @@ class TestComputeStats:
     # first 16 hex digits of the SHA-256 of each value's float64 bytes; the
     # fixture and case-1 entries were recorded before compute_stats gained the
     # shape derivatives dw, dx and dy, the ragged and two-time-grid entries
-    # while common-grid and ragged panels had separate transforms
+    # while common-grid and ragged panels had separate transforms.  The shape
+    # entries (w, x, y, dw, dx, dy, gram) were recorded when compute_stats took
+    # the true signs of dm/dbeta: each equals the bits of the earlier array
+    # with its beta rows negated
     RECORDED_BITS = {
         "fixture": {
             "z1": "2abaec6f70fb2875", "z2": "d0db495b2d431e59", "z3": "139107fd63d004e9",
             "a": "0c48ee0aaf12e1e4", "b": "c79ff540269a5478", "c": "455fa925a861cb34",
-            "w": "0d5c4450680e6f9c", "x": "15e60892abfd2991", "y": "f25725da50cf45d4",
-            "d_g": "3fb218f9c9a573ca", "n": "139107fd63d004e9", "p": "161f4c0b1a18a050",
+            "w": "45b17aa6f89e6a77", "x": "7ad54277f0549924", "y": "58c6d396d5dfc06a",
+            "dw": "133bd172b1166cdb", "dx": "84e25c5f086d4fe0", "dy": "cc876bf4e9852e6b",
+            "gram": "bc674973231f5416", "n": "139107fd63d004e9", "p": "161f4c0b1a18a050",
             "fisher_info": "cfde987b09fb7139", "grad_loglik": "fdb423ce98a0f4e5",
             "core_loglik": "35448c95a74075de"},
         "case1": {
             "z1": "0de25a3380838f6d", "z2": "ed0e3de8ed48d5e4", "z3": "64fa92a0745fda69",
             "a": "dbe8b70223a67928", "b": "12a8cdfa9b02d41f", "c": "900c5188496bf59f",
-            "w": "760e518eda65785b", "x": "b9a62b21deda9d73", "y": "f27b4d3b6e7c2b66",
-            "d_g": "02a96e41dd2d60c0", "n": "c5336095765c5bcb", "p": "161f4c0b1a18a050",
+            "w": "19aa036d584f0171", "x": "676a7e62bb87f324", "y": "f43283857a54d423",
+            "dw": "5341ab3412fed977", "dx": "0b855b72b7954a0f", "dy": "14ee0d70ef6cc15d",
+            "gram": "2d343e51e8de0222", "n": "c5336095765c5bcb", "p": "161f4c0b1a18a050",
             "fisher_info": "50b22ec129190788", "grad_loglik": "9ec32742f6887274",
             "core_loglik": "88f4418adab959a7"},
         "ragged": {
             "z1": "24bca50ce123e357", "z2": "203d4d05cc4d84e8", "z3": "9ad3a859d23699cf",
             "a": "8c6c204ec42d8658", "b": "5f8073fd55b29a22", "c": "5b2d323f940aa14c",
-            "w": "f70318f7140cea04", "x": "fc6d88e81943e9c1", "y": "588a15543229aee6",
-            "d_g": "9c515a12e5fc1c67", "n": "7957aba2f15f5d55", "p": "161f4c0b1a18a050",
+            "w": "acde5e383a679280", "x": "7f7003e1d24bd08e", "y": "e3846b74c6df284f",
+            "dw": "30919beac2b31429", "dx": "fe71f00a5be0efd6", "dy": "5fd1b7039769421d",
+            "gram": "5ed42d52d43d1753", "n": "7957aba2f15f5d55", "p": "161f4c0b1a18a050",
             "fisher_info": "d03039816117bed8", "grad_loglik": "8eebe352bb02a369",
             "core_loglik": "d2c8371358dd53bb"},
         "two_time_grid": {
             "z1": "014112a365e894d1", "z2": "0b36c1bd5ddf4a43", "z3": "139107fd63d004e9",
             "a": "1f3aba56950d96fa", "b": "c18a934ce089d2e9", "c": "f0b24b9a452fd7ea",
-            "w": "80c1ec7e8f025d65", "x": "d6a1e502bad7de96", "y": "9fd71f8b7d533ef9",
-            "d_g": "94eb7aedf4cf62a4", "n": "139107fd63d004e9", "p": "161f4c0b1a18a050",
+            "w": "662e4942f500e840", "x": "58ffe4a4b780aeca", "y": "037e378882443b6a",
+            "dw": "46418449712bbfa5", "dx": "c10feca9704574b1", "dy": "63b9de1bb8986030",
+            "gram": "f66cec7c62fbd6c0", "n": "139107fd63d004e9", "p": "161f4c0b1a18a050",
             "fisher_info": "c6c3572e696f8c0a", "grad_loglik": "1750a418e87de79f",
             "core_loglik": "ec34f0febfd3afeb"},
     }
@@ -390,7 +396,7 @@ class TestDerivativeAggregates:
                     fd = (getattr(s_up, name) - getattr(s_down, name)) / (up[k] - down[k])
                     got = getattr(stats, "d" + name)[:, k]
                     # column-relative, and entry-wise for the eta-beta entries,
-                    # whose two signs differ
+                    # whose own sign a column-relative check could miss
                     scale = np.max(np.abs(fd))
                     assert np.max(np.abs(got - fd)) <= 1e-5 * scale
                     rows = range(1, theta.size) if k == 0 else [0]
@@ -398,7 +404,7 @@ class TestDerivativeAggregates:
                         assert got[l] == pytest.approx(fd[l], rel=1e-4, abs=1e-8 * scale)
 
     def test_signs_against_symbolic_differentiation(self):
-        """The telescoping difference equals +dm/deta for l=0 and -dm/dbeta_l else."""
+        """``w`` of one transition is its ``dm/dtheta``, in each direction's true sign."""
         eta_s, b1_s, b2_s, s2_s = sp.symbols("eta b1 b2 s2", positive=True)
         ta, tb = sp.Rational(1, 2), sp.Rational(7, 4)
         q = lambda t: b1_s * t + b2_s * t**2
@@ -411,12 +417,11 @@ class TestDerivativeAggregates:
         vdata = transform(panel)
         object.__setattr__(vdata, "times", vdata.times + float(ta))
         stats = compute_stats(vdata, params)
-        assert stats.d_g.shape == (3, 1)
+        assert vdata.n == 1 and stats.w.shape == (3,)
 
         for l, sym in enumerate((eta_s, b1_s, b2_s)):
             dm = float(sp.diff(m_s, sym).subs(point))
-            sign = 1.0 if l == 0 else -1.0
-            assert sign * stats.d_g[l, 0] == pytest.approx(dm, rel=1e-12)
+            assert stats.w[l] == pytest.approx(dm, rel=1e-12)
 
     def test_lambda_matches_symbolic(self):
         eta, b1 = 0.9, 0.4

@@ -286,6 +286,11 @@ class TestInflectionPoints:
         res = inflection_points(p, 1.0, 10.0, l0=1.0)
         assert res.times == ()
 
+    def test_constant_curve_has_none(self):
+        # Q = 0: the residual is exactly zero at every scan point and never changes sign
+        res = inflection_points(params((0.0,), eta=1.0), 0.0, 10.0)
+        assert res.times == () and res.values == ()
+
     def test_values_are_curve_values(self):
         p = params(CASE1_BETA, eta=math.exp(-1))
         res = inflection_points(p, 0.0, 50.0, l0=5.0)
